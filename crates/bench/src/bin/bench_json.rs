@@ -29,6 +29,9 @@
 //!   cached context through `FlowContext::rebuild`.
 //! - `--out PATH`: report path (default `BENCH_pr9.json`).
 //!
+//! `verify/check_fill_t1` times the fill DRC (`check_fill`) of a full
+//! ILP-II placement of T1 at W = 32k, r = 2.
+//!
 //! Besides timings, the report carries a `solver` object of raw effort
 //! counters from one ILP-II solve of the representative tile — simplex
 //! iterations, LU refactorizations and branch-and-bound nodes — so a
@@ -48,8 +51,8 @@ use pilfill_bench::{alloc_count, Harness, Json};
 use pilfill_core::flow::{run_flow_streamed, FlowConfig, FlowContext};
 use pilfill_core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
 use pilfill_core::{
-    extract_active_lines, scan_slack_columns, scan_slack_columns_into, ScanScratch, TileProblem,
-    WorkerPool,
+    check_fill, extract_active_lines, scan_slack_columns, scan_slack_columns_into, ScanScratch,
+    TileProblem, WorkerPool,
 };
 use pilfill_density::{DensityMap, FixedDissection};
 use pilfill_layout::synth::{synthesize, SynthConfig};
@@ -403,6 +406,22 @@ fn main() {
     h.bench("flow/run_streamed_buildsolve_ilp2_t2", samples, 1, || {
         run_flow_streamed(t2, &cfg, &IlpTwo, &pool).expect("streamed")
     });
+
+    // The quick run checks its small design instead of T1.
+    {
+        let (t1, t1_cfg) = if opts.quick {
+            (design.clone(), cfg.clone())
+        } else {
+            let c = FlowConfig::new(32_000, 2).expect("config");
+            (synthesize(&SynthConfig::t1()), c)
+        };
+        let (_, fill) = run_flow_streamed(&t1, &t1_cfg, &IlpTwo, &pool).expect("t1 fill");
+        h.bench("verify/check_fill_t1", 2 * samples + 1, 1, || {
+            let report = check_fill(&t1, t1_cfg.layer, &fill.features);
+            assert!(report.is_clean(), "flow output must pass DRC");
+            report
+        });
+    }
 
     // Incremental rebuild with exactly one mutated net. Alternating
     // between the pristine design and its mutated copy keeps every timed

@@ -81,7 +81,9 @@ pub struct FillFeature {
 }
 
 impl FillFeature {
-    /// The drawn rectangle given the feature side length.
+    /// The drawn rectangle given the feature side length. `x + size` and
+    /// `y + size` must fit `i64`; [`check_fill`] reports a feature whose
+    /// square does not as off the die.
     pub fn rect(&self, size: pilfill_geom::Coord) -> pilfill_geom::Rect {
         pilfill_geom::Rect::new(self.x, self.y, self.x + size, self.y + size)
     }

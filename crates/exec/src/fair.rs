@@ -777,16 +777,24 @@ mod tests {
         // completion.
         let fair = FairPool::with_options(FairOptions::new(2).quota(4).batch_log(true));
         let hold = AtomicBool::new(true);
+        let started = AtomicBool::new(false);
         std::thread::scope(|s| {
             // Occupy the dispatcher until every request is enqueued, so
-            // the rotation starts with all nine waiting.
+            // the rotation starts with all nine waiting. The requests are
+            // only submitted once the blocker's turn has begun: one
+            // dispatched ahead of it could finish early and leave the
+            // in-flight count short of ten forever.
             let blocker = s.spawn(|| {
                 fair.with_pool(|_| {
+                    started.store(true, Ordering::Release);
                     while hold.load(Ordering::Relaxed) {
                         std::thread::yield_now();
                     }
                 })
             });
+            while !started.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
             let large = s.spawn(|| {
                 fair.run(64, |i| {
                     spin_work(i);

@@ -43,7 +43,7 @@ impl Stream {
     /// Connects to a server by spec.
     pub(crate) fn connect(spec: &str) -> std::io::Result<Stream> {
         match parse_spec(spec) {
-            Spec::Tcp(addr) => Ok(Stream::Tcp(TcpStream::connect(addr)?)),
+            Spec::Tcp(addr) => Ok(Stream::Tcp(nodelay(TcpStream::connect(addr)?)?)),
             #[cfg(unix)]
             Spec::Unix(path) => Ok(Stream::Unix(UnixStream::connect(path)?)),
             #[cfg(not(unix))]
@@ -81,6 +81,14 @@ impl Stream {
             Stream::Unix(s) => unix_peek(s, buf),
         }
     }
+}
+
+/// Turns off Nagle's algorithm: every frame is one request or reply the
+/// peer is waiting for, so holding it back for coalescing only adds a
+/// delayed-ACK round trip.
+fn nodelay(s: TcpStream) -> std::io::Result<TcpStream> {
+    s.set_nodelay(true)?;
+    Ok(s)
 }
 
 /// `UnixStream::peek` is still unstable (`unix_socket_peek`), so peek
@@ -184,7 +192,7 @@ impl Listener {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                Ok(Stream::Tcp(s))
+                Ok(Stream::Tcp(nodelay(s)?))
             }
             #[cfg(unix)]
             Listener::Unix(l, _) => {
@@ -220,5 +228,30 @@ mod tests {
             Spec::Unix("/tmp/x.sock")
         ));
         assert!(matches!(parse_spec("localhost:0"), Spec::Tcp(_)));
+    }
+
+    /// Both ends of a loopback TCP connection run with `TCP_NODELAY`.
+    #[test]
+    fn tcp_streams_set_nodelay() {
+        let listener = Listener::bind("127.0.0.1:0").expect("bind");
+        let client = Stream::connect(&listener.addr()).expect("connect");
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let server = loop {
+            match listener.accept() {
+                Ok(s) => break s,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    assert!(std::time::Instant::now() < deadline, "no connection");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("accept: {e}"),
+            }
+        };
+        for s in [&client, &server] {
+            match s {
+                Stream::Tcp(s) => assert!(s.nodelay().expect("nodelay")),
+                #[cfg(unix)]
+                Stream::Unix(_) => panic!("expected a TCP stream"),
+            }
+        }
     }
 }

@@ -394,6 +394,9 @@ impl std::error::Error for ProtocolError {}
 
 /// Writes one frame: `u32` length prefix + payload.
 ///
+/// The frame goes out in one `write_all` of a single buffer, so a TCP
+/// peer never waits on a delayed ACK between the prefix and the payload.
+///
 /// # Errors
 ///
 /// I/O errors from `w`; an oversized payload is an `InvalidData` error.
@@ -402,8 +405,10 @@ pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> std::io::Result<()> {
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -1113,6 +1118,33 @@ mod tests {
         );
         assert_eq!(read_frame(&mut r).expect("read").as_deref(), Some(&b""[..]));
         assert_eq!(read_frame(&mut r).expect("read"), None);
+    }
+
+    /// A frame reaches the stream in one `write` call: a split prefix and
+    /// payload would stall on a delayed ACK over TCP.
+    #[test]
+    fn frame_is_written_in_one_call() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Counting::default();
+        write_frame(&mut w, b"hello").expect("write");
+        assert_eq!(w.writes, 1);
+        write_frame(&mut w, b"").expect("write");
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"\x05\0\0\0hello\0\0\0\0");
     }
 
     #[test]

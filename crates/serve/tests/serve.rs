@@ -492,6 +492,40 @@ fn density_and_verify_requests_match_library_results() {
     server.join().expect("server thread").expect("server run");
 }
 
+/// A client-supplied feature whose square overflows `i64` comes back as
+/// exactly one off-die violation: no wrap-around pass, no server panic.
+#[test]
+fn verify_reports_i64_boundary_feature_off_die() {
+    let design = synthesize(&SynthConfig::small_test(5));
+    let (addr, server) = spawn_server("127.0.0.1:0", &ServeOptions::default());
+    let mut client = Client::connect_retry(&addr, Duration::from_secs(5)).expect("connect");
+    let edge = i64::MAX - 10;
+    let reply = client
+        .request(&Request::Verify {
+            design: DesignRef::Inline(design.to_text()),
+            layer: 0,
+            features: vec![(edge, edge)],
+        })
+        .expect("verify request");
+    match reply {
+        Reply::VerifyOk {
+            checked,
+            violations,
+            ..
+        } => {
+            assert_eq!(checked, 1);
+            assert_eq!(
+                violations,
+                vec![format!("fill at ({edge}, {edge}) off die")]
+            );
+        }
+        other => panic!("expected VerifyOk, got {other:?}"),
+    }
+
+    assert!(client.shutdown().expect("shutdown"));
+    server.join().expect("server thread").expect("server run");
+}
+
 /// Beyond `max_conns` live connections the accept loop answers `Busy`
 /// and turns the connection away instead of spawning threads without
 /// bound; a freed slot serves fresh connections again, exactly.

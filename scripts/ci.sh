@@ -69,6 +69,19 @@ wait "$serve_pid"
 trap - EXIT
 rm -rf "$serve_dir"
 
+# DRC smoke: an ILP-II fill exported to GDSII and read back must pass
+# `pilfill verify` (exit 0, "DRC clean").
+echo "==> DRC smoke (pilfill fill --gds, then pilfill verify)"
+drc_dir=$(mktemp -d)
+trap 'rm -rf "$drc_dir"' EXIT
+./target/release/pilfill synth --preset small --seed 7 --out "$drc_dir/drc.pfl" >/dev/null
+./target/release/pilfill fill "$drc_dir/drc.pfl" --method ilp2 --gds "$drc_dir/drc.gds" >/dev/null
+out=$(./target/release/pilfill verify "$drc_dir/drc.pfl" --gds "$drc_dir/drc.gds") ||
+  { echo "pilfill verify failed: $out"; exit 1; }
+echo "$out" | grep -q "DRC clean" || { echo "expected DRC clean: $out"; exit 1; }
+trap - EXIT
+rm -rf "$drc_dir"
+
 # Informational, non-blocking: a --quick bench run checks the harness
 # end-to-end (including the sweep and serve-load flag paths) without
 # pretending CI hardware produces comparable medians; the diff against
