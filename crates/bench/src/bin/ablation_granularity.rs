@@ -18,10 +18,11 @@ use pilfill_bench::render::reduction_pct;
 use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::{IlpTwo, NormalFill};
+use pilfill_core::WorkerPool;
 use std::fmt::Write as _;
 
 fn main() {
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
     let mut csv = String::from("testcase,r,tiles,normal_tau_s,ilp2_tau_s,reduction_pct\n");
     println!("Ablation B: dissection granularity (W = 32k dbu)\n");
     println!(
@@ -32,10 +33,8 @@ fn main() {
         for r in [1usize, 2, 4, 8, 16] {
             let cfg = FlowConfig::new(32_000, r).expect("config");
             let ctx = FlowContext::build(&design, &cfg).expect("context");
-            let normal = ctx
-                .run_parallel(&cfg, &NormalFill, threads)
-                .expect("normal");
-            let ilp2 = ctx.run_parallel(&cfg, &IlpTwo, threads).expect("ilp2");
+            let normal = ctx.run_pool(&cfg, &NormalFill, &pool).expect("normal");
+            let ilp2 = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("ilp2");
             let red = reduction_pct(normal.impact.total_delay, ilp2.impact.total_delay);
             println!(
                 "{:<6} {:>4} {:>8} {:>14.3} {:>14.3} {:>11.1}%",

@@ -18,6 +18,7 @@ use pilfill_bench::experiments::default_threads;
 use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::flow::{FlowConfig, FlowContext, FlowOutcome};
 use pilfill_core::methods::{net_delays, BoundedGreedy, FillMethod, GreedyFill, IlpTwo};
+use pilfill_core::WorkerPool;
 use pilfill_prng::rngs::StdRng;
 use pilfill_prng::SeedableRng;
 use std::fmt::Write as _;
@@ -31,7 +32,7 @@ fn worst_net(o: &FlowOutcome) -> f64 {
 }
 
 fn main() {
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
     let mut csv = String::from("testcase,method,bound_s,total_tau_s,worst_net_tau_s\n");
     println!("Ablation C: Greedy net-delay bound (W=32k, r=2)\n");
     println!(
@@ -43,9 +44,7 @@ fn main() {
         let ctx = FlowContext::build(&design, &cfg).expect("context");
         // Calibrate bounds from the worst per-tile, per-net delay plain
         // Greedy produces (the quantity BoundedGreedy actually bounds).
-        let greedy = ctx
-            .run_parallel(&cfg, &GreedyFill, threads)
-            .expect("greedy");
+        let greedy = ctx.run_pool(&cfg, &GreedyFill, &pool).expect("greedy");
         let mut w0 = 0.0f64;
         for p in ctx.problems() {
             let budget = pilfill_geom::units::saturating_count(
@@ -85,10 +84,10 @@ fn main() {
         for frac in [0.5, 0.2, 0.05] {
             let bound = w0 * frac;
             let method = BoundedGreedy::new(bound);
-            let o = ctx.run_parallel(&cfg, &method, threads).expect("bounded");
+            let o = ctx.run_pool(&cfg, &method, &pool).expect("bounded");
             report("Greedy-bounded".to_string(), bound, &o);
         }
-        let ilp2 = ctx.run_parallel(&cfg, &IlpTwo, threads).expect("ilp2");
+        let ilp2 = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("ilp2");
         report("ILP-II".into(), f64::INFINITY, &ilp2);
         println!();
     }

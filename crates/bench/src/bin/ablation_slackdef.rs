@@ -18,10 +18,11 @@ use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::IlpTwo;
 use pilfill_core::SlackColumnDef;
+use pilfill_core::WorkerPool;
 use std::fmt::Write as _;
 
 fn main() {
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
     let mut csv = String::from("testcase,definition,tau_s,placed,shortfall,free_features\n");
     println!("Ablation A: slack-column definition (ILP-II, W=32k, r=2)\n");
     println!(
@@ -37,7 +38,7 @@ fn main() {
             let mut cfg = FlowConfig::new(32_000, 2).expect("config");
             cfg.def = def;
             let ctx = FlowContext::build(&design, &cfg).expect("context");
-            let o = ctx.run_parallel(&cfg, &IlpTwo, threads).expect("run");
+            let o = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run");
             println!(
                 "{:<6} {:<16} {:>12.4} {:>9} {:>10} {:>12}",
                 design.name,

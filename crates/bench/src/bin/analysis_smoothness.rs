@@ -13,12 +13,13 @@ use pilfill_bench::experiments::default_threads;
 use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::{IlpTwo, NormalFill};
+use pilfill_core::WorkerPool;
 use pilfill_density::{gradient_analysis, DensityMap, FixedDissection};
 use pilfill_layout::LayerId;
 use std::fmt::Write as _;
 
 fn main() {
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
     let mut csv =
         String::from("testcase,stage,window,min_density,variation,max_gradient,mean_gradient\n");
     println!("Extension E: smoothness of filled layouts (r = 2)\n");
@@ -29,10 +30,8 @@ fn main() {
     for design in [t1(), t2()] {
         let cfg = FlowConfig::new(32_000, 2).expect("config");
         let ctx = FlowContext::build(&design, &cfg).expect("context");
-        let ilp2 = ctx.run_parallel(&cfg, &IlpTwo, threads).expect("ilp2 run");
-        let normal = ctx
-            .run_parallel(&cfg, &NormalFill, threads)
-            .expect("normal run");
+        let ilp2 = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("ilp2 run");
+        let normal = ctx.run_pool(&cfg, &NormalFill, &pool).expect("normal run");
 
         for window in [16_000i64, 32_000] {
             let dis = FixedDissection::new(design.die, window, 2).expect("dissection");

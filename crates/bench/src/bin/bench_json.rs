@@ -433,7 +433,7 @@ fn main() {
         h.bench("flow/rebuild_dirty1_t2", samples, 1, || {
             let target = if flip { t2 } else { &mutated };
             flip = !flip;
-            let stats = rctx.rebuild(target, &cfg, &pool).expect("rebuild");
+            let (stats, _) = rctx.rebuild(target, &cfg, &pool).expect("rebuild");
             assert!(!stats.full, "rebuild must take the incremental path");
             stats
         });
@@ -483,11 +483,12 @@ fn main() {
         }
     } else {
         // Legacy single-point parallel keys (the sweep supersedes these).
+        let pool = WorkerPool::new(4);
         h.bench("flow/context_build_parallel4_t2", samples, 1, || {
-            FlowContext::build_parallel(t2, &cfg, 4).expect("context")
+            FlowContext::build_pool(t2, &cfg, &pool).expect("context")
         });
         h.bench("flow/run_parallel4_ilp2_t2", samples, 1, || {
-            ctx.run_parallel(&cfg, &IlpTwo, 4).expect("run")
+            ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run")
         });
     }
 

@@ -14,11 +14,12 @@ use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::budget_ext::{BudgetedIlpTwo, CapBudgets};
 use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::IlpTwo;
+use pilfill_core::WorkerPool;
 use pilfill_rc::CouplingModel;
 use std::fmt::Write as _;
 
 fn main() {
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
     let mut csv = String::from("testcase,method,protected_cap_f,others_cap_f,total_tau_s\n");
     println!("Extension D: per-net capacitance budgets (W=16k, r=2)");
     println!("Protecting the 5 most fill-coupled nets with a 10% budget.\n");
@@ -34,7 +35,7 @@ fn main() {
 
         // Baseline: plain ILP-II; pick the 5 nets that absorbed the most
         // fill coupling (the "critical nets" a timing engine would flag).
-        let plain = ctx.run_parallel(&cfg, &IlpTwo, threads).expect("ilp2");
+        let plain = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("ilp2");
         let mut by_cap: Vec<(usize, f64)> = plain
             .impact
             .per_net_cap
@@ -54,7 +55,7 @@ fn main() {
         let budgets = CapBudgets::from_global(global).split_over_tiles(ctx.problems());
         let budgeted_method = BudgetedIlpTwo { budgets };
         let budgeted = ctx
-            .run_parallel(&cfg, &budgeted_method, threads)
+            .run_pool(&cfg, &budgeted_method, &pool)
             .expect("budgeted");
 
         for (name, outcome) in [("ILP-II", &plain), ("ILP-II+budgets", &budgeted)] {

@@ -10,6 +10,7 @@ use pilfill_bench::experiments::default_threads;
 use pilfill_bench::testcases::{t1, t2};
 use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::methods::{IlpTwo, NormalFill};
+use pilfill_core::WorkerPool;
 use pilfill_density::{DensityMap, FixedDissection};
 use pilfill_layout::LayerId;
 use pilfill_viz::{DensityView, LayoutView, Theme};
@@ -17,7 +18,7 @@ use pilfill_viz::{DensityView, LayoutView, Theme};
 fn main() {
     std::fs::create_dir_all("results").expect("results dir");
     let theme = Theme::default();
-    let threads = default_threads();
+    let pool = WorkerPool::new(default_threads());
 
     for design in [t1(), t2()] {
         let tag = design.name.to_lowercase();
@@ -46,7 +47,7 @@ fn main() {
             &IlpTwo as &(dyn pilfill_core::methods::FillMethod + Sync),
             &NormalFill,
         ] {
-            let outcome = ctx.run_parallel(&cfg, method, threads).expect("fill run");
+            let outcome = ctx.run_pool(&cfg, method, &pool).expect("fill run");
             let name = outcome.method.to_lowercase().replace('-', "");
             let svg = LayoutView::new(&design)
                 .with_fill(&outcome.features)

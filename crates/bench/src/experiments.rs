@@ -2,6 +2,7 @@
 
 use pilfill_core::flow::{FlowConfig, FlowContext, FlowError};
 use pilfill_core::methods::{FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
+use pilfill_core::WorkerPool;
 use pilfill_geom::Coord;
 use pilfill_layout::Design;
 use std::time::Duration;
@@ -94,6 +95,7 @@ pub fn run_grid(
     grid: &Grid,
     progress: &mut dyn FnMut(&str),
 ) -> Result<Vec<ExperimentRow>, FlowError> {
+    let pool = WorkerPool::new(grid.threads);
     let mut rows = Vec::new();
     for &(label, window, r) in &grid.cells {
         let mut config = FlowConfig::new(window, r)?;
@@ -105,7 +107,7 @@ pub fn run_grid(
         let ctx = FlowContext::build(design, &config)?;
         let mut methods = Vec::new();
         for method in paper_methods() {
-            let outcome = ctx.run_parallel(&config, method, grid.threads)?;
+            let outcome = ctx.run_pool(&config, method, &pool)?;
             progress(&format!(
                 "{}/{}/{} {:>7}: tau = {:.3e} s, cpu = {:.2?}",
                 design.name,

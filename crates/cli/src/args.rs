@@ -65,8 +65,6 @@ const BOOLEAN_FLAGS: &[&str] = &[
     "help",
     "quiet",
     "lp-budget",
-    "streamed",
-    "no-streamed",
     "by-hash",
     "shutdown",
 ];

@@ -3,7 +3,7 @@
 //! spawning processes.
 
 use crate::args::{ArgError, Args};
-use pilfill_core::flow::{FlowConfig, FlowContext, FlowOutcome};
+use pilfill_core::flow::{FlowConfig, FlowOutcome};
 use pilfill_core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
 use pilfill_core::SlackColumnDef;
 use pilfill_density::{DensityMap, FixedDissection};
@@ -111,7 +111,6 @@ COMMANDS:
   fill     <design.pfl> [--window DBU] [--r N] [--method normal|greedy|ilp1|ilp2|dp]
            [--def 1|2|3] [--max-density F] [--weighted]
            [--threads N] (0 = auto-detect available parallelism; default)
-           [--no-streamed] (disable the fused build+solve pipeline)
            [--gds out.gds] [--svg out.svg] [--csv report.csv]
            run timing-aware fill and report the delay impact
   serve    --listen <host:port|unix:PATH> [--threads N] [--quota N]
@@ -292,24 +291,9 @@ fn fill(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         n => n,
     };
     let config = flow_config(args, &design)?;
-
-    // The fused build+solve pipeline is the default; `--no-streamed`
-    // restores the two-phase build-then-run flow (`--streamed` is accepted
-    // as an explicit no-op). Both produce bit-identical results.
-    let outcome = if args.flag("no-streamed") {
-        let ctx = FlowContext::build_parallel(&design, &config, threads).map_err(tool_err)?;
-        if threads > 1 {
-            ctx.run_parallel(&config, method, threads)
-                .map_err(tool_err)?
-        } else {
-            ctx.run(&config, method).map_err(tool_err)?
-        }
-    } else {
-        let pool = pilfill_core::WorkerPool::new(threads);
-        pilfill_core::run_flow_streamed(&design, &config, method, &pool)
-            .map_err(tool_err)?
-            .1
-    };
+    let pool = pilfill_core::WorkerPool::new(threads);
+    let (_, outcome) =
+        pilfill_core::run_flow_streamed(&design, &config, method, &pool).map_err(tool_err)?;
     report_fill(&outcome, out)?;
 
     if let Some(path) = args.get("gds") {
@@ -729,8 +713,8 @@ mod tests {
     }
 
     #[test]
-    fn streamed_and_two_phase_fill_reports_match() {
-        let design_path = tmp("streamed.pfl");
+    fn fill_reports_match_at_every_thread_count() {
+        let design_path = tmp("threads.pfl");
         run(&[
             "synth",
             "--preset",
@@ -749,11 +733,14 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let streamed = strip(&run(base).expect("streamed fill"));
-        let explicit: Vec<&str> = base.iter().copied().chain(["--streamed"]).collect();
-        assert_eq!(strip(&run(&explicit).expect("explicit flag")), streamed);
-        let two_phase: Vec<&str> = base.iter().copied().chain(["--no-streamed"]).collect();
-        assert_eq!(strip(&run(&two_phase).expect("two-phase fill")), streamed);
+        let report = |threads: &str| {
+            let argv: Vec<&str> = base.iter().copied().chain(["--threads", threads]).collect();
+            strip(&run(&argv).expect("fill"))
+        };
+        let serial = report("1");
+        for threads in ["2", "8"] {
+            assert_eq!(report(threads), serial, "--threads {threads}");
+        }
     }
 
     #[test]

@@ -163,54 +163,16 @@ fn column_contribution(
 ///
 /// `num_nets` sizes the per-net vector; `bounds`/`rules` must match the
 /// scan that produced `columns`.
-pub fn evaluate_placement(
-    features: &[FillFeature],
-    columns: &[SlackColumn],
-    lines: &[ActiveLine],
-    bounds: Rect,
-    tech: &Tech,
-    rules: FillRules,
-    num_nets: usize,
-) -> DelayImpact {
-    evaluate_impl(
-        features, columns, lines, bounds, tech, rules, num_nets, None,
-    )
-}
-
-/// Like [`evaluate_placement`], but shards the per-column contribution
-/// work across `pool`'s lanes.
 ///
-/// Each occupied column's contribution (capacitance, per-line delay
-/// shares) is a pure function of that column alone, computed into its own
-/// slot; the accumulators are then folded serially in global column order,
-/// which replays the exact f64 addition sequence of the serial evaluator.
-/// The result is therefore bit-identical to [`evaluate_placement`] for
-/// every lane count.
+/// With a `pool`, the per-column contribution work is sharded across its
+/// lanes: each occupied column's contribution (capacitance, per-line
+/// delay shares) is a pure function of that column alone, computed into
+/// its own slot, and the accumulators are then folded serially in global
+/// column order — the exact f64 addition sequence of the serial
+/// evaluator. Without one, contributions stream straight into the fold.
+/// The result is bit-identical either way, for every lane count.
 #[allow(clippy::too_many_arguments)]
-pub fn evaluate_placement_pool(
-    pool: &WorkerPool,
-    features: &[FillFeature],
-    columns: &[SlackColumn],
-    lines: &[ActiveLine],
-    bounds: Rect,
-    tech: &Tech,
-    rules: FillRules,
-    num_nets: usize,
-) -> DelayImpact {
-    evaluate_impl(
-        features,
-        columns,
-        lines,
-        bounds,
-        tech,
-        rules,
-        num_nets,
-        Some(pool),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn evaluate_impl(
+pub fn evaluate_placement(
     features: &[FillFeature],
     columns: &[SlackColumn],
     lines: &[ActiveLine],
@@ -341,6 +303,7 @@ mod tests {
             &s.design.tech,
             s.design.rules,
             s.design.nets.len(),
+            None,
         )
     }
 
@@ -484,11 +447,11 @@ mod tests {
             &d.tech,
             d.rules,
             d.nets.len(),
+            None,
         );
         for shards in 1..=8 {
             let pool = WorkerPool::new(shards);
-            let sharded = evaluate_placement_pool(
-                &pool,
+            let sharded = evaluate_placement(
                 &features,
                 &columns,
                 &lines,
@@ -496,6 +459,7 @@ mod tests {
                 &d.tech,
                 d.rules,
                 d.nets.len(),
+                Some(&pool),
             );
             // Bit-identical, including every f64 accumulator: the fold
             // order is the column order regardless of shard count.

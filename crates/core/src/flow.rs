@@ -5,9 +5,9 @@
 use crate::methods::{FillMethod, MethodError};
 use crate::{
     build_slab_problems, build_tile_problems_pool, def_three_capacities, evaluate_placement,
-    evaluate_placement_pool, extract_net_lines_with, extract_obstruction_lines, scan_site_columns,
-    scan_slack_columns_into, site_column_count, slab_ranges, ActiveLine, DelayImpact,
-    ExtractScratch, FillFeature, ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
+    extract_net_lines_with, extract_obstruction_lines, scan_site_columns, scan_slack_columns_into,
+    site_column_count, slab_ranges, ActiveLine, DelayImpact, ExtractScratch, FillFeature,
+    ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
 };
 use pilfill_density::{
     lp_budget, montecarlo_budget, BudgetError, DensityAnalysis, DensityMap, DissectionError,
@@ -151,18 +151,13 @@ pub struct FlowOutcome {
     pub tiles: usize,
 }
 
-/// Number of logical CPUs of the host, used to fall back to the serial
-/// paths when a multi-lane pool cannot actually run in parallel (lanes
-/// would only add claim/wake overhead — the PR4 bench regression).
-fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// `true` when `pool` can genuinely run more than one lane at once.
+/// `true` when `pool` can genuinely run more than one lane at once: it has
+/// several lanes and the host has several CPUs. The single place that
+/// decides the single-CPU fallback — on one CPU the lanes cannot overlap
+/// and would only add claim/wake overhead, so every pooled entry point
+/// takes its serial path instead.
 fn pool_is_parallel(pool: &WorkerPool) -> bool {
-    pool.lanes() > 1 && host_parallelism() > 1
+    pool.lanes() > 1 && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
 }
 
 /// The method-independent flow state up to (and including) the fill
@@ -386,27 +381,10 @@ impl<'d> FlowContext<'d> {
         Self::build_pool(design, config, &WorkerPool::new(1))
     }
 
-    /// Like [`FlowContext::build`], but prepares the per-tile problems on a
-    /// transient `threads`-lane [`WorkerPool`] (per-tile slack scans for
-    /// definitions I/II, sharded global-column distribution for
-    /// definition III). The result is identical for every thread count.
-    /// Callers building repeatedly should hold their own pool and use
-    /// [`FlowContext::build_pool`] to amortize worker spawn-up.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowError`].
-    pub fn build_parallel(
-        design: &'d Design,
-        config: &FlowConfig,
-        threads: usize,
-    ) -> Result<Self, FlowError> {
-        Self::build_pool(design, config, &WorkerPool::new(threads))
-    }
-
     /// Like [`FlowContext::build`], but prepares the per-tile problems on
-    /// the caller's persistent [`WorkerPool`]. The result is identical for
-    /// every pool size.
+    /// the caller's [`WorkerPool`] (per-tile slack scans for definitions
+    /// I/II, sharded global-column distribution for definition III). The
+    /// result is identical for every pool size.
     ///
     /// On a single-CPU host a multi-lane pool cannot overlap any work, so
     /// the build transparently falls back to the serial path (the lanes
@@ -423,17 +401,6 @@ impl<'d> FlowContext<'d> {
         if pool.lanes() > 1 && !pool_is_parallel(pool) {
             return Self::build_pool_impl(design, config, &WorkerPool::new(1));
         }
-        Self::build_pool_impl(design, config, pool)
-    }
-
-    /// [`FlowContext::build_pool`] without the single-CPU serial fallback —
-    /// exercises the multi-lane path regardless of the host. Test-only.
-    #[doc(hidden)]
-    pub fn build_pool_forced(
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<Self, FlowError> {
         Self::build_pool_impl(design, config, pool)
     }
 
@@ -495,28 +462,16 @@ impl<'d> FlowContext<'d> {
     /// count on the target layer differs (line indices would shift under
     /// every clean column).
     ///
+    /// Alongside the stats it reports which tiles' previously computed
+    /// solve results the rebuild invalidated ([`RebuildDirt`]) — the
+    /// contract a per-tile result cache layered above the context (the
+    /// serving layer) relies on.
+    ///
     /// # Errors
     ///
     /// See [`FlowError`]. On error the context is left in its previous
     /// state (full-rebuild errors excepted).
     pub fn rebuild(
-        &mut self,
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<RebuildStats, FlowError> {
-        Ok(self.rebuild_tracked(design, config, pool)?.0)
-    }
-
-    /// Like [`FlowContext::rebuild`], but additionally reports which
-    /// tiles' previously computed solve results the rebuild invalidated
-    /// ([`RebuildDirt`]) — the contract a per-tile result cache layered
-    /// above the context (the serving layer) relies on.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowContext::rebuild`].
-    pub fn rebuild_tracked(
         &mut self,
         design: &'d Design,
         config: &FlowConfig,
@@ -535,7 +490,7 @@ impl<'d> FlowContext<'d> {
     }
 
     /// The incremental-rebuild body shared by the borrowed
-    /// ([`FlowContext::rebuild_tracked`]) and owned
+    /// ([`FlowContext::rebuild`]) and owned
     /// ([`FlowContext::rebuild_owned`]) entry points. Never stores
     /// `design` into the context — on [`IncrOutcome::Done`] the caller
     /// installs it with the lifetime it owns; on
@@ -835,35 +790,13 @@ impl<'d> FlowContext<'d> {
         self.budget.features(cell)
     }
 
-    /// Runs one placement method against the prepared context, solving
-    /// tiles on a transient `threads`-lane [`WorkerPool`]. The result is
-    /// identical to [`FlowContext::run`] for any thread count: per-tile
-    /// seeds depend only on the tile index, and tile results are merged in
-    /// tile order. Callers running repeatedly should hold their own pool
-    /// and use [`FlowContext::run_pool`] to amortize worker spawn-up.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError::Method`] if any tile solve fails.
-    pub fn run_parallel(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        threads: usize,
-    ) -> Result<FlowOutcome, FlowError> {
-        let threads = threads.max(1);
-        if threads == 1 || self.problems.len() < 2 {
-            return self.run(config, method);
-        }
-        self.run_pool(config, method, &WorkerPool::new(threads))
-    }
-
     /// Runs one placement method against the prepared context on the
-    /// caller's persistent [`WorkerPool`]. Tiles are claimed dynamically
-    /// (one 4.5ms ILP-II tile no longer serializes a static chunk of
-    /// followers) and the delay evaluation is sharded by slack column; the
-    /// result is bit-identical to [`FlowContext::run`] for every pool
-    /// size.
+    /// caller's [`WorkerPool`]. Tiles are claimed dynamically (one 4.5ms
+    /// ILP-II tile no longer serializes a static chunk of followers) and
+    /// the delay evaluation is sharded by slack column; the result is
+    /// bit-identical to [`FlowContext::run`] for every pool size: per-tile
+    /// seeds depend only on the tile cell, and tile results are merged in
+    /// tile order.
     ///
     /// On a single-CPU host (or a 1-lane pool) this falls back to the
     /// serial [`FlowContext::run`] — the lanes cannot overlap and would
@@ -878,16 +811,15 @@ impl<'d> FlowContext<'d> {
         method: &(dyn FillMethod + Sync),
         pool: &WorkerPool,
     ) -> Result<FlowOutcome, FlowError> {
-        if !pool_is_parallel(pool) || self.problems.len() < 2 {
+        if !pool_is_parallel(pool) {
             return self.run(config, method);
         }
         self.run_pool_impl(config, method, pool)
     }
 
-    /// [`FlowContext::run_pool`] without the single-CPU serial fallback —
-    /// exercises the multi-lane path regardless of the host. Test-only.
-    #[doc(hidden)]
-    pub fn run_pool_forced(
+    /// The multi-lane body of [`FlowContext::run_pool`], without the
+    /// single-CPU fallback (tests call it to drive the lanes on any host).
+    fn run_pool_impl(
         &self,
         config: &FlowConfig,
         method: &(dyn FillMethod + Sync),
@@ -897,16 +829,6 @@ impl<'d> FlowContext<'d> {
         if pool.lanes() == 1 || n < 2 {
             return self.run(config, method);
         }
-        self.run_pool_impl(config, method, pool)
-    }
-
-    fn run_pool_impl(
-        &self,
-        config: &FlowConfig,
-        method: &(dyn FillMethod + Sync),
-        pool: &WorkerPool,
-    ) -> Result<FlowOutcome, FlowError> {
-        let n = self.problems.len();
 
         // Each tile owns one pre-partitioned result slot: no locks, no
         // contention, and every slot is written exactly once.
@@ -1028,27 +950,16 @@ impl<'d> FlowContext<'d> {
         // per tile.
         density_after_map.add_tile_areas(area_deltas);
 
-        let impact = match pool {
-            Some(pool) => evaluate_placement_pool(
-                pool,
-                &features,
-                &self.columns,
-                &self.lines,
-                design.die,
-                &design.tech,
-                design.rules,
-                design.nets.len(),
-            ),
-            None => evaluate_placement(
-                &features,
-                &self.columns,
-                &self.lines,
-                design.die,
-                &design.tech,
-                design.rules,
-                design.nets.len(),
-            ),
-        };
+        let impact = evaluate_placement(
+            &features,
+            &self.columns,
+            &self.lines,
+            design.die,
+            &design.tech,
+            design.rules,
+            design.nets.len(),
+            pool,
+        );
 
         // Report features in the caller's frame.
         if self.transposed {
@@ -1097,7 +1008,7 @@ impl<'d> FlowContext<'d> {
 }
 
 impl FlowContext<'static> {
-    /// [`FlowContext::rebuild_tracked`] for detached
+    /// [`FlowContext::rebuild`] for detached
     /// ([`FlowContext::into_owned`]) contexts: the mutated `design` may
     /// live arbitrarily briefly — the context clones it into its owned
     /// frame instead of borrowing. The incremental machinery (and its
@@ -1186,18 +1097,9 @@ pub fn run_flow_streamed<'d>(
     run_flow_streamed_impl(design, config, method, pool, pool_is_parallel(pool))
 }
 
-/// [`run_flow_streamed`] without the single-CPU serial fallback —
-/// exercises the producer/consumer gate regardless of the host. Test-only.
-#[doc(hidden)]
-pub fn run_flow_streamed_forced<'d>(
-    design: &'d Design,
-    config: &FlowConfig,
-    method: &(dyn FillMethod + Sync),
-    pool: &WorkerPool,
-) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    run_flow_streamed_impl(design, config, method, pool, pool.lanes() > 1)
-}
-
+/// The body of [`run_flow_streamed`]; `parallel` selects the
+/// producer/consumer gate over the fused serial loop (tests pass
+/// `pool.lanes() > 1` to drive the gate on any host).
 fn run_flow_streamed_impl<'d>(
     design: &'d Design,
     config: &FlowConfig,
@@ -1287,28 +1189,6 @@ fn run_flow_streamed_impl<'d>(
     let eval_pool = if parallel { Some(pool) } else { None };
     let outcome = ctx.assemble(method.name(), per_tile, eval_pool)?;
     Ok((ctx, outcome))
-}
-
-/// Runs the flow for every layer of the design (the full-chip fill step:
-/// each layer gets its own dissection, budget and placement). `config`'s
-/// `layer` field is overridden per layer; all other settings are shared.
-///
-/// # Errors
-///
-/// Returns the first [`FlowError`] encountered.
-pub fn run_flow_all_layers(
-    design: &Design,
-    config: &FlowConfig,
-    method: &dyn FillMethod,
-) -> Result<Vec<(LayerId, FlowOutcome)>, FlowError> {
-    (0..design.layers.len())
-        .map(|li| {
-            let mut layer_config = config.clone();
-            layer_config.layer = LayerId(li);
-            let outcome = run_flow(design, &layer_config, method)?;
-            Ok((LayerId(li), outcome))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -1442,12 +1322,11 @@ mod tests {
         ];
         for method in methods {
             let seq = ctx.run(&cfg, method).expect("seq");
-            for threads in [1usize, 2, 8] {
+            for threads in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(threads);
                 let runs = [
-                    ctx.run_parallel(&cfg, method, threads).expect("par"),
                     ctx.run_pool(&cfg, method, &pool).expect("pooled"),
-                    ctx.run_pool_forced(&cfg, method, &pool).expect("forced"),
+                    ctx.run_pool_impl(&cfg, method, &pool).expect("forced"),
                 ];
                 for par in &runs {
                     let tag = format!("{} @ {threads} threads", method.name());
@@ -1471,22 +1350,20 @@ mod tests {
     #[test]
     fn pool_reuse_gives_identical_results_to_fresh_pools() {
         // One persistent pool across context build and two consecutive
-        // runs must match transient per-call pools bit for bit.
+        // runs must match a fresh pool bit for bit.
         let d = design();
         let cfg = config();
         let pool = WorkerPool::new(4);
-        let ctx = FlowContext::build_pool_forced(&d, &cfg, &pool).expect("pooled ctx");
+        let ctx = FlowContext::build_pool_impl(&d, &cfg, &pool).expect("pooled ctx");
         let fresh_ctx = FlowContext::build(&d, &cfg).expect("fresh ctx");
         assert_eq!(ctx.problems, fresh_ctx.problems);
         assert_eq!(ctx.budget_total, fresh_ctx.budget_total);
 
-        let first = ctx
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
-            .expect("first run");
-        let second = ctx
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
-            .expect("second run");
-        let fresh = fresh_ctx.run_parallel(&cfg, &IlpTwo, 4).expect("fresh run");
+        let first = ctx.run_pool_impl(&cfg, &IlpTwo, &pool).expect("first run");
+        let second = ctx.run_pool_impl(&cfg, &IlpTwo, &pool).expect("second run");
+        let fresh = fresh_ctx
+            .run_pool_impl(&cfg, &IlpTwo, &WorkerPool::new(4))
+            .expect("fresh run");
         for run in [&second, &fresh] {
             assert_eq!(first.features, run.features);
             assert_eq!(first.impact, run.impact);
@@ -1527,8 +1404,8 @@ mod tests {
             let mut cfg = config();
             cfg.def = def;
             let seq = FlowContext::build(&d, &cfg).expect("seq build");
-            for threads in [2usize, 8] {
-                let par = FlowContext::build_pool_forced(&d, &cfg, &WorkerPool::new(threads))
+            for threads in [2usize, 4, 8] {
+                let par = FlowContext::build_pool_impl(&d, &cfg, &WorkerPool::new(threads))
                     .expect("par build");
                 assert_eq!(seq.problems, par.problems, "{def} @ {threads} threads");
                 assert_eq!(seq.budget_total, par.budget_total);
@@ -1536,25 +1413,6 @@ mod tests {
                 let b = par.run(&cfg, &GreedyFill).expect("run par ctx");
                 assert_eq!(a.features, b.features);
                 assert_eq!(a.impact, b.impact);
-            }
-        }
-    }
-
-    #[test]
-    fn all_layers_flow_covers_every_layer() {
-        let d = design();
-        let cfg = config();
-        let outcomes = run_flow_all_layers(&d, &cfg, &GreedyFill).expect("all layers");
-        assert_eq!(outcomes.len(), d.layers.len());
-        for (layer, o) in &outcomes {
-            assert_eq!(o.placed_features, o.budget_total, "layer {}", layer.0);
-            // Features must clear the wires of their own layer.
-            let size = d.rules.feature_size;
-            for (_, _, seg) in d.segments_on_layer(*layer) {
-                let keepout = seg.rect().grown(d.rules.buffer);
-                for f in &o.features {
-                    assert!(!f.rect(size).overlaps(&keepout));
-                }
             }
         }
     }
@@ -1629,7 +1487,7 @@ mod tests {
             for lanes in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(lanes);
                 let (sctx, streamed) =
-                    run_flow_streamed_forced(&d, &cfg, method, &pool).expect("streamed");
+                    run_flow_streamed_impl(&d, &cfg, method, &pool, lanes > 1).expect("streamed");
                 let tag = format!("{} @ {lanes} lanes", method.name());
                 assert_outcomes_identical(&serial, &streamed, &tag);
                 assert_eq!(sctx.problems, ctx.problems, "{tag}");
@@ -1681,7 +1539,7 @@ mod tests {
         let d2 = mutate_one_segment(&d);
 
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, _) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full, "a one-segment change must stay incremental");
         assert_eq!(stats.changed_nets, 1);
         assert!(stats.dirty_site_columns > 0);
@@ -1715,7 +1573,7 @@ mod tests {
         d2.nets[0].sinks.push(sink);
 
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, _) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full, "a sink edit must stay incremental");
         assert_eq!(stats.changed_nets, 1);
         assert_eq!(
@@ -1751,7 +1609,7 @@ mod tests {
         let pool = WorkerPool::new(1);
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
         let before_problems = ctx.problems.clone();
-        let stats = ctx.rebuild(&d, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild(&d, &cfg, &pool).expect("rebuild");
         assert_eq!(
             stats,
             RebuildStats {
@@ -1762,6 +1620,7 @@ mod tests {
                 budget_reused: true,
             }
         );
+        assert_eq!(dirt, RebuildDirt::Tiles(Vec::new()));
         assert_eq!(ctx.problems, before_problems);
     }
 
@@ -1775,14 +1634,15 @@ mod tests {
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
         let mut cfg2 = cfg.clone();
         cfg2.weighted = true;
-        assert!(ctx.rebuild(&d, &cfg2, &pool).expect("rebuild").full);
+        assert!(ctx.rebuild(&d, &cfg2, &pool).expect("rebuild").0.full);
 
         // Net-count change -> full.
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
         let mut d2 = d.clone();
         d2.nets.pop();
-        let stats = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
         assert!(stats.full);
+        assert_eq!(dirt, RebuildDirt::All);
         let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
         assert_eq!(ctx.problems, fresh.problems);
         assert_eq!(ctx.budget, fresh.budget);
@@ -1824,7 +1684,7 @@ mod tests {
 
         let mut borrowed = FlowContext::build(&d, &cfg).expect("ctx");
         let mut owned = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
-        let (stats_b, dirt_b) = borrowed.rebuild_tracked(&d2, &cfg, &pool).expect("rebuild");
+        let (stats_b, dirt_b) = borrowed.rebuild(&d2, &cfg, &pool).expect("rebuild");
         let (stats_o, dirt_o) = owned
             .rebuild_owned(&d2, &cfg, &pool)
             .expect("rebuild owned");
@@ -1890,7 +1750,7 @@ mod tests {
         for i in 0..ctx.problems().len() {
             cached.push(ctx.solve_tile(&cfg, &IlpTwo, i).expect("tile").0);
         }
-        let (stats, dirt) = ctx.rebuild_tracked(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full);
         assert!(stats.budget_reused);
         let RebuildDirt::Tiles(dirty) = &dirt else {
@@ -1925,12 +1785,12 @@ mod tests {
         let cfg = config();
         let pool = WorkerPool::new(4);
         let ctx = FlowContext::build_pool(&d, &cfg, &pool).expect("ctx");
-        let forced = FlowContext::build_pool_forced(&d, &cfg, &pool).expect("forced ctx");
+        let forced = FlowContext::build_pool_impl(&d, &cfg, &pool).expect("forced ctx");
         assert_eq!(ctx.problems, forced.problems);
         assert_eq!(ctx.budget_total, forced.budget_total);
         let a = ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run");
         let b = forced
-            .run_pool_forced(&cfg, &IlpTwo, &pool)
+            .run_pool_impl(&cfg, &IlpTwo, &pool)
             .expect("forced run");
         assert_outcomes_identical(&a, &b, "forced vs fallback");
     }

@@ -48,10 +48,10 @@ mod scan;
 mod tile;
 pub mod verify;
 
-pub use evaluate::{evaluate_placement, evaluate_placement_pool, DelayImpact};
+pub use evaluate::{evaluate_placement, DelayImpact};
 pub use flow::{
-    run_flow, run_flow_all_layers, run_flow_streamed, FlowConfig, FlowContext, FlowError,
-    FlowOutcome, RebuildDirt, RebuildStats,
+    run_flow, run_flow_streamed, FlowConfig, FlowContext, FlowError, FlowOutcome, RebuildDirt,
+    RebuildStats,
 };
 pub use line::{
     extract_active_lines, extract_active_lines_into, extract_net_lines, extract_net_lines_with,
@@ -60,13 +60,12 @@ pub use line::{
 pub use pilfill_exec::WorkerPool;
 pub use scan::layout;
 pub use scan::{
-    scan_site_columns, scan_site_columns_reference, scan_slack_columns, scan_slack_columns_into,
-    scan_slack_columns_reference, site_column_count, ScanScratch, SlackColumn, Slots,
+    scan_site_columns, scan_slack_columns, scan_slack_columns_into, site_column_count, ScanScratch,
+    SlackColumn, Slots,
 };
 pub use tile::{
-    build_slab_problems, build_tile_problems, build_tile_problems_parallel,
-    build_tile_problems_pool, def_three_capacities, slab_ranges, SlackColumnDef, TileColumn,
-    TileProblem,
+    build_slab_problems, build_tile_problems, build_tile_problems_pool, def_three_capacities,
+    slab_ranges, SlackColumnDef, TileColumn, TileProblem,
 };
 pub use verify::{check_fill, DrcReport, DrcViolation};
 

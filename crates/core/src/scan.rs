@@ -13,19 +13,17 @@
 //! is a flat `Copy` value (its slots are an arithmetic progression, not a
 //! `Vec`), so a warm re-scan performs zero heap allocation.
 //!
-//! Two implementations share the event builder:
-//!
-//! - [`scan_site_columns`] — the production *span sweep*. Site columns
-//!   where the active-line set can change are marked in a chunked `u64`
-//!   bitmask ([`layout::MASK_WORD_BITS`]); maximal zero runs are spans
-//!   whose columns all see the identical active set, so the gap structure
-//!   is built once per span (a template of `Copy` gaps) and stamped per
-//!   column. The active set itself is a rank-sorted index into separate
-//!   flat `Coord`/`u32` arrays (struct-of-arrays), maintained with a
-//!   branch-light retain + two-pointer merge per boundary.
-//! - [`scan_site_columns_reference`] — the retained per-column interval
-//!   walk, kept verbatim as the oracle the span sweep is property-tested
-//!   against (bit-identical output is a hard invariant).
+//! [`scan_site_columns`] is a *span sweep*. Site columns where the
+//! active-line set can change are marked in a chunked `u64` bitmask
+//! ([`layout::MASK_WORD_BITS`]); maximal zero runs are spans whose columns
+//! all see the identical active set, so the gap structure is built once
+//! per span (a template of `Copy` gaps) and stamped per column. The active
+//! set itself is a rank-sorted index into separate flat `Coord`/`u32`
+//! arrays (struct-of-arrays), maintained with a branch-light retain +
+//! two-pointer merge per boundary. The original per-column interval walk
+//! shares the event builder and is kept in the tests as the oracle the
+//! span sweep is property-tested against (bit-identical output is a hard
+//! invariant).
 
 use crate::{ActiveLine, FillFeature};
 use pilfill_geom::{units, Coord, Interval, Rect};
@@ -273,8 +271,7 @@ impl PitchRecip {
 
 /// Reusable arena for [`scan_slack_columns_into`]: sweep events, their
 /// struct-of-arrays mirrors, the boundary/active bitmasks and the
-/// starter/ender schedules, plus the retained reference path's
-/// counting-sort bucket. A warm scratch makes a re-scan allocation-free.
+/// starter/ender schedules. A warm scratch makes a re-scan allocation-free.
 #[derive(Debug, Default)]
 pub struct ScanScratch {
     events: Vec<SweepEvent>,
@@ -307,13 +304,6 @@ pub struct ScanScratch {
     /// event `r` covers the current span. Ascending bit order is
     /// ascending rank order — the emission order of the interval walk.
     active_words: Vec<u64>,
-    // Retained interval-walk reference path.
-    /// Exclusive prefix offsets into `bucket`, one per scanned column + 1.
-    offsets: Vec<u32>,
-    /// Per-column write cursors while distributing events.
-    cursors: Vec<u32>,
-    /// Event indices grouped by column, each group in global bottom order.
-    bucket: Vec<u32>,
 }
 
 /// Runs the Figure-7 scan over `bounds`, producing every slack column.
@@ -414,7 +404,7 @@ fn build_events(
 /// clean site ranges are reused, dirty ranges are re-swept.
 ///
 /// This is the production span sweep (see the module docs); its output is
-/// bit-identical to [`scan_site_columns_reference`], enforced by seeded
+/// bit-identical to the retained interval walk, enforced by seeded
 /// property tests.
 pub fn scan_site_columns(
     lines: &[ActiveLine],
@@ -634,127 +624,6 @@ pub fn scan_site_columns(
     }
 }
 
-/// The retained per-column interval walk — the original Figure-7 sweep,
-/// kept as the oracle [`scan_site_columns`] is property-tested against.
-/// Same contract and output, O(columns x events) bucket distribution
-/// instead of span templates.
-pub fn scan_site_columns_reference(
-    lines: &[ActiveLine],
-    bounds: Rect,
-    rules: FillRules,
-    sites: std::ops::Range<usize>,
-    scratch: &mut ScanScratch,
-    out: &mut Vec<SlackColumn>,
-) {
-    let pitch = rules.site_pitch();
-    let n_cols = site_column_count(bounds, rules);
-    let lo_site = sites.start.min(n_cols);
-    let hi_site = sites.end.min(n_cols);
-    if lo_site >= hi_site {
-        return;
-    }
-    let n_active = hi_site - lo_site;
-
-    build_events(lines, bounds, rules, lo_site, hi_site, &mut scratch.events);
-    let events = &scratch.events;
-
-    // Counting-sort the events into per-column groups. Distributing in
-    // global bottom order keeps each group bottom-sorted with the same
-    // tie-breaks, so the per-column sweep below sees exactly the event
-    // sequence the historical single-pass sweep saw.
-    let offsets = &mut scratch.offsets;
-    offsets.clear();
-    offsets.resize(n_active + 1, 0);
-    for e in events.iter() {
-        for c in e.lo..=e.hi {
-            // u32 -> usize is widening on every supported target.
-            offsets[c as usize + 1] += 1; // pilfill: allow(as-cast)
-        }
-    }
-    for i in 0..n_active {
-        offsets[i + 1] += offsets[i];
-    }
-    let cursors = &mut scratch.cursors;
-    cursors.clear();
-    cursors.extend_from_slice(&offsets[..n_active]);
-    let bucket = &mut scratch.bucket;
-    bucket.clear();
-    bucket.resize(units::index(Coord::from(offsets[n_active])), 0);
-    // u32 -> usize below is widening; event indices fit u32 because the
-    // event count is bounded by the line count.
-    for (ei, e) in events.iter().enumerate() {
-        for c in e.lo..=e.hi {
-            let cursor = &mut cursors[c as usize]; // pilfill: allow(as-cast)
-            bucket[*cursor as usize] = ei as u32; // pilfill: allow(as-cast)
-            *cursor += 1;
-        }
-    }
-
-    // Sweep each column independently: gaps open at the area bottom (or
-    // the previous line's top) and close at the next line's bottom (step
-    // 14: the area top). Emission is naturally sorted by (site_x, gap.lo).
-    let emit = |site_x: usize,
-                gap: Interval,
-                below: Option<u32>,
-                above: Option<u32>,
-                out: &mut Vec<SlackColumn>| {
-        if gap.is_empty() {
-            return;
-        }
-        out.push(SlackColumn {
-            site_x,
-            x: bounds.left + units::coord(site_x) * pitch,
-            gap,
-            below,
-            above,
-            slots: Slots::for_gap(gap, below.is_some(), above.is_some(), rules),
-        });
-    };
-    for rel in 0..n_active {
-        let site_x = lo_site + rel;
-        let mut open_y = bounds.bottom;
-        let mut open_below: Option<u32> = None;
-        // u32 -> usize throughout the sweep is widening on every
-        // supported target.
-        let group = &bucket[offsets[rel] as usize..offsets[rel + 1] as usize]; // pilfill: allow(as-cast)
-        for &ei in group {
-            let e = &events[ei as usize]; // pilfill: allow(as-cast)
-            let below_line = Some(e.line);
-            emit(
-                site_x,
-                Interval::new(open_y, e.bottom),
-                open_below,
-                below_line,
-                out,
-            );
-            open_y = open_y.max(e.top);
-            open_below = below_line;
-        }
-        emit(
-            site_x,
-            Interval::new(open_y, bounds.top),
-            open_below,
-            None,
-            out,
-        );
-    }
-}
-
-/// [`scan_slack_columns`] routed through the retained interval walk
-/// ([`scan_site_columns_reference`]) — the comparison oracle for property
-/// tests and benchmarks.
-pub fn scan_slack_columns_reference(
-    lines: &[ActiveLine],
-    bounds: Rect,
-    rules: FillRules,
-) -> Vec<SlackColumn> {
-    let mut scratch = ScanScratch::default();
-    let mut out = Vec::new();
-    let n_cols = site_column_count(bounds, rules);
-    scan_site_columns_reference(lines, bounds, rules, 0..n_cols, &mut scratch, &mut out);
-    out
-}
-
 /// Locates the slack column (by index into `columns`) that contains a fill
 /// feature placed at `feature`. Returns `None` for positions outside every
 /// column (e.g. inside a line or out of bounds).
@@ -785,6 +654,308 @@ pub fn locate_feature(
 mod tests {
     use super::*;
     use pilfill_layout::{NetId, SegmentId, SignalDir};
+
+    /// Randomized bit-identity tests for the span-sweep scanline against the
+    /// retained interval-walk reference: same `SlackColumn` output on random
+    /// line sets, on random stitched site ranges, and through the tile
+    /// problems of all three slack-column definitions. Driven by the in-repo
+    /// seeded PRNG so every run explores the same cases.
+    mod soa_props {
+        use super::{scan_site_columns_reference, scan_slack_columns_reference};
+        use crate::{
+            build_tile_problems, scan_site_columns, scan_slack_columns, site_column_count,
+            ActiveLine, ScanScratch, SlackColumn, SlackColumnDef,
+        };
+        use pilfill_density::FixedDissection;
+        use pilfill_geom::Rect;
+        use pilfill_layout::{FillRules, NetId, SegmentId, SignalDir, Tech};
+        use pilfill_prng::rngs::StdRng;
+        use pilfill_prng::{Rng, SeedableRng};
+
+        fn rules() -> FillRules {
+            FillRules {
+                feature_size: 300,
+                gap: 150,
+                buffer: 150,
+            }
+        }
+
+        fn bounds() -> Rect {
+            Rect::new(0, 0, 9_000, 9_000)
+        }
+
+        /// Random horizontal, non-overlapping lines inside the bounds; includes
+        /// equal-bottom clusters (stable-sort tie-break coverage) and tall lines
+        /// spanning many site columns.
+        fn rand_lines(rng: &mut StdRng) -> Vec<ActiveLine> {
+            let n = rng.gen_range(0usize..24);
+            let mut lines: Vec<ActiveLine> = Vec::new();
+            for _ in 0..n {
+                let xs = rng.gen_range(0i64..18);
+                // Bias tracks toward a few values so several lines share a bottom
+                // edge and the sweep's tie order is exercised.
+                let track = if rng.gen::<bool>() {
+                    rng.gen_range(0i64..28)
+                } else {
+                    rng.gen_range(0i64..4) * 7
+                };
+                let len = rng.gen_range(1i64..18);
+                let height = if rng.gen_range(0u32..8) == 0 {
+                    1_200
+                } else {
+                    280
+                };
+                let y = 300 + track * 300;
+                let rect = Rect::new(xs * 450, y, (xs + len).min(20) * 450, y + height);
+                if rect.is_empty() || rect.right > 9_000 || rect.top > 9_000 {
+                    continue;
+                }
+                if lines.iter().any(|l| l.rect.overlaps(&rect)) {
+                    continue;
+                }
+                lines.push(ActiveLine {
+                    net: Some(NetId(lines.len())),
+                    segment: SegmentId(0),
+                    rect,
+                    weight: 1 + (lines.len() as u32 % 3),
+                    res_per_dbu: 2.5e-4,
+                    upstream_res: rng.gen_range(0.0f64..20.0),
+                    entry_x: rect.left,
+                    signal: SignalDir::Increasing,
+                });
+            }
+            lines
+        }
+
+        /// Full-die scans must agree column-for-column (site, x, gap, neighbor
+        /// indices, slots — `SlackColumn` is `PartialEq` over all fields).
+        #[test]
+        fn span_sweep_matches_reference_on_random_line_sets() {
+            let mut rng = StdRng::seed_from_u64(0x50A_0001);
+            for _ in 0..64 {
+                let lines = rand_lines(&mut rng);
+                let fast = scan_slack_columns(&lines, bounds(), rules());
+                let reference = scan_slack_columns_reference(&lines, bounds(), rules());
+                assert_eq!(fast, reference, "lines = {}", lines.len());
+            }
+        }
+
+        /// Scanning random site sub-ranges and stitching them back together must
+        /// reproduce both the reference on the same ranges and the full-die scan:
+        /// the sharded tile builders rely on partial scans being exact.
+        #[test]
+        fn stitched_partial_scans_match_reference_and_full_scan() {
+            let mut rng = StdRng::seed_from_u64(0x50A_0002);
+            let r = rules();
+            let b = bounds();
+            let n_cols = site_column_count(b, r);
+            let mut scratch = ScanScratch::default();
+            let mut ref_scratch = ScanScratch::default();
+            for _ in 0..64 {
+                let lines = rand_lines(&mut rng);
+                let full = scan_slack_columns(&lines, b, r);
+                // Cut the site range at 1..4 random interior points.
+                let mut cuts: Vec<usize> = (0..rng.gen_range(1usize..5))
+                    .map(|_| rng.gen_range(0..=n_cols))
+                    .collect();
+                cuts.push(0);
+                cuts.push(n_cols);
+                cuts.sort_unstable();
+                let mut stitched: Vec<SlackColumn> = Vec::new();
+                for w in cuts.windows(2) {
+                    let (lo, hi) = (w[0], w[1]);
+                    let mut fast = Vec::new();
+                    let mut reference = Vec::new();
+                    scan_site_columns(&lines, b, r, lo..hi, &mut scratch, &mut fast);
+                    scan_site_columns_reference(
+                        &lines,
+                        b,
+                        r,
+                        lo..hi,
+                        &mut ref_scratch,
+                        &mut reference,
+                    );
+                    assert_eq!(fast, reference, "range {lo}..{hi}");
+                    stitched.extend_from_slice(&fast);
+                }
+                assert_eq!(stitched, full, "stitching the cuts loses columns");
+            }
+        }
+
+        /// The scan feeds the tile builders; the problems built from the span
+        /// sweep's columns must equal those built from the reference's columns
+        /// under every slack-column definition.
+        #[test]
+        fn tile_problems_agree_under_all_three_definitions() {
+            let mut rng = StdRng::seed_from_u64(0x50A_0003);
+            let r = rules();
+            let b = bounds();
+            let tech = Tech::default_180nm();
+            let dissection = FixedDissection::new(b, 4_500, 2).expect("valid dissection");
+            for _ in 0..16 {
+                let lines = rand_lines(&mut rng);
+                let fast = scan_slack_columns(&lines, b, r);
+                let reference = scan_slack_columns_reference(&lines, b, r);
+                assert_eq!(fast, reference);
+                for def in [
+                    SlackColumnDef::One,
+                    SlackColumnDef::Two,
+                    SlackColumnDef::Three,
+                ] {
+                    let p_fast = build_tile_problems(&lines, &fast, &dissection, &tech, r, def);
+                    let p_ref = build_tile_problems(&lines, &reference, &dissection, &tech, r, def);
+                    assert_eq!(p_fast.len(), p_ref.len(), "{def:?}");
+                    for (a, b) in p_fast.iter().zip(&p_ref) {
+                        assert_eq!(a.columns, b.columns, "{def:?}");
+                    }
+                }
+            }
+        }
+
+        /// Degenerate inputs: empty line set, a single line, and a line filling
+        /// almost the whole die.
+        #[test]
+        fn span_sweep_matches_reference_on_degenerate_inputs() {
+            let r = rules();
+            let b = bounds();
+            let mk = |rect: Rect| ActiveLine {
+                net: Some(NetId(0)),
+                segment: SegmentId(0),
+                rect,
+                weight: 1,
+                res_per_dbu: 2.5e-4,
+                upstream_res: 1.0,
+                entry_x: rect.left,
+                signal: SignalDir::Increasing,
+            };
+            let cases: Vec<Vec<ActiveLine>> = vec![
+                vec![],
+                vec![mk(Rect::new(450, 300, 900, 580))],
+                vec![mk(Rect::new(0, 150, 9_000, 8_850))],
+                vec![mk(Rect::new(0, 0, 450, 9_000))],
+            ];
+            for lines in cases {
+                let fast = scan_slack_columns(&lines, b, r);
+                let reference = scan_slack_columns_reference(&lines, b, r);
+                assert_eq!(fast, reference);
+            }
+        }
+    }
+
+    /// The retained per-column interval walk — the original Figure-7 sweep,
+    /// kept as the oracle [`scan_site_columns`] is property-tested against.
+    /// Same contract and output, O(columns x events) bucket distribution
+    /// instead of span templates.
+    fn scan_site_columns_reference(
+        lines: &[ActiveLine],
+        bounds: Rect,
+        rules: FillRules,
+        sites: std::ops::Range<usize>,
+        scratch: &mut ScanScratch,
+        out: &mut Vec<SlackColumn>,
+    ) {
+        let pitch = rules.site_pitch();
+        let n_cols = site_column_count(bounds, rules);
+        let lo_site = sites.start.min(n_cols);
+        let hi_site = sites.end.min(n_cols);
+        if lo_site >= hi_site {
+            return;
+        }
+        let n_active = hi_site - lo_site;
+
+        build_events(lines, bounds, rules, lo_site, hi_site, &mut scratch.events);
+        let events = &scratch.events;
+
+        // Counting-sort the events into per-column groups. Distributing in
+        // global bottom order keeps each group bottom-sorted with the same
+        // tie-breaks, so the per-column sweep below sees exactly the event
+        // sequence the historical single-pass sweep saw.
+        let mut offsets = vec![0u32; n_active + 1];
+        for e in events.iter() {
+            for c in e.lo..=e.hi {
+                // u32 -> usize is widening on every supported target.
+                offsets[c as usize + 1] += 1; // pilfill: allow(as-cast)
+            }
+        }
+        for i in 0..n_active {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursors = offsets[..n_active].to_vec();
+        let mut bucket = vec![0u32; units::index(Coord::from(offsets[n_active]))];
+        // u32 -> usize below is widening; event indices fit u32 because the
+        // event count is bounded by the line count.
+        for (ei, e) in events.iter().enumerate() {
+            for c in e.lo..=e.hi {
+                let cursor = &mut cursors[c as usize]; // pilfill: allow(as-cast)
+                bucket[*cursor as usize] = ei as u32; // pilfill: allow(as-cast)
+                *cursor += 1;
+            }
+        }
+
+        // Sweep each column independently: gaps open at the area bottom (or
+        // the previous line's top) and close at the next line's bottom (step
+        // 14: the area top). Emission is naturally sorted by (site_x, gap.lo).
+        let emit = |site_x: usize,
+                    gap: Interval,
+                    below: Option<u32>,
+                    above: Option<u32>,
+                    out: &mut Vec<SlackColumn>| {
+            if gap.is_empty() {
+                return;
+            }
+            out.push(SlackColumn {
+                site_x,
+                x: bounds.left + units::coord(site_x) * pitch,
+                gap,
+                below,
+                above,
+                slots: Slots::for_gap(gap, below.is_some(), above.is_some(), rules),
+            });
+        };
+        for rel in 0..n_active {
+            let site_x = lo_site + rel;
+            let mut open_y = bounds.bottom;
+            let mut open_below: Option<u32> = None;
+            // u32 -> usize throughout the sweep is widening on every
+            // supported target.
+            let group = &bucket[offsets[rel] as usize..offsets[rel + 1] as usize]; // pilfill: allow(as-cast)
+            for &ei in group {
+                let e = &events[ei as usize]; // pilfill: allow(as-cast)
+                let below_line = Some(e.line);
+                emit(
+                    site_x,
+                    Interval::new(open_y, e.bottom),
+                    open_below,
+                    below_line,
+                    out,
+                );
+                open_y = open_y.max(e.top);
+                open_below = below_line;
+            }
+            emit(
+                site_x,
+                Interval::new(open_y, bounds.top),
+                open_below,
+                None,
+                out,
+            );
+        }
+    }
+
+    /// [`scan_slack_columns`] routed through the retained interval walk
+    /// ([`scan_site_columns_reference`]) — the comparison oracle for property
+    /// tests.
+    fn scan_slack_columns_reference(
+        lines: &[ActiveLine],
+        bounds: Rect,
+        rules: FillRules,
+    ) -> Vec<SlackColumn> {
+        let mut scratch = ScanScratch::default();
+        let mut out = Vec::new();
+        let n_cols = site_column_count(bounds, rules);
+        scan_site_columns_reference(lines, bounds, rules, 0..n_cols, &mut scratch, &mut out);
+        out
+    }
 
     fn rules() -> FillRules {
         FillRules {

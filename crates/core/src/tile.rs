@@ -360,25 +360,15 @@ pub fn build_tile_problems(
     rules: FillRules,
     def: SlackColumnDef,
 ) -> Vec<TileProblem> {
-    build_tile_problems_parallel(lines, global_columns, dissection, tech, rules, def, 1)
-}
-
-/// Parallel variant of [`build_tile_problems`]: spins up a transient
-/// [`WorkerPool`] with `threads` lanes and delegates to
-/// [`build_tile_problems_pool`]. Callers building repeatedly (the flow,
-/// the benches) should hold a pool and call the pool variant directly to
-/// amortize worker spawn-up.
-pub fn build_tile_problems_parallel(
-    lines: &[ActiveLine],
-    global_columns: &[SlackColumn],
-    dissection: &FixedDissection,
-    tech: &Tech,
-    rules: FillRules,
-    def: SlackColumnDef,
-    threads: usize,
-) -> Vec<TileProblem> {
-    let pool = WorkerPool::new(threads);
-    build_tile_problems_pool(lines, global_columns, dissection, tech, rules, def, &pool)
+    build_tile_problems_pool(
+        lines,
+        global_columns,
+        dissection,
+        tech,
+        rules,
+        def,
+        &WorkerPool::new(1),
+    )
 }
 
 /// Pool-backed tile-problem build: work items are claimed dynamically from

@@ -37,5 +37,5 @@ pub mod smoothness;
 
 pub use budget::{lp_budget, montecarlo_budget, BudgetError, FillBudget};
 pub use dissection::{DissectionError, FixedDissection, Window};
-pub use map::{DensityAnalysis, DensityMap, PREFIX_CHUNK};
+pub use map::{DensityAnalysis, DensityMap};
 pub use smoothness::{gradient_analysis, multi_scale_analysis, GradientAnalysis, ScaleAnalysis};

@@ -15,7 +15,7 @@ use pilfill_layout::{Design, LayerId};
 /// This is the density-crate counterpart of the scanline layout
 /// constants in `pilfill_core::scan::layout`; it lives here because the
 /// core crate depends on this one, not the other way around.
-pub const PREFIX_CHUNK: usize = 64;
+const PREFIX_CHUNK: usize = 64;
 
 /// Per-tile feature area on one layer, with window-density queries.
 ///
@@ -140,10 +140,9 @@ impl DensityMap {
     ///    `chunk`-wide strips (`chunks_exact` lets the compiler drop
     ///    bounds checks and vectorize the strip).
     ///
-    /// The result is bit-identical for every `chunk >= 1` and matches
-    /// [`rebuild_prefix_reference`](Self::rebuild_prefix_reference).
-    #[doc(hidden)]
-    pub fn rebuild_prefix_chunked(&mut self, chunk: usize) {
+    /// The result is bit-identical for every `chunk >= 1` and matches the
+    /// scalar test oracle.
+    fn rebuild_prefix_chunked(&mut self, chunk: usize) {
         assert!(chunk > 0, "chunk width must be positive");
         let grid = self.dissection.tiles();
         let (nx, ny) = (grid.nx(), grid.ny());
@@ -181,24 +180,6 @@ impl DensityMap {
                 .zip(prev_chunks.remainder())
             {
                 *dst += src;
-            }
-        }
-    }
-
-    /// The original scalar summed-area build, retained as the oracle for
-    /// the chunked fold's bit-identity tests.
-    #[doc(hidden)]
-    pub fn rebuild_prefix_reference(&mut self) {
-        let grid = self.dissection.tiles();
-        let (nx, ny) = (grid.nx(), grid.ny());
-        self.prefix.clear();
-        self.prefix.resize((nx + 1) * (ny + 1), 0);
-        for iy in 0..ny {
-            let mut row_sum = 0i64;
-            for ix in 0..nx {
-                row_sum += self.area[iy * nx + ix];
-                self.prefix[(iy + 1) * (nx + 1) + ix + 1] =
-                    self.prefix[iy * (nx + 1) + ix + 1] + row_sum;
             }
         }
     }
@@ -452,6 +433,23 @@ mod tests {
     /// The chunked two-pass fold must be bit-identical to the retained
     /// scalar reference for every lane width, on square, ragged, and
     /// single-row/column grids.
+    /// The original scalar summed-area build, retained as the oracle for
+    /// the chunked fold's bit-identity test.
+    fn rebuild_prefix_reference(map: &mut DensityMap) {
+        let grid = map.dissection.tiles();
+        let (nx, ny) = (grid.nx(), grid.ny());
+        map.prefix.clear();
+        map.prefix.resize((nx + 1) * (ny + 1), 0);
+        for iy in 0..ny {
+            let mut row_sum = 0i64;
+            for ix in 0..nx {
+                row_sum += map.area[iy * nx + ix];
+                map.prefix[(iy + 1) * (nx + 1) + ix + 1] =
+                    map.prefix[iy * (nx + 1) + ix + 1] + row_sum;
+            }
+        }
+    }
+
     #[test]
     fn chunked_prefix_is_bit_identical_across_lane_widths() {
         use pilfill_prng::{Rng, SeedableRng};
@@ -471,7 +469,7 @@ mod tests {
                 grid.indices()
                     .map(|c| (c, rng.gen_range(-1_000_000..1_000_000i64))),
             );
-            map.rebuild_prefix_reference();
+            rebuild_prefix_reference(&mut map);
             let want = map.prefix.clone();
             for lanes in [1usize, 2, 4, 8] {
                 map.prefix.clear();

@@ -200,14 +200,9 @@ impl WorkerPool {
         }
     }
 
-    /// The number of lanes (worker threads plus the submitting thread).
-    pub fn threads(&self) -> usize {
-        self.lanes
-    }
-
-    /// Alias for [`WorkerPool::threads`]: the lane count callers should
-    /// compare against available parallelism when deciding whether the
-    /// pooled path is worth its coordination cost.
+    /// The number of lanes (worker threads plus the submitting thread): the
+    /// count callers compare against available parallelism when deciding
+    /// whether the pooled path is worth its coordination cost.
     pub fn lanes(&self) -> usize {
         self.lanes
     }
@@ -686,7 +681,7 @@ mod tests {
     #[test]
     fn single_lane_pool_is_a_plain_loop() {
         let pool = WorkerPool::new(1);
-        assert_eq!(pool.threads(), 1);
+        assert_eq!(pool.lanes(), 1);
         let got = pool.map(10, |i| i * 3);
         assert_eq!(got, (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }

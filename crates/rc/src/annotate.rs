@@ -8,8 +8,8 @@
 //! the one-step recurrence `up[k] = up[parent] + res[parent]` instead of
 //! materialized source-path chains, and every buffer is reused across
 //! nets. The output is bit-identical to the retained
-//! [`Net::topology`]-based implementation ([`annotate_net_reference`]) —
-//! the recurrence replays the reference's left-fold addition order
+//! [`Net::topology`]-based implementation (a test-only oracle) — the
+//! recurrence replays the reference's left-fold addition order
 //! exactly, and the traversal mirrors [`Net::topology`] node for node so
 //! the error cases agree too.
 
@@ -215,42 +215,6 @@ pub fn annotate_net(net: &Net, tech: &Tech) -> Result<NetTiming, LayoutError> {
     Ok(NetTiming { segments })
 }
 
-/// The retained [`Net::topology`]-based implementation, kept as the
-/// bit-identity reference for the arena-based [`annotate_net_into`] (the
-/// seeded property suite pits the two against each other, values and
-/// errors both).
-///
-/// # Errors
-///
-/// Propagates topology errors from [`Net::topology`].
-pub fn annotate_net_reference(net: &Net, tech: &Tech) -> Result<NetTiming, LayoutError> {
-    let topo = net.topology()?;
-    let n = net.segments.len();
-    let mut out = vec![
-        SegmentTiming {
-            res_per_dbu: 0.0,
-            upstream_res: 0.0,
-            weight: 0,
-        };
-        n
-    ];
-    // Resistance of each full segment.
-    let seg_res: Vec<f64> = net
-        .segments
-        .iter()
-        .map(|s| tech.res_per_dbu(s.width) * s.length() as f64)
-        .collect();
-    for (i, slot) in out.iter_mut().enumerate() {
-        let upstream: f64 = topo.upstream[i].iter().map(|sid| seg_res[sid.0]).sum();
-        *slot = SegmentTiming {
-            res_per_dbu: tech.res_per_dbu(net.segments[i].width),
-            upstream_res: upstream,
-            weight: topo.downstream_sinks[i],
-        };
-    }
-    Ok(NetTiming { segments: out })
-}
-
 /// Annotates every net of a design, reusing one scratch across nets.
 ///
 /// # Errors
@@ -275,6 +239,38 @@ mod tests {
     use pilfill_geom::Point;
     use pilfill_layout::synth::{synthesize, SynthConfig};
     use pilfill_layout::{LayerId, Segment};
+
+    /// The retained [`Net::topology`]-based implementation, kept as the
+    /// bit-identity reference for the arena-based [`annotate_net_into`]
+    /// (the seeded property suites below pit the two against each other,
+    /// values and errors both).
+    fn annotate_net_reference(net: &Net, tech: &Tech) -> Result<NetTiming, LayoutError> {
+        let topo = net.topology()?;
+        let n = net.segments.len();
+        let mut out = vec![
+            SegmentTiming {
+                res_per_dbu: 0.0,
+                upstream_res: 0.0,
+                weight: 0,
+            };
+            n
+        ];
+        // Resistance of each full segment.
+        let seg_res: Vec<f64> = net
+            .segments
+            .iter()
+            .map(|s| tech.res_per_dbu(s.width) * s.length() as f64)
+            .collect();
+        for (i, slot) in out.iter_mut().enumerate() {
+            let upstream: f64 = topo.upstream[i].iter().map(|sid| seg_res[sid.0]).sum();
+            *slot = SegmentTiming {
+                res_per_dbu: tech.res_per_dbu(net.segments[i].width),
+                upstream_res: upstream,
+                weight: topo.downstream_sinks[i],
+            };
+        }
+        Ok(NetTiming { segments: out })
+    }
 
     #[test]
     fn chain_net_upstream_increases_along_signal() {

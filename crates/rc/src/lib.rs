@@ -36,8 +36,7 @@ pub mod elmore;
 pub mod slack;
 
 pub use annotate::{
-    annotate_design, annotate_net, annotate_net_into, annotate_net_reference, AnnotateScratch,
-    NetTiming, SegmentTiming,
+    annotate_design, annotate_net, annotate_net_into, AnnotateScratch, NetTiming, SegmentTiming,
 };
 pub use coupling::{max_fill_features, CapTable, CouplingModel};
 pub use elmore::{RcChain, RcTree};

@@ -16,8 +16,8 @@
 //!   tableau retained as a cross-checking oracle
 //!   ([`SolverBackend::DenseReference`]);
 //! - a best-incumbent depth-first branch-and-bound layer for integer
-//!   variables ([`Model::solve`]) with pluggable branching rules
-//!   ([`BranchRule`]) and root knapsack cover cuts (cut-and-branch).
+//!   variables ([`Model::solve`]) with most-fractional branching and root
+//!   knapsack cover cuts (cut-and-branch).
 //!
 //! # Examples
 //!
@@ -34,7 +34,6 @@
 //! # Ok::<(), pilfill_solver::SolveError>(())
 //! ```
 
-mod branch;
 mod cuts;
 mod lu;
 mod milp;
@@ -42,9 +41,6 @@ mod model;
 mod simplex;
 mod sparse;
 
-pub use branch::{
-    BranchCandidate, BranchDir, BranchRule, BranchRuleKind, MostFractional, PseudoCost,
-};
 pub use milp::{BranchBoundStats, MilpOptions};
 pub use model::{Model, Objective, Sense, Solution, SolveError, SolverBackend, VarId};
 pub use simplex::LpStatus;

@@ -1,10 +1,9 @@
 //! Branch-and-bound layer over the LP relaxation.
 //!
-//! Depth-first search with best-incumbent pruning. Branch-variable
-//! selection is delegated to a pluggable [`BranchRule`] (most-fractional
-//! by default, pseudo-cost optional — see [`crate::branch`]); the search
-//! explores the branch nearer the fractional value first (a cheap form of
-//! best-first dive). Node, pivot, cut and refactorization counts are
+//! Depth-first search with best-incumbent pruning. The branch variable is
+//! the most fractional one (first on ties); the search explores the
+//! branch nearer the fractional value first (a cheap form of best-first
+//! dive). Node, pivot, cut and refactorization counts are
 //! reported in [`BranchBoundStats`] so benchmark tables can include
 //! solver effort, not just wall time.
 //!
@@ -24,7 +23,6 @@
 
 use std::rc::Rc;
 
-use crate::branch::{BranchCandidate, BranchDir, BranchRule, BranchRuleKind};
 use crate::cuts;
 use crate::model::{Model, Solution, SolveError, SolverBackend, VarId};
 use crate::simplex::{self, LpStatus, StandardLp, Tableau};
@@ -56,9 +54,6 @@ pub struct MilpOptions {
     /// [`SolveError::Cutoff`] and the caller should keep the solution the
     /// cutoff came from.
     pub cutoff: Option<f64>,
-    /// Built-in branch-variable selection rule. For custom rules use
-    /// [`Model::solve_with_rule`].
-    pub branch_rule: BranchRuleKind,
     /// Separate knapsack cover cuts at the root (cut-and-branch).
     pub cover_cuts: bool,
 }
@@ -71,7 +66,6 @@ impl Default for MilpOptions {
             gap_tol: 1e-9,
             warm_start: true,
             cutoff: None,
-            branch_rule: BranchRuleKind::default(),
             cover_cuts: true,
         }
     }
@@ -119,10 +113,6 @@ struct Node {
     /// in model space for the sparse backend.
     warm: Option<(WarmState, (usize, f64, f64))>,
     depth: usize,
-    /// The branching that created this node: (var, direction, fractional
-    /// distance moved, parent objective in minimization sense). Feeds
-    /// [`BranchRule::observe`].
-    branch: Option<(VarId, BranchDir, f64, f64)>,
 }
 
 /// Per-node LP solve outcome, normalized to model space.
@@ -334,31 +324,12 @@ impl SearchCtx {
     }
 }
 
-/// Runs branch-and-bound with the rule configured in `options`.
-pub(crate) fn branch_and_bound(
-    model: &Model,
-    options: &MilpOptions,
-) -> Result<Solution, SolveError> {
-    branch_and_bound_stats(model, options).0
-}
-
 /// Runs branch-and-bound and always reports the search statistics, even
 /// when the outcome is an error (e.g. [`SolveError::Cutoff`], where the
 /// caller's incumbent wins but the tree was still searched).
-pub(crate) fn branch_and_bound_stats(
+pub(crate) fn branch_and_bound(
     model: &Model,
     options: &MilpOptions,
-) -> (Result<Solution, SolveError>, BranchBoundStats) {
-    let mut rule = options.branch_rule.instantiate();
-    branch_and_bound_with(model, options, rule.as_mut())
-}
-
-/// Branch-and-bound with a caller-supplied branching rule (the plugin
-/// entry point behind [`Model::solve_with_rule`]).
-pub(crate) fn branch_and_bound_with(
-    model: &Model,
-    options: &MilpOptions,
-    rule: &mut dyn BranchRule,
 ) -> (Result<Solution, SolveError>, BranchBoundStats) {
     let mut stats = BranchBoundStats::default();
     let minimize_sign = if model.is_minimize() { 1.0 } else { -1.0 };
@@ -406,7 +377,6 @@ pub(crate) fn branch_and_bound_with(
         bounds: Vec::new(),
         warm: None,
         depth: 0,
-        branch: None,
     }];
     let mut root_relax = Some(root);
     let mut relaxation_unbounded_at_root = false;
@@ -467,12 +437,6 @@ pub(crate) fn branch_and_bound_with(
             Relaxed::Fatal(e) => return (Err(e), stats),
         };
 
-        // Pseudo-cost style feedback for the rule that created this node.
-        if let Some((bvar, dir, frac, parent_obj)) = node.branch {
-            let degradation = (minimize_sign * relax.objective - parent_obj).max(0.0);
-            rule.observe(bvar, dir, frac, degradation);
-        }
-
         // Bound pruning (compare in minimization sense) against the best
         // of the incumbent and the caller's cutoff.
         let prune_level = best_bound(&incumbent, cutoff_min, minimize_sign);
@@ -484,11 +448,11 @@ pub(crate) fn branch_and_bound_with(
         }
 
         // Fractional candidates, in deterministic variable order.
-        let mut candidates: Vec<BranchCandidate> = Vec::new();
+        let mut candidates: Vec<(VarId, f64)> = Vec::new();
         for &v in &int_vars {
             let value = relax.value(v);
             if (value - value.round()).abs() > options.int_tol {
-                candidates.push(BranchCandidate { var: v, value });
+                candidates.push((v, value));
             }
         }
 
@@ -507,10 +471,8 @@ pub(crate) fn branch_and_bound_with(
             continue;
         }
 
-        let chosen = rule.select(&candidates).min(candidates.len() - 1);
-        let BranchCandidate { var: v, value: val } = candidates[chosen];
+        let (v, val) = candidates[most_fractional(&candidates)];
         let floor = val.floor();
-        let node_obj_min = minimize_sign * relax.objective;
         // Each child tightens one side of v around the fractional value;
         // compute the child's full [lb, ub] for v so the warm path can
         // apply it as a single delta. The base comes from the *presolved*
@@ -538,25 +500,20 @@ pub(crate) fn branch_and_bound_with(
             SolverBackend::Sparse => ((v.index(), cur_lb, floor), (v.index(), floor + 1.0, cur_ub)),
         };
         let frac = val - floor;
-        let child = |bounds: Vec<(VarId, f64, f64)>, delta, dir, moved| Node {
+        let child = |bounds: Vec<(VarId, f64, f64)>, delta| Node {
             bounds,
             warm: warm.as_ref().map(|w| (w.share(), delta)),
             depth: node.depth + 1,
-            branch: Some((v, dir, moved, node_obj_min)),
         };
         // Explore the nearer branch last so it pops first (DFS stack
         // order): dive towards the fractional value.
         let down = child(
             with_bound(&node.bounds, v, f64::NEG_INFINITY, floor),
             down_delta,
-            BranchDir::Down,
-            frac,
         );
         let up = child(
             with_bound(&node.bounds, v, floor + 1.0, f64::INFINITY),
             up_delta,
-            BranchDir::Up,
-            1.0 - frac,
         );
         if frac < 0.5 {
             stack.push(up);
@@ -574,6 +531,21 @@ pub(crate) fn branch_and_bound_with(
         None if options.cutoff.is_some() => (Err(SolveError::Cutoff), stats),
         None => (Err(SolveError::Infeasible), stats),
     }
+}
+
+/// Index of the candidate `(var, value)` whose value is farthest from an
+/// integer; the first one wins ties, which fixes the search order.
+fn most_fractional(candidates: &[(VarId, f64)]) -> usize {
+    let mut best = 0usize;
+    let mut best_frac = 0.0f64;
+    for (i, &(_, value)) in candidates.iter().enumerate() {
+        let frac = (value - value.round()).abs();
+        if frac > best_frac {
+            best_frac = frac;
+            best = i;
+        }
+    }
+    best
 }
 
 /// The current pruning level in minimization sense: the better of the
@@ -871,21 +843,12 @@ mod tests {
     }
 
     #[test]
-    fn pseudo_cost_rule_reaches_the_same_optimum() {
-        let m = ilp2_tile(8, 3, 11.0);
-        let base = m.solve().expect("most-fractional solvable");
-        let pc = m
-            .solve_with(&MilpOptions {
-                branch_rule: BranchRuleKind::PseudoCost,
-                ..MilpOptions::default()
-            })
-            .expect("pseudo-cost solvable");
-        assert!(
-            (base.objective - pc.objective).abs() < 1e-6,
-            "optima differ: {} vs {}",
-            base.objective,
-            pc.objective
-        );
+    fn most_fractional_picks_farthest_from_integral() {
+        let cands = [(VarId(0), 2.1), (VarId(1), 3.5), (VarId(2), 0.8)];
+        assert_eq!(most_fractional(&cands), 1);
+        // First wins ties.
+        let cands = [(VarId(0), 1.5), (VarId(1), 2.5)];
+        assert_eq!(most_fractional(&cands), 0);
     }
 
     #[test]

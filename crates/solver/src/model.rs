@@ -2,7 +2,6 @@
 
 use std::rc::Rc;
 
-use crate::branch::BranchRule;
 use crate::milp::{self, BranchBoundStats, MilpOptions};
 use crate::simplex::{self, LpStatus, StandardLp};
 use crate::sparse::{self, SparseLp};
@@ -500,7 +499,7 @@ impl Model {
         if !self.has_integers() {
             return self.solve_lp();
         }
-        milp::branch_and_bound(self, options)
+        milp::branch_and_bound(self, options).0
     }
 
     /// Like [`Model::solve_with`], but always reports the branch-and-bound
@@ -516,25 +515,7 @@ impl Model {
             let stats = result.as_ref().map(|s| s.stats).unwrap_or_default();
             return (result, stats);
         }
-        milp::branch_and_bound_stats(self, options)
-    }
-
-    /// Solves with a caller-supplied [`BranchRule`] plugin (overriding
-    /// [`MilpOptions::branch_rule`]). The model must contain integer
-    /// variables.
-    ///
-    /// # Errors
-    ///
-    /// See [`Model::solve_with`].
-    pub fn solve_with_rule(
-        &self,
-        options: &MilpOptions,
-        rule: &mut dyn BranchRule,
-    ) -> Result<Solution, SolveError> {
-        if !self.has_integers() {
-            return self.solve_lp();
-        }
-        milp::branch_and_bound_with(self, options, rule).0
+        milp::branch_and_bound(self, options)
     }
 }
 

@@ -11,13 +11,14 @@ use crate::scan::SourceFile;
 use pilfill_diag::{Diagnostic, Severity};
 
 /// The rule set, in reporting order.
-pub const ALL_RULES: [Rule; 9] = [
+pub const ALL_RULES: [Rule; 10] = [
     Rule::Unwrap,
     Rule::FloatEq,
     Rule::AsCast,
     Rule::ProcessExit,
     Rule::MustUse,
     Rule::MissingDocs,
+    Rule::DocHiddenPub,
     Rule::UnsafeComment,
     Rule::AtomicOrdering,
     Rule::Layering,
@@ -38,6 +39,9 @@ pub enum Rule {
     MustUse,
     /// Public items must have doc comments.
     MissingDocs,
+    /// No `#[doc(hidden)]` on a `pub` item: a hidden public item is API
+    /// surface nobody reviews (make it private or `#[cfg(test)]`).
+    DocHiddenPub,
     /// Every `unsafe` block / `unsafe impl` needs a `// SAFETY:` rationale.
     UnsafeComment,
     /// No `Relaxed` store paired with an acquiring load of the same
@@ -58,6 +62,7 @@ impl Rule {
             Rule::ProcessExit => "process-exit",
             Rule::MustUse => "must-use",
             Rule::MissingDocs => "missing-docs",
+            Rule::DocHiddenPub => "doc-hidden-pub",
             Rule::UnsafeComment => "unsafe-no-safety-comment",
             Rule::AtomicOrdering => "atomic-ordering",
             Rule::Layering => "layering",
@@ -69,7 +74,7 @@ impl Rule {
         match self {
             Rule::Unwrap | Rule::FloatEq | Rule::AsCast | Rule::ProcessExit => Severity::Error,
             Rule::UnsafeComment | Rule::AtomicOrdering | Rule::Layering => Severity::Error,
-            Rule::MustUse | Rule::MissingDocs => Severity::Warning,
+            Rule::MustUse | Rule::MissingDocs | Rule::DocHiddenPub => Severity::Warning,
         }
     }
 
@@ -88,6 +93,7 @@ impl Rule {
             Rule::ProcessExit => "no `std::process::exit` outside crates/cli",
             Rule::MustUse => "solver/flow result types (*Outcome, *Report, ...) need #[must_use]",
             Rule::MissingDocs => "public items need doc comments",
+            Rule::DocHiddenPub => "no `#[doc(hidden)]` on `pub` items in non-test library code",
             Rule::UnsafeComment => {
                 "every `unsafe` block and `unsafe impl` needs a `// SAFETY:` comment \
                  stating the upheld invariant"
@@ -152,6 +158,7 @@ pub fn lint_source(path: &str, text: &str) -> LintReport {
     rule_process_exit(&file, &mut findings);
     rule_must_use(&file, &mut findings);
     rule_missing_docs(&file, &mut findings);
+    rule_doc_hidden_pub(&file, &mut findings);
     rule_unsafe_comment(&file, &mut findings);
     rule_atomic_ordering(&file, &mut findings);
     findings.sort_by_key(|&(_, line, _)| line);
@@ -494,6 +501,40 @@ fn rule_missing_docs(file: &SourceFile, findings: &mut Vec<(Rule, u32, String)>)
                 Rule::MissingDocs,
                 line_no(i),
                 format!("public item `{name}` has no doc comment"),
+            ));
+        }
+    }
+}
+
+fn rule_doc_hidden_pub(file: &SourceFile, findings: &mut Vec<(Rule, u32, String)>) {
+    const ATTR: &str = "#[doc(hidden)]";
+    for (i, code) in file.code.iter().enumerate() {
+        if file.in_test[i] {
+            continue;
+        }
+        let Some(off) = code.find(ATTR) else {
+            continue;
+        };
+        // The attributed item: the rest of this line, or else the next
+        // line that is neither blank (comments are blanked) nor another
+        // attribute.
+        let rest = code[off + ATTR.len()..].trim();
+        let item = if rest.is_empty() {
+            file.code[i + 1..]
+                .iter()
+                .map(|l| l.trim())
+                .find(|l| !l.is_empty() && !l.starts_with("#["))
+                .unwrap_or("")
+        } else {
+            rest
+        };
+        if item.starts_with("pub ") {
+            findings.push((
+                Rule::DocHiddenPub,
+                line_no(i),
+                "`#[doc(hidden)]` on a `pub` item: make it private, or `#[cfg(test)]` \
+                 if only tests use it"
+                    .to_string(),
             ));
         }
     }
@@ -929,6 +970,20 @@ mod tests {
         let src = "/// Doc.\n#[derive(Debug, Clone)]\n#[must_use]\npub struct DrcReport { }\n";
         let report = lint_source("crates/core/src/a.rs", src);
         assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    }
+
+    #[test]
+    fn doc_hidden_flagged_on_pub_items_only() {
+        let src = "#[doc(hidden)]\npub fn a() {}\n#[doc(hidden)]\n/// Docs.\n#[inline]\npub(crate) fn b() {}\n\
+                   #[doc(hidden)] pub struct C;\n#[doc(hidden)]\nfn d() {}\n";
+        let r = lint_source("crates/core/src/x.rs", src);
+        let lines: Vec<u32> = r
+            .diagnostics
+            .iter()
+            .filter(|d| d.rule == "doc-hidden-pub")
+            .map(|d| d.line)
+            .collect();
+        assert_eq!(lines, vec![1, 7]);
     }
 
     #[test]

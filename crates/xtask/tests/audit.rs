@@ -135,6 +135,27 @@ fn atomic_ordering_mismatch_fails_and_suppresses() {
 }
 
 #[test]
+fn doc_hidden_pub_fails_and_suppresses() {
+    let failing = "/// Test hook.\n#[doc(hidden)]\npub fn run_forced() {}\n";
+    let report = lint_source("crates/core/src/h.rs", failing);
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.rule == "doc-hidden-pub"),
+        "{:?}",
+        report.diagnostics
+    );
+
+    let suppressed = "/// Macro support: generated code calls it by path.\n\
+                      #[doc(hidden)] // not API; pilfill: allow(doc-hidden-pub)\n\
+                      pub fn support() {}\n";
+    let report = lint_source("crates/core/src/h.rs", suppressed);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+    assert_eq!(report.suppressed, 1);
+}
+
+#[test]
 fn layering_inversion_fails_and_suppresses() {
     let failing = (
         "crates/geom/Cargo.toml".to_string(),

@@ -22,6 +22,20 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# Benchmark gate. perfbench is a separate cargo package that drives the
+# crates through their public API; it must build from this checkout and
+# its smoke run (tiny inputs, every workload, traced and untraced, ~7 s)
+# must come back correct with no failed operations. Deleting or renaming
+# a public item the benchmark uses fails here, not in a later benchmark
+# run.
+echo "==> perfbench build + smoke"
+smoke=$(python3 perfbench/run.py --smoke) || { echo "$smoke"; echo "perfbench smoke failed"; exit 1; }
+echo "$smoke" | tail -n 1 | python3 -c '
+import json, sys
+r = json.load(sys.stdin)
+sys.exit(0 if r["correct"] and r["failed"] == 0 else 1)
+' || { echo "$smoke"; echo "perfbench smoke: expected correct with 0 failed"; exit 1; }
+
 # Concurrency gates. The bounded model checker explores the pool's
 # protocol invariants (epoch publication, cursor claiming, slot merges,
 # gate streaming, panic propagation) under a fixed seed and budget; its

@@ -3,6 +3,7 @@
 
 use pil_fill::core::flow::{run_flow, FlowConfig, FlowContext};
 use pil_fill::core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
+use pil_fill::core::WorkerPool;
 use pil_fill::layout::synth::{synthesize, SynthConfig};
 use pil_fill::layout::Design;
 use pil_fill::stream::{read_gds, write_gds, FILL_DATATYPE};
@@ -108,8 +109,12 @@ fn deterministic_across_runs_and_thread_counts() {
     let cfg = config();
     let ctx = FlowContext::build(&d, &cfg).expect("context");
     let a = ctx.run(&cfg, &NormalFill).expect("seq");
-    let b = ctx.run_parallel(&cfg, &NormalFill, 3).expect("par3");
-    let c = ctx.run_parallel(&cfg, &NormalFill, 7).expect("par7");
+    let b = ctx
+        .run_pool(&cfg, &NormalFill, &WorkerPool::new(3))
+        .expect("par3");
+    let c = ctx
+        .run_pool(&cfg, &NormalFill, &WorkerPool::new(7))
+        .expect("par7");
     assert_eq!(a.features, b.features);
     assert_eq!(b.features, c.features);
 }

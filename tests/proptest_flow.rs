@@ -5,7 +5,7 @@
 
 use pil_fill::core::flow::{FlowConfig, FlowContext};
 use pil_fill::core::methods::{GreedyFill, IlpTwo, NormalFill};
-use pil_fill::core::{check_fill, SlackColumnDef};
+use pil_fill::core::{check_fill, SlackColumnDef, WorkerPool};
 use pil_fill::layout::synth::{synthesize, SynthConfig};
 use pilfill_prng::rngs::StdRng;
 use pilfill_prng::{Rng, SeedableRng};
@@ -46,7 +46,9 @@ fn flow_contracts_hold_on_random_designs() {
 
         let normal = ctx.run(&config, &NormalFill).expect("normal");
         let greedy = ctx.run(&config, &GreedyFill).expect("greedy");
-        let ilp2 = ctx.run_parallel(&config, &IlpTwo, 4).expect("ilp2");
+        let ilp2 = ctx
+            .run_pool(&config, &IlpTwo, &WorkerPool::new(4))
+            .expect("ilp2");
 
         for outcome in [&normal, &greedy, &ilp2] {
             // Budget contract (definition III never falls short).
