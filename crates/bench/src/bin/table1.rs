@@ -6,12 +6,16 @@
 //!
 //! Usage: `cargo run --release -p pilfill-bench --bin table1 [--smoke]`
 //!
-//! Results are printed and written to `results/table1.csv`.
+//! Results are printed and written to `results/table1.csv`. A `--smoke`
+//! run (one cell per testcase) writes no CSV, so it never replaces the
+//! committed full-grid results, and exits non-zero if ILP-II's delay
+//! exceeds Normal's on any row.
 
 use pilfill_bench::{render_rows, run_grid, t1, t2, write_csv, Grid};
 use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let grid = if smoke {
         Grid::smoke(false)
@@ -26,7 +30,27 @@ fn main() {
     }
     println!("\nTable 1: non-weighted PIL-Fill synthesis (tau in fs)\n");
     println!("{}", render_rows(&rows, false));
+    if smoke {
+        // Methods run in table order: Normal, ILP-I, ILP-II, Greedy.
+        let mut ok = true;
+        for row in &rows {
+            let (normal, ilp2) = (row.methods[0].total_delay, row.methods[2].total_delay);
+            if ilp2 > normal {
+                eprintln!(
+                    "[table1] {}/{}/{}: ILP-II delay {ilp2:.3e} s exceeds Normal {normal:.3e} s",
+                    row.testcase, row.window_label, row.r
+                );
+                ok = false;
+            }
+        }
+        return if ok {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        };
+    }
     let path = Path::new("results/table1.csv");
     write_csv(&rows, path).expect("write csv");
     eprintln!("[table1] wrote {}", path.display());
+    ExitCode::SUCCESS
 }

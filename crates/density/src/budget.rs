@@ -191,12 +191,19 @@ pub fn lp_budget(
 
 /// A heap entry of the budget loop's lazy priority queue. The `BinaryHeap`
 /// max-heap pops the *smallest* `(density, window)` because the `Ord` below
-/// is reversed; `version` marks entries stale (not part of the ordering).
+/// is reversed.
+///
+/// Every window that can still take fill has exactly one entry, and its
+/// `density` key is a *lower bound* on the window's current density:
+/// densities only ever rise, and a grant elsewhere leaves the key behind
+/// rather than pushing a fresh entry. An entry whose key still equals the
+/// current density bit-for-bit is therefore the true minimum of the
+/// `(density, window)` order; one whose key has fallen behind is re-keyed
+/// on pop.
 #[derive(Debug, Clone, Copy)]
 struct NeediestWindow {
     density: f64,
     wi: usize,
-    version: u64,
 }
 
 impl Ord for NeediestWindow {
@@ -225,15 +232,73 @@ impl PartialEq for NeediestWindow {
 
 impl Eq for NeediestWindow {}
 
+/// A bipartite adjacency in compressed-sparse-row form: the neighbours of
+/// node `i` are `index[start[i]..start[i + 1]]`.
+struct Csr {
+    start: Vec<usize>,
+    index: Vec<usize>,
+}
+
+impl Csr {
+    fn row(&self, i: usize) -> &[usize] {
+        &self.index[self.start[i]..self.start[i + 1]]
+    }
+}
+
+/// Tiles of each window (in [`Window::tiles`](crate::Window::tiles)
+/// order) and windows covering each tile (ascending window index).
+fn window_tile_adjacency(dis: &FixedDissection) -> (Csr, Csr) {
+    let nx = dis.tiles().nx();
+    let n = dis.tiles().len();
+    let mut tiles_of_window = Csr {
+        start: vec![0],
+        index: Vec::new(),
+    };
+    let mut count = vec![0usize; n + 1];
+    for w in dis.windows() {
+        for (ix, iy) in w.tiles() {
+            let t = iy * nx + ix;
+            tiles_of_window.index.push(t);
+            count[t + 1] += 1;
+        }
+        tiles_of_window.start.push(tiles_of_window.index.len());
+    }
+    for t in 0..n {
+        count[t + 1] += count[t];
+    }
+    let mut next = count.clone();
+    let mut index = vec![0usize; tiles_of_window.index.len()];
+    for wi in 0..tiles_of_window.start.len() - 1 {
+        for &t in tiles_of_window.row(wi) {
+            index[next[t]] = wi;
+            next[t] += 1;
+        }
+    }
+    let windows_of_tile = Csr {
+        start: count,
+        index,
+    };
+    (tiles_of_window, windows_of_tile)
+}
+
 /// Scalable Monte-Carlo/greedy budgeting: repeatedly pick the window with
 /// the lowest density and add one feature to its tile with the most
 /// remaining slack, subject to no window exceeding `upper_bound`. Stops
 /// when no minimum-density window can accept more fill.
 ///
-/// The neediest window is tracked with a lazy min-heap (densities only
-/// ever increase, so stale entries sort at or before their window's live
-/// entry and are discarded on pop by a version check), making each of the
-/// `total()` iterations O(log W) instead of an O(W) scan.
+/// The neediest window comes from a lazy min-heap holding one entry per
+/// window that can still take fill. Densities only ever rise, so an
+/// entry's key is a lower bound on its window's density: a grant pushes
+/// only the chosen window back, and an entry whose key no longer matches
+/// the window's density bit-for-bit is re-keyed when it surfaces. An entry
+/// that does match is the true `(density, window)` minimum, so every pick
+/// is the one the O(W) linear scan would make.
+///
+/// A window is *full* once one more feature would lift it above
+/// `upper_bound`. Fill only raises `w_fill`, and IEEE addition and
+/// division round monotonically, so a full window stays full; each tile
+/// counts the full windows covering it, which turns the bound check of a
+/// candidate tile into one comparison and costs O(W·r²) for the whole run.
 ///
 /// Deterministic: ties break towards lower tile index, and the heap's
 /// tie-break reproduces the historical linear scan exactly.
@@ -250,62 +315,53 @@ pub fn montecarlo_budget(
 ) -> Result<FillBudget, BudgetError> {
     check_inputs(existing, slack, feature_area, upper_bound)?;
     let dis = *existing.dissection();
-    let grid = dis.tiles();
-    let nx = grid.nx();
-    let n = grid.len();
-    let windows: Vec<_> = dis.windows().collect();
+    let n = dis.tiles().len();
+    let (tiles_of_window, windows_of_tile) = window_tile_adjacency(&dis);
 
     // Window areas and current feature areas.
-    let w_area: Vec<f64> = windows
-        .iter()
-        .map(|&w| dis.window_rect(w).area() as f64)
+    let w_area: Vec<f64> = dis
+        .windows()
+        .map(|w| dis.window_rect(w).area() as f64)
         .collect();
-    let mut w_fill: Vec<f64> = windows
-        .iter()
-        .map(|&w| existing.window_area(w) as f64)
+    let mut w_fill: Vec<f64> = dis
+        .windows()
+        .map(|w| existing.window_area(w) as f64)
         .collect();
-    // Windows covering each tile, and tiles of each window, flattened once
-    // so the per-feature hot loop never re-derives grid arithmetic.
-    let mut windows_of_tile: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut tiles_of_window: Vec<Vec<usize>> = vec![Vec::new(); windows.len()];
-    for (wi, w) in windows.iter().enumerate() {
-        for (ix, iy) in w.tiles() {
-            windows_of_tile[iy * nx + ix].push(wi);
-            tiles_of_window[wi].push(iy * nx + ix);
-        }
-    }
+    let num_windows = w_area.len();
 
     let mut remaining: Vec<u32> = slack.to_vec();
     let mut budget = vec![0u32; n];
     let fa = feature_area as f64;
-    let mut stuck = vec![false; windows.len()];
 
-    // Cached density-after-one-more-feature per window. The historical
-    // acceptance check `after <= upper_bound.max(current) && after <=
-    // upper_bound` collapses to `after <= upper_bound` (the max only ever
-    // raises the first bound), and `after` is the same quotient
-    // `(w_fill + fa) / w_area` recomputed here whenever `w_fill` changes —
-    // identical operands and order, so the cached compare is bit-identical
-    // to dividing inside the filter.
-    let mut d_after: Vec<f64> = (0..windows.len())
-        .map(|wi| (w_fill[wi] + fa) / w_area[wi])
-        .collect();
+    // The historical acceptance check `after <= upper_bound.max(current)
+    // && after <= upper_bound` collapses to `after <= upper_bound` (the max
+    // only ever raises the first bound). `full` is its negation with the
+    // same operands, order and comparison, so NaN lands the same way, and
+    // `blocked[t]` counts the full windows covering tile `t`.
+    let fits = |fill: f64, area: f64| (fill + fa) / area <= upper_bound;
+    let mut full = vec![false; num_windows];
+    let mut blocked = vec![0u32; n];
+    for wi in 0..num_windows {
+        if !fits(w_fill[wi], w_area[wi]) {
+            full[wi] = true;
+            for &t in tiles_of_window.row(wi) {
+                blocked[t] += 1;
+            }
+        }
+    }
 
-    // Lazy min-heap over (density, window). Every non-stuck window has
-    // exactly one live entry (the one whose `version` matches); entries
-    // left behind by density updates are stale and skipped on pop.
-    let mut version = vec![0u64; windows.len()];
-    let mut heap: BinaryHeap<NeediestWindow> = (0..windows.len())
+    let mut heap: BinaryHeap<NeediestWindow> = (0..num_windows)
         .map(|wi| NeediestWindow {
             density: w_fill[wi] / w_area[wi],
             wi,
-            version: 0,
         })
         .collect();
 
     while let Some(entry) = heap.pop() {
         let wi = entry.wi;
-        if stuck[wi] || entry.version != version[wi] {
+        let density = w_fill[wi] / w_area[wi];
+        if density.to_bits() != entry.density.to_bits() {
+            heap.push(NeediestWindow { density, wi });
             continue;
         }
 
@@ -313,42 +369,33 @@ pub fn montecarlo_budget(
         // push any covering window above the bound (never above it unless
         // it already exceeded the bound from drawn features alone — then
         // fill there is simply forbidden).
-        let candidate = tiles_of_window[wi]
+        let candidate = tiles_of_window
+            .row(wi)
             .iter()
             .copied()
-            .filter(|&t| remaining[t] > 0)
-            .filter(|&t| {
-                windows_of_tile[t]
-                    .iter()
-                    .all(|&cw| d_after[cw] <= upper_bound)
-            })
+            .filter(|&t| remaining[t] > 0 && blocked[t] == 0)
             .max_by_key(|&t| (remaining[t], std::cmp::Reverse(t)));
 
-        match candidate {
-            Some(t) => {
-                remaining[t] -= 1;
-                budget[t] += 1;
-                // Stuck windows stay stuck: adding fill elsewhere only
-                // raises densities, never creates new capacity, so this is
-                // sound. The chosen tile lies inside window `wi`, so `wi`
-                // itself is refreshed here and stays in the heap.
-                for &cw in &windows_of_tile[t] {
-                    w_fill[cw] += fa;
-                    d_after[cw] = (w_fill[cw] + fa) / w_area[cw];
-                    version[cw] += 1;
-                    if !stuck[cw] {
-                        heap.push(NeediestWindow {
-                            density: w_fill[cw] / w_area[cw],
-                            wi: cw,
-                            version: version[cw],
-                        });
-                    }
+        // No candidate: the window is stuck and is not pushed back. Adding
+        // fill elsewhere only raises densities, never creates capacity, so
+        // it stays stuck.
+        let Some(t) = candidate else { continue };
+        remaining[t] -= 1;
+        budget[t] += 1;
+        for &cw in windows_of_tile.row(t) {
+            w_fill[cw] += fa;
+            if !full[cw] && !fits(w_fill[cw], w_area[cw]) {
+                full[cw] = true;
+                for &ct in tiles_of_window.row(cw) {
+                    blocked[ct] += 1;
                 }
             }
-            None => {
-                stuck[wi] = true;
-            }
         }
+        // The chosen tile lies inside window `wi`, so its density rose.
+        heap.push(NeediestWindow {
+            density: w_fill[wi] / w_area[wi],
+            wi,
+        });
     }
 
     Ok(FillBudget::new(&dis, budget))
@@ -527,6 +574,108 @@ mod tests {
                 assert_eq!(heap, scan, "slack {per_tile}, bound {ub}");
             }
         }
+    }
+
+    /// A seeded budgeting case: a (possibly partial) die cut into
+    /// `window / r` tiles, random drawn areas (multiples of `quantum`)
+    /// with some tiles packed full, and random slack with zeros mixed in.
+    fn seeded_case(
+        rng: &mut pilfill_prng::rngs::StdRng,
+        r: usize,
+        quantum: i64,
+    ) -> (DensityMap, Vec<u32>) {
+        use pilfill_prng::Rng;
+        const TILE: i64 = 1_000;
+        let window = TILE * r as i64;
+        let side = |rng: &mut pilfill_prng::rngs::StdRng| {
+            let tiles = rng.gen_range(r..r + 5) as i64;
+            // Every other die ends in a partial tile row/column.
+            let partial = if rng.gen_bool(0.5) {
+                rng.gen_range(1..TILE)
+            } else {
+                0
+            };
+            tiles * TILE + partial
+        };
+        let (w, h) = (side(rng), side(rng));
+        let dis = FixedDissection::new(Rect::new(0, 0, w, h), window, r).expect("dissection");
+        let mut map = DensityMap::zeros(&dis);
+        let nx = dis.tiles().nx();
+        let n = dis.tiles().len();
+        let dense = rng.gen_range(0.0..0.3);
+        let areas: Vec<i64> = (0..n)
+            .map(|_| {
+                if rng.gen_bool(dense) {
+                    TILE * TILE
+                } else {
+                    rng.gen_range(0..TILE * TILE / 2) / quantum * quantum
+                }
+            })
+            .collect();
+        map.add_tile_areas(
+            areas
+                .iter()
+                .enumerate()
+                .map(|(i, &a)| ((i % nx, i / nx), a)),
+        );
+        let zeros = rng.gen_range(0.0..0.5);
+        let slack = (0..n)
+            .map(|_| {
+                if rng.gen_bool(zeros) {
+                    0
+                } else {
+                    rng.gen_range(1..40)
+                }
+            })
+            .collect();
+        (map, slack)
+    }
+
+    /// The heap budget equals the scan oracle exactly over r ∈ {1, 2, 4,
+    /// 8}, bounds from 0.05 to 1, windows over the bound before any fill,
+    /// zero-slack tiles, partial-die dissections, and feature areas from
+    /// one unit to more than a tile. A quarter of the cases draw areas in
+    /// whole features of 1/40 tile, so window densities land exactly on
+    /// the bounds and the `<=` acceptance edge is exercised.
+    #[test]
+    fn heap_budget_matches_scan_on_seeded_cases() {
+        use pilfill_prng::{Rng, SeedableRng};
+        let mut rng = pilfill_prng::rngs::StdRng::seed_from_u64(0x00B0_D6E7);
+        // Cases with [a window over the bound before fill, a zero-slack
+        // tile, a partial die, a non-empty budget].
+        let mut seen = [0usize; 4];
+        for r in [1usize, 2, 4, 8] {
+            for case in 0..24 {
+                let feature_area = match rng.gen_range(0..4) {
+                    0 => 1,
+                    1 => rng.gen_range(1_000..2_000_000),
+                    2 => 25_000,
+                    _ => rng.gen_range(5_000..40_000),
+                };
+                let quantum = if feature_area == 25_000 {
+                    feature_area
+                } else {
+                    1
+                };
+                let (map, slack) = seeded_case(&mut rng, r, quantum);
+                let bound = [0.05, 0.1, 0.25, 0.4, 0.6, 0.9, 1.0][rng.gen_range(0usize..7)];
+                let heap = montecarlo_budget(&map, &slack, feature_area, bound).expect("mc");
+                let scan = montecarlo_budget_by_scan(&map, &slack, feature_area, bound);
+                assert_eq!(
+                    heap, scan,
+                    "r {r}, case {case}, bound {bound}, feature area {feature_area}"
+                );
+                let dis = *map.dissection();
+                let die = dis.tiles().bounds();
+                seen[0] += usize::from(dis.windows().any(|w| map.window_density(w) > bound));
+                seen[1] += usize::from(slack.contains(&0));
+                seen[2] += usize::from(
+                    die.width() % dis.tile_size() != 0 || die.height() % dis.tile_size() != 0,
+                );
+                seen[3] += usize::from(heap.total() > 0);
+            }
+        }
+        assert!(seen.iter().all(|&n| n >= 8), "cases seen: {seen:?}");
     }
 
     #[test]

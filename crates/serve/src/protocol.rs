@@ -463,17 +463,29 @@ pub enum FrameProgress {
 /// explicit: [`FrameProgress::Idle`] (nothing buffered, fine to treat
 /// as an idle tick) vs [`FrameProgress::Pending`] (mid-frame, keep
 /// polling).
+///
+/// The payload buffer grows as bytes arrive, never to the declared length
+/// up front: a peer that sends a length prefix and then stalls holds one
+/// 64 KiB growth step, not [`MAX_FRAME`].
 #[derive(Debug, Default)]
 pub struct FrameReader {
     /// Length-prefix bytes received so far.
     len: [u8; 4],
     /// How many bytes of `len` are valid.
     have: usize,
-    /// Payload buffer, allocated once the length prefix is complete.
-    payload: Option<Vec<u8>>,
+    /// Declared payload length, once the length prefix is complete.
+    want: Option<usize>,
+    /// Payload buffer: zeroed space for at most the bytes received so
+    /// far plus one growth step.
+    payload: Vec<u8>,
     /// Payload bytes received so far.
     filled: usize,
 }
+
+/// The first payload allocation. Later ones double the buffer, so a
+/// frame costs O(log len) reallocations and never more than twice the
+/// bytes received plus this step.
+const FRAME_STEP: usize = 64 << 10;
 
 /// Timeout error kinds a poll tick absorbs (unix reports `WouldBlock`,
 /// Windows `TimedOut`).
@@ -499,7 +511,10 @@ impl FrameReader {
     /// an error the reader's position in the byte stream is undefined —
     /// drop the connection instead of polling again.
     pub fn poll(&mut self, r: &mut dyn Read) -> std::io::Result<FrameProgress> {
-        while self.payload.is_none() {
+        let want = loop {
+            if let Some(want) = self.want {
+                break want;
+            }
             if self.have == self.len.len() {
                 let len = u32::from_le_bytes(self.len);
                 if len > MAX_FRAME {
@@ -508,9 +523,10 @@ impl FrameReader {
                         format!("frame length {len} exceeds cap"),
                     ));
                 }
-                self.payload = Some(vec![0u8; to_usize(len)]);
+                let want = to_usize(len);
+                self.want = Some(want);
                 self.filled = 0;
-                break;
+                break want;
             }
             match r.read(&mut self.len[self.have..]) {
                 Ok(0) if self.have == 0 => return Ok(FrameProgress::Eof),
@@ -531,15 +547,14 @@ impl FrameReader {
                 }
                 Err(e) => return Err(e),
             }
-        }
-        loop {
-            // The prefix loop above ran to `break` or the payload
-            // survived an earlier Pending poll. pilfill: allow(unwrap)
-            let payload = self.payload.as_mut().expect("payload allocated");
-            if self.filled == payload.len() {
-                break;
+        };
+        while self.filled < want {
+            if self.filled == self.payload.len() {
+                let grow = self.payload.len().max(FRAME_STEP).min(want - self.filled);
+                self.payload.reserve_exact(grow);
+                self.payload.resize(self.filled + grow, 0);
             }
-            match r.read(&mut payload[self.filled..]) {
+            match r.read(&mut self.payload[self.filled..]) {
                 Ok(0) => {
                     return Err(std::io::Error::new(
                         std::io::ErrorKind::UnexpectedEof,
@@ -553,10 +568,8 @@ impl FrameReader {
             }
         }
         self.have = 0;
-        // The loop above only breaks with the payload complete.
-        // pilfill: allow(unwrap)
-        let payload = self.payload.take().expect("complete payload");
-        Ok(FrameProgress::Frame(payload))
+        self.want = None;
+        Ok(FrameProgress::Frame(std::mem::take(&mut self.payload)))
     }
 }
 
@@ -1222,6 +1235,76 @@ mod tests {
         // flight.
         assert!(pending > 0, "mid-frame timeouts must surface as Pending");
         assert!(idle > 0, "boundary timeouts must surface as Idle");
+    }
+
+    /// A `Read` that yields `data` and then times out forever: a peer
+    /// that stalls after sending part of a frame.
+    struct Stall<'a>(&'a [u8]);
+
+    impl Read for Stall<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            if self.0.is_empty() {
+                return Err(std::io::Error::new(std::io::ErrorKind::WouldBlock, "stall"));
+            }
+            let n = buf.len().min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_allocates_only_what_arrived() {
+        // Four bytes claiming the largest legal frame, then silence.
+        let prefix = MAX_FRAME.to_le_bytes();
+        let mut reader = FrameReader::new();
+        let progress = reader.poll(&mut Stall(&prefix)).expect("poll");
+        assert!(matches!(progress, FrameProgress::Pending));
+        assert!(
+            reader.payload.capacity() <= FRAME_STEP,
+            "4 bytes sent, {} bytes held",
+            reader.payload.capacity()
+        );
+
+        // Three steps' worth of payload: the buffer grows with the bytes,
+        // at most doubling past what arrived.
+        let mut wire = prefix.to_vec();
+        wire.extend((0..3 * FRAME_STEP).map(|i| (i % 251) as u8));
+        let mut reader = FrameReader::new();
+        let progress = reader.poll(&mut Stall(&wire)).expect("poll");
+        assert!(matches!(progress, FrameProgress::Pending));
+        assert_eq!(reader.filled, 3 * FRAME_STEP);
+        assert!(reader.payload.capacity() <= 4 * FRAME_STEP);
+    }
+
+    #[test]
+    fn frame_reader_decodes_a_trickled_frame_identically() {
+        // A real request several growth steps long, fed one byte per
+        // read with a timeout before every byte.
+        let text: String = (0..FRAME_STEP / 4).map(|i| format!("net n{i}\n")).collect();
+        let request = Request::Fill {
+            design: DesignRef::Inline(text),
+            params: FillParams::new(8_000, 2).expect("valid window"),
+        };
+        let payload = encode_request(&request);
+        assert!(payload.len() > 2 * FRAME_STEP);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &payload).expect("write");
+        let mut stream = Stutter {
+            data: wire,
+            pos: 0,
+            ready: false,
+        };
+        let mut reader = FrameReader::new();
+        let got = loop {
+            match reader.poll(&mut stream).expect("poll") {
+                FrameProgress::Frame(p) => break p,
+                FrameProgress::Idle | FrameProgress::Pending => {}
+                FrameProgress::Eof => panic!("eof before the frame"),
+            }
+        };
+        assert_eq!(got, payload);
+        assert_eq!(decode_request(&got).expect("decode"), request);
     }
 
     #[test]

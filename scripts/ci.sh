@@ -22,6 +22,16 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# Paper tables smoke: table1/table2 --smoke run one cell per testcase,
+# exit non-zero if ILP-II's delay exceeds Normal's on any row, and must
+# leave the committed full-grid CSVs in results/ untouched.
+echo "==> paper tables smoke (table1/table2 --smoke)"
+tables_before=$(cksum results/table1.csv results/table2.csv)
+./target/release/table1 --smoke >/dev/null
+./target/release/table2 --smoke >/dev/null
+[ "$(cksum results/table1.csv results/table2.csv)" = "$tables_before" ] ||
+  { echo "a --smoke run rewrote results/table{1,2}.csv"; exit 1; }
+
 # Benchmark gate. perfbench is a separate cargo package that drives the
 # crates through their public API; it must build from this checkout and
 # its smoke run (tiny inputs, every workload, traced and untraced, ~7 s)
