@@ -159,6 +159,82 @@ fn column_contribution(
     out
 }
 
+/// Incremental feature locator over the global slack columns, sorted by
+/// `(site_x, gap.lo)` with disjoint gaps per site column.
+///
+/// A feature's column is the last one whose `(site_x, gap.lo)` key is at
+/// most `(site, y)`, if that column shares the site and its gap contains
+/// `y`: the same unique column a cold binary search finds. The cursor
+/// keeps the previous lookup's partition point and gallops from it (1, 2,
+/// 4, ... columns in the direction of the new key) before bisecting the
+/// bracket. Flow placements arrive tile by tile with columns ascending
+/// and slots stacked per column, so most lookups probe one or two
+/// neighbours instead of bisecting the whole column list.
+struct ColumnCursor<'a> {
+    columns: &'a [SlackColumn],
+    bounds: Rect,
+    rules: FillRules,
+    /// Partition point of the previous lookup.
+    at: usize,
+}
+
+impl<'a> ColumnCursor<'a> {
+    fn new(columns: &'a [SlackColumn], bounds: Rect, rules: FillRules) -> Self {
+        Self {
+            columns,
+            bounds,
+            rules,
+            at: 0,
+        }
+    }
+
+    /// Index of the column containing `feature`, or `None` (outside the
+    /// bounds, inside a line, or past every column).
+    fn locate(&mut self, feature: FillFeature) -> Option<usize> {
+        let site = crate::scan::feature_site(self.bounds, self.rules, feature)?;
+        let key = (site, feature.y);
+        let cols = self.columns;
+        let before = |c: &SlackColumn| (c.site_x, c.gap.lo) <= key;
+        // Bracket the partition point in [lo, hi]: `before` holds below
+        // `lo` and fails from `hi` on.
+        let (lo, hi) = if self.at > 0 && !before(&cols[self.at - 1]) {
+            // The key moved left of the previous hit.
+            let mut hi = self.at - 1;
+            let mut step = 1;
+            loop {
+                if hi < step {
+                    break (0, hi);
+                }
+                let probe = hi - step;
+                if before(&cols[probe]) {
+                    break (probe + 1, hi);
+                }
+                hi = probe;
+                step *= 2;
+            }
+        } else {
+            let mut lo = self.at;
+            let mut step = 1;
+            loop {
+                let probe = lo + step - 1;
+                if probe >= cols.len() {
+                    break (lo, cols.len());
+                }
+                if !before(&cols[probe]) {
+                    break (lo, probe);
+                }
+                lo = probe + 1;
+                step *= 2;
+            }
+        };
+        let at = lo + cols[lo..hi].partition_point(before);
+        self.at = at;
+        let i = at.checked_sub(1)?;
+        let col = &cols[i];
+        (col.site_x == site && col.gap.contains(feature.y)).then_some(i)
+    }
+}
+
 /// Evaluates `features` against the global slack columns.
 ///
 /// `num_nets` sizes the per-net vector; `bounds`/`rules` must match the
@@ -185,8 +261,9 @@ pub fn evaluate_placement(
     let model = CouplingModel::new(tech);
     let mut counts = vec![0u32; columns.len()];
     let mut unlocated = 0u64;
+    let mut cursor = ColumnCursor::new(columns, bounds, rules);
     for &f in features {
-        match crate::scan::locate_feature(columns, bounds, rules, f) {
+        match cursor.locate(f) {
             Some(i) => counts[i] += 1,
             None => unlocated += 1,
         }
@@ -464,6 +541,213 @@ mod tests {
             // Bit-identical, including every f64 accumulator: the fold
             // order is the column order regardless of shard count.
             assert_eq!(serial, sharded, "{shards} shards");
+        }
+    }
+
+    #[test]
+    fn extreme_coordinates_are_unlocated_not_overflowed() {
+        // A die with a negative origin: `i64::MAX - left` overflows, so the
+        // far edges must be rejected before any subtraction.
+        let s = setup();
+        let bounds = Rect::new(-9_000, -9_000, 9_000, 9_000);
+        let columns = scan_slack_columns(&s.lines, bounds, s.design.rules);
+        let located = {
+            let col = columns
+                .iter()
+                .find(|c| c.distance().is_some() && !c.slots.is_empty())
+                .expect("paired column");
+            FillFeature {
+                x: col.feature_x(s.design.rules),
+                y: col.slots.first().expect("slot"),
+            }
+        };
+        let (min, max) = (i64::MIN, i64::MAX);
+        let extremes = [
+            FillFeature { x: max, y: 0 },
+            FillFeature { x: 0, y: max },
+            FillFeature { x: max, y: max },
+            FillFeature { x: min, y: 0 },
+            FillFeature { x: 0, y: min },
+            FillFeature { x: min, y: max },
+            FillFeature { x: max, y: min },
+            FillFeature { x: 9_000, y: 0 },
+            FillFeature { x: 0, y: 9_000 },
+        ];
+        let mut features = vec![located];
+        features.extend(extremes);
+        features.push(located);
+        let impact = evaluate_placement(
+            &features,
+            &columns,
+            &s.lines,
+            bounds,
+            &s.design.tech,
+            s.design.rules,
+            s.design.nets.len(),
+            None,
+        );
+        assert_eq!(impact.unlocated_features, extremes.len() as u64);
+        assert!(impact.total_cap > 0.0, "the in-die features still count");
+        for f in extremes {
+            assert_eq!(
+                crate::scan::locate_feature(&columns, bounds, s.design.rules, f),
+                None,
+                "{f:?}"
+            );
+        }
+    }
+
+    /// Seeded oracle suite: the galloping cursor against the cold binary
+    /// search of `locate_feature`, over feature sequences in every order
+    /// the cursor can meet.
+    mod cursor_props {
+        use super::super::ColumnCursor;
+        use crate::flow::{run_flow, FlowConfig};
+        use crate::methods::GreedyFill;
+        use crate::scan::locate_feature;
+        use crate::{extract_active_lines, scan_slack_columns, FillFeature, SlackColumnDef};
+        use pilfill_geom::Rect;
+        use pilfill_layout::synth::{synthesize, SynthConfig};
+        use pilfill_layout::{FillRules, LayerId};
+        use pilfill_prng::rngs::StdRng;
+        use pilfill_prng::{Rng, SeedableRng};
+
+        /// One cursor walks `features` in order; every answer must equal
+        /// the oracle's.
+        fn assert_matches_oracle(
+            columns: &[crate::SlackColumn],
+            bounds: Rect,
+            rules: FillRules,
+            features: &[FillFeature],
+            tag: &str,
+        ) {
+            let mut cursor = ColumnCursor::new(columns, bounds, rules);
+            for (k, &f) in features.iter().enumerate() {
+                assert_eq!(
+                    cursor.locate(f),
+                    locate_feature(columns, bounds, rules, f),
+                    "{tag}: feature {k} {f:?}"
+                );
+            }
+        }
+
+        fn shuffled(features: &[FillFeature], rng: &mut StdRng) -> Vec<FillFeature> {
+            let mut v = features.to_vec();
+            for i in (1..v.len()).rev() {
+                let j = rng.gen_range(0..=i);
+                v.swap(i, j);
+            }
+            v
+        }
+
+        #[test]
+        fn cursor_locate_matches_the_binary_search_oracle() {
+            let mut rng = StdRng::seed_from_u64(0xC0_1055);
+            for seed in 1..=4u64 {
+                let d = synthesize(&SynthConfig::small_test(seed));
+                let lines = extract_active_lines(&d, LayerId(0)).expect("lines");
+                let columns = scan_slack_columns(&lines, d.die, d.rules);
+                let die = d.die;
+                for def in [
+                    SlackColumnDef::One,
+                    SlackColumnDef::Two,
+                    SlackColumnDef::Three,
+                ] {
+                    let mut config = FlowConfig::new(8_000, 2).expect("config");
+                    config.def = def;
+                    let flow = run_flow(&d, &config, &GreedyFill).expect("flow").features;
+                    assert!(!flow.is_empty(), "seed {seed}: empty placement");
+                    let tag = format!("seed {seed} {def}");
+
+                    assert_matches_oracle(&columns, die, d.rules, &flow, &format!("{tag} flow"));
+                    let mut rev = flow.clone();
+                    rev.reverse();
+                    assert_matches_oracle(&columns, die, d.rules, &rev, &format!("{tag} rev"));
+                    let shuf = shuffled(&flow, &mut rng);
+                    assert_matches_oracle(&columns, die, d.rules, &shuf, &format!("{tag} shuf"));
+                    let dup: Vec<FillFeature> = flow.iter().flat_map(|&f| [f, f]).collect();
+                    assert_matches_oracle(&columns, die, d.rules, &dup, &format!("{tag} dup"));
+                }
+
+                // Random positions over and around the die: inside lines,
+                // in gaps, left of, right of, below and above it,
+                // interleaved with real slots.
+                let slots: Vec<FillFeature> = columns
+                    .iter()
+                    .flat_map(|c| {
+                        c.slots.iter().map(|y| FillFeature {
+                            x: c.feature_x(d.rules),
+                            y,
+                        })
+                    })
+                    .collect();
+                let pad = 3 * d.rules.site_pitch();
+                let mut mixed = Vec::new();
+                for _ in 0..4_000 {
+                    let f = match rng.gen_range(0u32..4) {
+                        0 => slots[rng.gen_range(0..slots.len())],
+                        1 => {
+                            let l = &lines[rng.gen_range(0..lines.len())];
+                            FillFeature {
+                                x: rng.gen_range(l.rect.left..l.rect.right),
+                                y: rng.gen_range(l.rect.bottom..l.rect.top),
+                            }
+                        }
+                        _ => FillFeature {
+                            x: rng.gen_range(die.left - pad..die.right + pad),
+                            y: rng.gen_range(die.bottom - pad..die.top + pad),
+                        },
+                    };
+                    mixed.push(f);
+                }
+                let edges = [
+                    FillFeature {
+                        x: die.left - 1,
+                        y: die.bottom,
+                    },
+                    FillFeature {
+                        x: die.right,
+                        y: die.bottom,
+                    },
+                    FillFeature {
+                        x: die.left,
+                        y: die.top,
+                    },
+                    FillFeature {
+                        x: die.right - 1,
+                        y: die.top - 1,
+                    },
+                    FillFeature {
+                        x: die.left,
+                        y: die.bottom,
+                    },
+                ];
+                mixed.extend(edges);
+                let located = mixed
+                    .iter()
+                    .filter(|&&f| locate_feature(&columns, die, d.rules, f).is_some())
+                    .count();
+                assert!(
+                    located > 500 && located < mixed.len() - 500,
+                    "seed {seed}: mix must hit and miss ({located} of {})",
+                    mixed.len()
+                );
+                assert_matches_oracle(
+                    &columns,
+                    die,
+                    d.rules,
+                    &mixed,
+                    &format!("seed {seed} mixed"),
+                );
+                mixed.sort_by_key(|f| (f.x, f.y));
+                assert_matches_oracle(
+                    &columns,
+                    die,
+                    d.rules,
+                    &mixed,
+                    &format!("seed {seed} sorted"),
+                );
+            }
         }
     }
 

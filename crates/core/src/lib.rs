@@ -65,7 +65,7 @@ pub use scan::{
 };
 pub use tile::{
     build_slab_problems, build_tile_problems, build_tile_problems_pool, def_three_capacities,
-    slab_ranges, SlackColumnDef, TileColumn, TileProblem,
+    slab_ranges, AdjacentNets, SlackColumnDef, TileColumn, TileProblem,
 };
 pub use verify::{check_fill, DrcReport, DrcViolation};
 

@@ -148,9 +148,9 @@ mod tests {
         // not two, diverting the second batch onto net 1.
         use pilfill_layout::NetId;
         let mut tile = synthetic_tile(&[(2_500, 3, 1.0), (2_500, 3, 1.01), (2_500, 3, 1.3)], 0);
-        tile.columns[0].adjacent_nets = vec![NetId(0)];
-        tile.columns[1].adjacent_nets = vec![NetId(0)];
-        tile.columns[2].adjacent_nets = vec![NetId(1)];
+        tile.columns[0].adjacent_nets = NetId(0).into();
+        tile.columns[1].adjacent_nets = NetId(0).into();
+        tile.columns[2].adjacent_nets = NetId(1).into();
 
         let plain = GreedyFill.place(&tile, 6, false, &mut rng()).expect("g");
         assert_eq!(plain, vec![3, 3, 0]);

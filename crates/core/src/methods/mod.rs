@@ -126,7 +126,7 @@ pub(crate) mod testutil {
                     alpha_unweighted: alpha,
                     table: Some(CapTable::build(&model, d, w, cap)),
                     linear_cap_per_feature: model.delta_cap_linear(1, d, w),
-                    adjacent_nets: vec![pilfill_layout::NetId(i)],
+                    adjacent_nets: pilfill_layout::NetId(i).into(),
                 }
             })
             .collect();
@@ -139,7 +139,7 @@ pub(crate) mod testutil {
                 alpha_unweighted: 0.0,
                 table: None,
                 linear_cap_per_feature: 0.0,
-                adjacent_nets: Vec::new(),
+                adjacent_nets: crate::AdjacentNets::EMPTY,
             });
         }
         TileProblem {

@@ -624,23 +624,35 @@ pub fn scan_site_columns(
     }
 }
 
+/// Site-column index of a fill feature at `feature`, or `None` when the
+/// feature lies outside `bounds`. The far edges are rejected before any
+/// subtraction and the offset is taken with checked arithmetic, so a
+/// feature at an extreme coordinate (e.g. `i64::MAX` on a die with a
+/// negative origin) yields `None` instead of overflowing.
+pub(crate) fn feature_site(bounds: Rect, rules: FillRules, feature: FillFeature) -> Option<usize> {
+    if !bounds.x_span().contains(feature.x) || !bounds.y_span().contains(feature.y) {
+        return None;
+    }
+    let dx = feature.x.checked_sub(bounds.left)?;
+    Some(units::index(dx / rules.site_pitch()))
+}
+
 /// Locates the slack column (by index into `columns`) that contains a fill
-/// feature placed at `feature`. Returns `None` for positions outside every
-/// column (e.g. inside a line or out of bounds).
+/// feature placed at `feature` with a cold binary search. Returns `None`
+/// for positions outside every column (e.g. inside a line or out of
+/// bounds).
 ///
 /// `columns` must be the unmodified result of [`scan_slack_columns`] for
-/// the same `bounds` and `rules`.
-pub fn locate_feature(
+/// the same `bounds` and `rules`. The evaluator locates incrementally
+/// instead; this is the oracle its cursor is tested against.
+#[cfg(test)]
+pub(crate) fn locate_feature(
     columns: &[SlackColumn],
     bounds: Rect,
     rules: FillRules,
     feature: FillFeature,
 ) -> Option<usize> {
-    let pitch = rules.site_pitch();
-    if feature.x < bounds.left || feature.y < bounds.bottom {
-        return None;
-    }
-    let site_x = pilfill_geom::units::index((feature.x - bounds.left) / pitch);
+    let site_x = feature_site(bounds, rules, feature)?;
     // Binary search the sorted (site_x, gap.lo) order.
     let start = columns.partition_point(|c| c.site_x < site_x);
     columns[start..]

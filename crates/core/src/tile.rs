@@ -44,8 +44,66 @@ impl std::fmt::Display for SlackColumnDef {
     }
 }
 
-/// One decision column of a tile's MDFC instance.
-#[derive(Debug, Clone, PartialEq)]
+/// The nets of a column's adjacent lines: at most two (the line below and
+/// the line above), deduplicated, in insertion order. Stored inline so a
+/// [`TileColumn`] owns no heap memory; derefs to `[NetId]`. Unused slots
+/// always hold `NetId(0)`, so the derived equality compares the nets.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AdjacentNets {
+    nets: [NetId; 2],
+    len: u8,
+}
+
+impl AdjacentNets {
+    /// No adjacent nets.
+    pub const EMPTY: Self = Self {
+        nets: [NetId(0); 2],
+        len: 0,
+    };
+
+    /// Adds `net` unless it is already present.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a third distinct net is added (a column has two sides).
+    pub fn insert(&mut self, net: NetId) {
+        if self.contains(&net) {
+            return;
+        }
+        assert!(self.len < 2, "a column borders at most two nets");
+        self.nets[usize::from(self.len)] = net;
+        self.len += 1;
+    }
+}
+
+impl From<NetId> for AdjacentNets {
+    fn from(net: NetId) -> Self {
+        let mut nets = Self::EMPTY;
+        nets.insert(net);
+        nets
+    }
+}
+
+impl std::ops::Deref for AdjacentNets {
+    type Target = [NetId];
+    fn deref(&self) -> &[NetId] {
+        &self.nets[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a AdjacentNets {
+    type Item = &'a NetId;
+    type IntoIter = std::slice::Iter<'a, NetId>;
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+/// One decision column of a tile's MDFC instance. Plain data: every field
+/// is inline (the capacitance table is evaluated in closed form, the
+/// adjacent nets are a two-slot array), so building a column allocates
+/// nothing and dropping a tile's columns frees one buffer.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TileColumn {
     /// x of a feature placed in this column.
     pub feature_x: Coord,
@@ -67,8 +125,13 @@ pub struct TileColumn {
     pub linear_cap_per_feature: f64,
     /// Nets of the adjacent lines (0-2 entries; deduplicated when both
     /// sides belong to the same net).
-    pub adjacent_nets: Vec<NetId>,
+    pub adjacent_nets: AdjacentNets,
 }
+
+// A tile column must stay heap-free: a `Vec` or `Box` field would bring
+// back one allocation per column on every tile build (and one free on
+// every context drop).
+const _: () = assert!(!std::mem::needs_drop::<TileColumn>());
 
 impl TileColumn {
     /// Capacity of the column inside this tile.
@@ -146,7 +209,7 @@ fn make_tile_column(
     let center_x = feature_x + rules.feature_size / 2;
     let mut alpha_w = 0.0;
     let mut alpha_u = 0.0;
-    let mut adjacent_nets: Vec<NetId> = Vec::with_capacity(2);
+    let mut adjacent_nets = AdjacentNets::EMPTY;
     for idx in [col.below, col.above].into_iter().flatten() {
         // u32 -> usize is widening on every supported target.
         let line = &lines[idx as usize]; // pilfill: allow(as-cast)
@@ -154,9 +217,7 @@ fn make_tile_column(
         alpha_u += r;
         alpha_w += line.weight as f64 * r;
         if let Some(net) = line.net {
-            if !adjacent_nets.contains(&net) {
-                adjacent_nets.push(net);
-            }
+            adjacent_nets.insert(net);
         }
     }
     let distance = col.distance();
@@ -216,7 +277,8 @@ fn for_each_row_chunk(
 
 /// Definition III worker: expands one contiguous chunk of global columns
 /// into `(tile index, column)` pairs, preserving column order within the
-/// chunk.
+/// chunk. An arithmetic counting pass sizes the output exactly, so the
+/// chunk costs one allocation.
 fn def_three_chunk(
     lines: &[ActiveLine],
     chunk: &[SlackColumn],
@@ -224,7 +286,11 @@ fn def_three_chunk(
     rules: FillRules,
     model: &CouplingModel,
 ) -> Vec<(usize, TileColumn)> {
-    let mut out = Vec::new();
+    let mut n = 0;
+    for col in chunk {
+        for_each_row_chunk(col, col.feature_x(rules), grid, |_, _| n += 1);
+    }
+    let mut out = Vec::with_capacity(n);
     for col in chunk {
         let fx = col.feature_x(rules);
         for_each_row_chunk(col, fx, grid, |(ix, iy), slots| {
@@ -314,11 +380,26 @@ pub fn build_slab_problems(
             columns: Vec::new(),
         })
         .collect();
-    for (idx, tc) in def_three_chunk(lines, slab, &grid, rules, &model) {
+    let pairs = def_three_chunk(lines, slab, &grid, rules, &model);
+    reserve_exact_per_tile(&mut problems, pairs.iter().map(|&(idx, _)| idx / nx));
+    for (idx, tc) in pairs {
         debug_assert_eq!(idx % nx, ix, "slab column escaped its grid column");
         problems[idx / nx].columns.push(tc);
     }
     problems
+}
+
+/// Sizes each problem's column buffer to the number of `targets` naming
+/// it, so the columns that follow land with one allocation per non-empty
+/// tile instead of a doubling sequence.
+fn reserve_exact_per_tile(problems: &mut [TileProblem], targets: impl Iterator<Item = usize>) {
+    let mut counts = vec![0usize; problems.len()];
+    for idx in targets {
+        counts[idx] += 1;
+    }
+    for (problem, n) in problems.iter_mut().zip(counts) {
+        problem.columns.reserve_exact(n);
+    }
 }
 
 /// Definition I/II worker: scans and fills one tile in place. Each tile's
@@ -408,6 +489,7 @@ pub fn build_tile_problems_pool(
             let parts = pool.map(shards.len(), |si| {
                 def_three_chunk(lines, shards[si], &grid, rules, &model)
             });
+            reserve_exact_per_tile(&mut problems, parts.iter().flatten().map(|&(idx, _)| idx));
             for part in parts {
                 for (idx, tc) in part {
                     problems[idx].columns.push(tc);

@@ -97,27 +97,44 @@ pub fn max_fill_features(gap: Coord, rules: FillRules) -> u32 {
     units::saturating_count((usable / rules.site_pitch()).max(0) as u64)
 }
 
-/// Pre-built lookup table of exact incremental column capacitances
-/// `delta_cap_exact(m, d, w)` for `m = 0..=capacity` (the paper's `f(n, d)`
-/// table backing ILP-II, Sec. 5.3).
-#[derive(Debug, Clone, PartialEq)]
+/// The exact incremental column capacitances `delta_cap_exact(m, d, w)`
+/// for `m = 0..=capacity` (the paper's `f(n, d)` table backing ILP-II,
+/// Sec. 5.3), evaluated in closed form on each lookup.
+///
+/// The table is plain `Copy` data — the model, the column's `d` and `w`,
+/// and its capacity — so the tens of thousands of tile columns a flow
+/// builds own no heap memory. Every lookup is the same deterministic
+/// expression a materialized table would have stored, so the values are
+/// bit-identical to an eagerly built `Vec`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CapTable {
-    entries: Vec<f64>,
+    model: CouplingModel,
+    d: Coord,
+    w: Coord,
+    capacity: u32,
 }
 
 impl CapTable {
-    /// Builds the table for a column at line spacing `d` with feature width
-    /// `w` and geometric `capacity`.
+    /// The table for a column at line spacing `d` with feature width `w`
+    /// and geometric `capacity`.
     ///
     /// # Panics
     ///
     /// Panics if the capacity allows `m * w >= d` (the caller must derive
     /// capacity from [`max_fill_features`], which guarantees clearance).
     pub fn build(model: &CouplingModel, d: Coord, w: Coord, capacity: u32) -> Self {
-        let entries = (0..=capacity)
-            .map(|m| model.delta_cap_exact(m, d, w))
-            .collect();
-        Self { entries }
+        // `d - m w` is monotone in `m`, so positive `d` and clearance at
+        // `m = capacity` give every count's lookup a valid gap.
+        assert!(
+            capacity == 0 || (d > 0 && d - i64::from(capacity) * w > 0),
+            "fill column over-full: capacity={capacity} w={w} d={d}"
+        );
+        Self {
+            model: *model,
+            d,
+            w,
+            capacity,
+        }
     }
 
     /// Incremental capacitance for `m` features.
@@ -126,12 +143,17 @@ impl CapTable {
     ///
     /// Panics if `m` exceeds the capacity the table was built for.
     pub fn delta_cap(&self, m: u32) -> f64 {
-        self.entries[units::index(i64::from(m))]
+        assert!(
+            m <= self.capacity,
+            "m={m} over table capacity {}",
+            self.capacity
+        );
+        self.model.delta_cap_exact(m, self.d, self.w)
     }
 
     /// Column capacity the table covers.
     pub fn capacity(&self) -> u32 {
-        units::saturating_count((self.entries.len() - 1) as u64)
+        self.capacity
     }
 
     /// Marginal cost of the `m`-th feature (difference of consecutive
@@ -142,8 +164,7 @@ impl CapTable {
     /// Panics if `m` is zero or exceeds capacity.
     pub fn marginal(&self, m: u32) -> f64 {
         assert!(m >= 1, "marginal cost needs m >= 1");
-        let i = units::index(i64::from(m));
-        self.entries[i] - self.entries[i - 1]
+        self.delta_cap(m) - self.delta_cap(m - 1)
     }
 }
 

@@ -7,7 +7,9 @@
 //!   lines, the exact fill-perturbed capacitance `f(m, d)` of Eq. (5), its
 //!   linearization of Eq. (6) (used by ILP-I), and the per-column
 //!   incremental capacitance both ILP-II's lookup table ([`CapTable`]) and
-//!   the method-independent evaluator consume.
+//!   the method-independent evaluator consume. The table is plain `Copy`
+//!   data evaluated in closed form per lookup, not a stored `Vec`, so a
+//!   tile column that holds one owns no heap memory.
 //! - [`elmore`]: Elmore delay on RC trees ([`RcTree`]) with the additivity
 //!   property of Eq. (9) — adding capacitance `dC` at a point with upstream
 //!   resistance `R` increases every downstream sink's delay by `R * dC`.

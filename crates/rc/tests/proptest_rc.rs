@@ -50,19 +50,78 @@ fn linear_underestimates_exact_everywhere() {
     }
 }
 
+/// The eager table `CapTable` used to materialize: one stored
+/// `delta_cap_exact` per count, marginals as differences of stored
+/// entries. The oracle the closed-form table is held bit-identical to.
+struct EagerTable {
+    entries: Vec<f64>,
+}
+
+impl EagerTable {
+    fn build(model: &CouplingModel, d: i64, w: i64, capacity: u32) -> Self {
+        Self {
+            entries: (0..=capacity)
+                .map(|m| model.delta_cap_exact(m, d, w))
+                .collect(),
+        }
+    }
+
+    fn delta_cap(&self, m: u32) -> f64 {
+        self.entries[m as usize]
+    }
+
+    fn marginal(&self, m: u32) -> f64 {
+        self.entries[m as usize] - self.entries[m as usize - 1]
+    }
+}
+
 #[test]
 fn cap_table_agrees_with_model() {
     let m = model();
-    let mut rng = StdRng::seed_from_u64(0x2C_0003);
-    for _ in 0..128 {
-        let d = rng.gen_range(1_000i64..20_000);
-        let w = rng.gen_range(150i64..450);
-        let cap = ((d - 1) / w).min(10) as u32;
+    let mut rng = StdRng::seed_from_u64(0x2C_0007);
+    for case in 0..512 {
+        let w = rng.gen_range(1i64..600);
+        let (d, cap) = if case % 2 == 0 {
+            // At the clearance limit: `cap` is the largest count with
+            // `cap * w < d` (the residual gap is 1..=w dbu).
+            let cap = rng.gen_range(1u32..=64);
+            (i64::from(cap) * w + rng.gen_range(1..=w), cap)
+        } else {
+            let d = rng.gen_range(1i64..40_000);
+            (d, rng.gen_range(0..=((d - 1) / w).min(64) as u32))
+        };
         let table = CapTable::build(&m, d, w, cap);
+        let eager = EagerTable::build(&m, d, w, cap);
+        assert_eq!(table.capacity(), cap);
         for k in 0..=cap {
-            assert_eq!(table.delta_cap(k), m.delta_cap_exact(k, d, w));
+            assert_eq!(
+                table.delta_cap(k).to_bits(),
+                eager.delta_cap(k).to_bits(),
+                "d={d} w={w} cap={cap} m={k}"
+            );
+        }
+        for k in 1..=cap {
+            assert_eq!(
+                table.marginal(k).to_bits(),
+                eager.marginal(k).to_bits(),
+                "d={d} w={w} cap={cap} m={k}"
+            );
         }
     }
+}
+
+#[test]
+#[should_panic(expected = "over-full")]
+fn cap_table_build_rejects_a_capacity_that_closes_the_gap() {
+    // 10 features of 400 dbu exactly fill a 4000 dbu gap.
+    let _ = CapTable::build(&model(), 4_000, 400, 10);
+}
+
+#[test]
+#[should_panic(expected = "over table capacity")]
+fn cap_table_lookup_past_capacity_panics() {
+    let table = CapTable::build(&model(), 4_000, 400, 9);
+    let _ = table.delta_cap(10);
 }
 
 #[test]

@@ -22,6 +22,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+# The feature-locate overflow guard and the counting-allocator claims
+# behave differently with and without debug assertions and overflow
+# checks, so the crates that carry them are tested in release too.
+echo "==> cargo test --release (pilfill-rc, pilfill-core)"
+cargo test --release -q -p pilfill-rc -p pilfill-core
+
 # Paper tables smoke: table1/table2 --smoke run one cell per testcase,
 # exit non-zero if ILP-II's delay exceeds Normal's on any row, and must
 # leave the committed full-grid CSVs in results/ untouched.
