@@ -8,10 +8,12 @@
 //!
 //! Results are printed and written to `results/table1.csv`. A `--smoke`
 //! run (one cell per testcase) writes no CSV, so it never replaces the
-//! committed full-grid results, and exits non-zero if ILP-II's delay
-//! exceeds Normal's on any row.
+//! committed full-grid results. It exits non-zero if ILP-II's delay
+//! exceeds Normal's on any row, or if any row differs from the matching
+//! row of the committed `results/table1.csv` in a column other than
+//! `cpu_s`.
 
-use pilfill_bench::{render_rows, run_grid, t1, t2, write_csv, Grid};
+use pilfill_bench::{render_rows, run_grid, smoke_failures, t1, t2, write_csv, Grid};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -30,26 +32,19 @@ fn main() -> ExitCode {
     }
     println!("\nTable 1: non-weighted PIL-Fill synthesis (tau in fs)\n");
     println!("{}", render_rows(&rows, false));
+    let path = Path::new("results/table1.csv");
     if smoke {
-        // Methods run in table order: Normal, ILP-I, ILP-II, Greedy.
-        let mut ok = true;
-        for row in &rows {
-            let (normal, ilp2) = (row.methods[0].total_delay, row.methods[2].total_delay);
-            if ilp2 > normal {
-                eprintln!(
-                    "[table1] {}/{}/{}: ILP-II delay {ilp2:.3e} s exceeds Normal {normal:.3e} s",
-                    row.testcase, row.window_label, row.r
-                );
-                ok = false;
-            }
+        let committed = std::fs::read_to_string(path).unwrap_or_default();
+        let failures = smoke_failures(&rows, false, &committed);
+        for failure in &failures {
+            eprintln!("[table1] {failure}");
         }
-        return if ok {
+        return if failures.is_empty() {
             ExitCode::SUCCESS
         } else {
             ExitCode::FAILURE
         };
     }
-    let path = Path::new("results/table1.csv");
     write_csv(&rows, path).expect("write csv");
     eprintln!("[table1] wrote {}", path.display());
     ExitCode::SUCCESS

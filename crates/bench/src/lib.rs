@@ -18,6 +18,6 @@ pub mod timing;
 
 pub use experiments::{run_grid, ExperimentRow, Grid, MethodResult};
 pub use json::Json;
-pub use render::{render_rows, write_csv};
+pub use render::{render_rows, smoke_failures, write_csv};
 pub use testcases::{t1, t2, windows_and_r};
 pub use timing::{Harness, Measurement};

@@ -45,15 +45,16 @@ pub fn render_rows(rows: &[ExperimentRow], weighted: bool) -> String {
     out
 }
 
-/// Writes rows as CSV (one line per method per grid cell).
-///
-/// # Errors
-///
-/// Any I/O error creating or writing the file.
-pub fn write_csv(rows: &[ExperimentRow], path: &Path) -> std::io::Result<()> {
-    let mut out = String::from(
-        "testcase,window,r,budget,method,total_delay_s,weighted_delay_s,cpu_s,placed,shortfall,min_density_after\n",
-    );
+/// Header of the Tables 1/2 CSVs.
+const CSV_HEADER: &str =
+    "testcase,window,r,budget,method,total_delay_s,weighted_delay_s,cpu_s,placed,shortfall,min_density_after";
+
+/// Column of `cpu_s`, the one CSV column that varies run to run.
+const CPU_COLUMN: usize = 7;
+
+/// Renders rows as CSV text (one line per method per grid cell).
+fn csv_text(rows: &[ExperimentRow]) -> String {
+    let mut out = format!("{CSV_HEADER}\n");
     for row in rows {
         for m in &row.methods {
             let _ = writeln!(
@@ -73,10 +74,84 @@ pub fn write_csv(rows: &[ExperimentRow], path: &Path) -> std::io::Result<()> {
             );
         }
     }
+    out
+}
+
+/// Writes rows as CSV (one line per method per grid cell).
+///
+/// # Errors
+///
+/// Any I/O error creating or writing the file.
+pub fn write_csv(rows: &[ExperimentRow], path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, out)
+    std::fs::write(path, csv_text(rows))
+}
+
+/// Lines of `rows`' CSV that differ from the line with the same testcase,
+/// window, r and method in `committed` (a CSV written by [`write_csv`]) in
+/// any column but `cpu_s`, or that have no such line. Each entry names the
+/// row and shows both versions. Empty when every row matches.
+fn csv_drift(rows: &[ExperimentRow], committed: &str) -> Vec<String> {
+    let key =
+        |fields: &[&str]| -> String { fields.get(..5).map(|k| k.join(",")).unwrap_or_default() };
+    let without_cpu = |fields: &[&str]| -> Vec<String> {
+        fields
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != CPU_COLUMN)
+            .map(|(_, f)| (*f).to_string())
+            .collect()
+    };
+    let committed: Vec<Vec<&str>> = committed
+        .lines()
+        .skip(1)
+        .map(|l| l.split(',').collect())
+        .collect();
+    let mut drift = Vec::new();
+    for line in csv_text(rows).lines().skip(1) {
+        let fields: Vec<&str> = line.split(',').collect();
+        match committed.iter().find(|c| key(c) == key(&fields)) {
+            Some(c) if without_cpu(c) == without_cpu(&fields) => {}
+            Some(c) => drift.push(format!("committed {}\n      now {line}", c.join(","))),
+            None => drift.push(format!("no committed row for {line}")),
+        }
+    }
+    drift
+}
+
+/// The `--smoke` verdicts of Table 1 (`weighted == false`) or Table 2:
+/// one message per row where ILP-II's delay exceeds Normal's, and one per
+/// CSV line that differs from the committed full-grid CSV text
+/// `committed` in any column but `cpu_s`. Empty when the smoke run
+/// passes.
+pub fn smoke_failures(rows: &[ExperimentRow], weighted: bool, committed: &str) -> Vec<String> {
+    let mut failures = Vec::new();
+    // Methods run in table order: Normal, ILP-I, ILP-II, Greedy.
+    for row in rows {
+        let delay = |i: usize| {
+            let m = &row.methods[i];
+            if weighted {
+                m.weighted_delay
+            } else {
+                m.total_delay
+            }
+        };
+        let (normal, ilp2) = (delay(0), delay(2));
+        if ilp2 > normal {
+            failures.push(format!(
+                "{}/{}/{}: ILP-II delay {ilp2:.3e} s exceeds Normal {normal:.3e} s",
+                row.testcase, row.window_label, row.r
+            ));
+        }
+    }
+    failures.extend(
+        csv_drift(rows, committed)
+            .into_iter()
+            .map(|d| format!("differs from the committed table:\n    {d}")),
+    );
+    failures
 }
 
 /// Percentage reduction of `value` relative to `baseline` (positive =
@@ -143,6 +218,23 @@ mod tests {
         assert_eq!(text.lines().count(), 1 + 4);
         assert!(text.starts_with("testcase,"));
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn csv_drift_ignores_cpu_only() {
+        let committed = csv_text(&[row()]);
+        assert!(csv_drift(&[row()], &committed).is_empty());
+        let mut slower = row();
+        slower.methods[2].cpu = Duration::from_secs(9);
+        assert!(csv_drift(&[slower], &committed).is_empty());
+        let mut drifted = row();
+        drifted.methods[2].total_delay *= 1.01;
+        let drift = csv_drift(&[drifted], &committed);
+        assert_eq!(drift.len(), 1, "{drift:?}");
+        assert!(drift[0].contains("ILP-II"), "{drift:?}");
+        let mut other_cell = row();
+        other_cell.r = 4;
+        assert_eq!(csv_drift(&[other_cell], &committed).len(), 4);
     }
 
     #[test]

@@ -29,17 +29,19 @@ impl FillMethod for GreedyFill {
         check_budget(problem, budget)?;
         let mut counts = vec![0u32; problem.columns.len()];
         // Line 13 of Figure 8: sort by full-capacity delay alpha * Cap(C_k).
-        let mut order: Vec<usize> = (0..problem.columns.len())
-            .filter(|&i| problem.columns[i].capacity() > 0)
+        // Each column is scored once. The index breaks ties, so no two
+        // entries compare equal and an unstable sort gives the one order.
+        let mut order: Vec<(f64, usize)> = problem
+            .columns
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.capacity() > 0)
+            .map(|(i, c)| (c.cost_exact(c.capacity(), weighted), i))
             .collect();
-        let score = |i: usize| -> f64 {
-            let c = &problem.columns[i];
-            c.cost_exact(c.capacity(), weighted)
-        };
-        order.sort_by(|&a, &b| score(a).total_cmp(&score(b)).then(a.cmp(&b)));
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         // Lines 15-19: fill whole columns until the budget is met.
         let mut left = budget;
-        for i in order {
+        for (_, i) in order {
             if left == 0 {
                 break;
             }

@@ -22,3 +22,14 @@ pub const MASK_WORD_BITS: usize = 64;
 /// result. 64 columns keep a shard's working set (columns + cost-table
 /// rows) within L1 while still amortizing the claim overhead.
 pub const DEF_THREE_SHARD_COLUMNS: usize = 64;
+
+/// Tiles per definition-I/II tile-build work item.
+///
+/// Definitions I and II rescan each tile on its own. A work item threads
+/// one scan scratch and column buffer through a fixed run of tiles in
+/// row-major order, so the scratch grows to the run's largest tile once
+/// (about 30 allocations) instead of being rebuilt for every tile. Each
+/// tile's result depends only on its own rect, so the output is the same
+/// for every shard size and lane count. 64 tiles make the scratch cost
+/// under half an allocation per tile.
+pub const DEF_ONE_TWO_SHARD_TILES: usize = 64;

@@ -13,7 +13,9 @@
 //!   column inside the tile keeps its association with active lines in
 //!   adjacent tiles. This is the most accurate definition and the default.
 
-use crate::layout::DEF_THREE_SHARD_COLUMNS as DEF_THREE_SHARD;
+use crate::layout::{
+    DEF_ONE_TWO_SHARD_TILES as DEF_ONE_TWO_SHARD, DEF_THREE_SHARD_COLUMNS as DEF_THREE_SHARD,
+};
 use crate::{ActiveLine, SlackColumn, Slots};
 use pilfill_density::FixedDissection;
 use pilfill_exec::WorkerPool;
@@ -405,9 +407,10 @@ fn reserve_exact_per_tile(problems: &mut [TileProblem], targets: impl Iterator<I
 /// Definition I/II worker: scans and fills one tile in place. Each tile's
 /// columns depend only on its own rect, so tiles are independent work
 /// items. `scratch`/`cols` are reused sweep buffers (see
-/// [`crate::ScanScratch`]); serial callers thread one pair through every
-/// tile for an allocation-free rescan.
-pub(crate) fn def_one_two_tile(
+/// [`crate::ScanScratch`]); callers thread one pair through a run of
+/// tiles, so a warm rescan allocates nothing and each tile allocates only
+/// its exactly sized column buffer.
+fn def_one_two_tile(
     lines: &[ActiveLine],
     problem: &mut TileProblem,
     rules: FillRules,
@@ -417,13 +420,15 @@ pub(crate) fn def_one_two_tile(
     cols: &mut Vec<SlackColumn>,
 ) {
     crate::scan_slack_columns_into(lines, problem.rect, rules, scratch, cols);
-    for col in cols.iter() {
-        if def == SlackColumnDef::One && col.distance().is_none() {
-            continue;
-        }
-        if col.slots.is_empty() {
-            continue;
-        }
+    // Definition I keeps only line-line columns; no definition keeps an
+    // empty one.
+    let kept = |col: &&SlackColumn| {
+        !col.slots.is_empty() && (def != SlackColumnDef::One || col.distance().is_some())
+    };
+    problem
+        .columns
+        .reserve_exact(cols.iter().filter(kept).count());
+    for col in cols.iter().filter(kept) {
         let tc = make_tile_column(lines, col, col.slots, rules, model);
         problem.columns.push(tc);
     }
@@ -459,8 +464,8 @@ pub fn build_tile_problems(
 ///
 /// Definition III shards the global column list into fixed-size chunks
 /// (each expanding to `(tile, column)` pairs, concatenated in shard
-/// order); definitions I and II treat each tile as one work item filling
-/// its own `TileProblem` slot in place.
+/// order); definitions I and II shard the tiles into fixed-size runs, each
+/// filling its own `TileProblem` slots in place.
 pub fn build_tile_problems_pool(
     lines: &[ActiveLine],
     global_columns: &[SlackColumn],
@@ -500,10 +505,16 @@ pub fn build_tile_problems_pool(
             // Per-tile scan: lines are clipped to the tile, so columns
             // bounded by geometry outside the tile lose their association
             // (definition II) or are dropped entirely (definition I).
-            pool.for_each_slot(&mut problems, |_, problem| {
+            // Tiles are claimed in fixed-size shards, each threading one
+            // scan scratch and column buffer through its tiles.
+            let mut shards: Vec<&mut [TileProblem]> =
+                problems.chunks_mut(DEF_ONE_TWO_SHARD).collect();
+            pool.for_each_slot(&mut shards, |_, shard| {
                 let mut scratch = crate::ScanScratch::default();
                 let mut cols = Vec::new();
-                def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
+                for problem in shard.iter_mut() {
+                    def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
+                }
             });
         }
     }

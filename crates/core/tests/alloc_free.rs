@@ -1,9 +1,11 @@
 //! Allocation-count claims for the flow's hot paths, checked with a
 //! test-local counting allocator.
 //!
-//! - A definition-III tile build allocates per tile, not per column: a
-//!   [`pilfill_core::TileColumn`] is plain data, so expanding tens of
-//!   thousands of global columns costs no allocation each.
+//! - A tile build allocates per tile, not per column, under every slack
+//!   column definition: a [`pilfill_core::TileColumn`] is plain data, so
+//!   expanding tens of thousands of global columns costs no allocation
+//!   each, and the definition-I/II rescans reuse one scan scratch across
+//!   a run of tiles.
 //! - A warm `scan_slack_columns_into` rescan allocates nothing.
 //! - A warm `DensityMap::recompute` allocates nothing.
 //!
@@ -74,35 +76,44 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
     let lines = extract_active_lines(&design, layer).expect("lines");
     let columns = scan_slack_columns(&lines, design.die, design.rules);
 
-    // Definition-III tile build: O(tiles) allocations. The single-lane
-    // build makes one buffer per non-empty tile, one per fixed-size shard
-    // of global columns, and a few fixed ones (tile vector, shard list,
-    // pool slots, tile counts). A per-column allocation would put the
-    // count above the number of tile columns.
-    let (problems, build_allocs) = count(|| {
-        build_tile_problems(
-            &lines,
-            &columns,
-            &dissection,
-            &design.tech,
-            design.rules,
-            SlackColumnDef::Three,
-        )
-    });
-    let tiles = problems.len() as u64;
+    // Tile builds: O(tiles) allocations under every definition. The
+    // single-lane definition-III build makes one buffer per non-empty
+    // tile, one per fixed-size shard of global columns, and a few fixed
+    // ones (tile vector, shard list, pool slots, tile counts). Definitions
+    // I and II rescan each tile, threading one scan scratch through a run
+    // of tiles: one buffer per non-empty tile plus the scratch growth of
+    // each run of tiles, about 30 allocations per 64 tiles. A
+    // per-column allocation would put the count above the number of tile
+    // columns.
     let shards = columns.len().div_ceil(DEF_THREE_SHARD_COLUMNS) as u64;
-    let tile_columns: u64 = problems.iter().map(|p| p.columns.len() as u64).sum();
-    assert!(
-        tile_columns > tiles + shards + 8,
-        "workload too sparse to tell per-column from per-tile: \
-         {tile_columns} columns, {tiles} tiles, {shards} shards"
-    );
-    assert!(
-        build_allocs <= tiles + shards + 8,
-        "tile build made {build_allocs} allocations for {tiles} tiles and \
-         {shards} shards ({tile_columns} tile columns)"
-    );
-    drop(problems);
+    for def in [
+        SlackColumnDef::One,
+        SlackColumnDef::Two,
+        SlackColumnDef::Three,
+    ] {
+        let (problems, build_allocs) = count(|| {
+            build_tile_problems(
+                &lines,
+                &columns,
+                &dissection,
+                &design.tech,
+                design.rules,
+                def,
+            )
+        });
+        let tiles = problems.len() as u64;
+        let tile_columns: u64 = problems.iter().map(|p| p.columns.len() as u64).sum();
+        assert!(
+            tile_columns > tiles + shards + 8,
+            "{def:?}: workload too sparse to tell per-column from per-tile: \
+             {tile_columns} columns, {tiles} tiles, {shards} shards"
+        );
+        assert!(
+            build_allocs <= tiles + shards + 8,
+            "{def:?}: tile build made {build_allocs} allocations for {tiles} tiles \
+             and {shards} shards ({tile_columns} tile columns)"
+        );
+    }
 
     // Warm rescan into retained scratch and output buffers.
     let mut scratch = ScanScratch::default();

@@ -125,13 +125,16 @@ enum Relaxed {
 
 /// Shared per-search solve context: the cut-augmented models and the
 /// backend-specific root forms they compile to.
-struct SearchCtx {
+struct SearchCtx<'m> {
+    /// The caller's model, the source of the cold-solve base.
+    model: &'m Model,
     /// Presolved root model plus any cover cuts (bound base for branching).
     work: Model,
     /// Original model plus the same cuts (cold-solve base: keeps the
     /// original rows so node bounds computed against original bases stay
-    /// sound).
-    cold_base: Model,
+    /// sound). Cloned from `model` on first use — the first cover cut or
+    /// the first cold node solve — since most searches need neither.
+    cold_base: Option<Model>,
     backend: SolverBackend,
     minimize_sign: f64,
     /// Dense-backend root form: standard LP, objective offset, root lower
@@ -139,20 +142,19 @@ struct SearchCtx {
     dense: Option<(StandardLp, f64, Vec<f64>)>,
     /// Sparse-backend root form.
     sparse: Option<Rc<SparseLp>>,
-    scratch: Model,
 }
 
-impl SearchCtx {
-    fn new(model: &Model, work: Model) -> Self {
+impl<'m> SearchCtx<'m> {
+    fn new(model: &'m Model, work: Model) -> Self {
         let backend = model.backend();
         let mut ctx = Self {
+            model,
             work,
-            cold_base: model.clone(),
+            cold_base: None,
             backend,
             minimize_sign: if model.is_minimize() { 1.0 } else { -1.0 },
             dense: None,
             sparse: None,
-            scratch: model.clone(),
         };
         ctx.compile_root();
         ctx
@@ -177,12 +179,12 @@ impl SearchCtx {
     /// Adds cover cuts to both models. The cuts are globally valid, so
     /// they strengthen every node's relaxation.
     fn add_cuts(&mut self, new_cuts: &[cuts::CoverCut]) {
+        let cold_base = self.cold_base.get_or_insert_with(|| self.model.clone());
         for cut in new_cuts {
             let terms: Vec<(VarId, f64)> = cut.vars.iter().map(|&v| (v, 1.0)).collect();
             self.work
                 .add_constraint(terms.clone(), crate::Sense::Le, cut.rhs);
-            self.cold_base
-                .add_constraint(terms, crate::Sense::Le, cut.rhs);
+            cold_base.add_constraint(terms, crate::Sense::Le, cut.rhs);
         }
         self.compile_root();
     }
@@ -307,11 +309,14 @@ impl SearchCtx {
         // Cold fallback: apply bounds onto a fresh copy of the base model
         // (original rows plus cuts, so presolve-consumed singleton rows
         // cannot be loosened away).
-        self.scratch.clone_from(&self.cold_base);
+        let mut scratch = self
+            .cold_base
+            .get_or_insert_with(|| self.model.clone())
+            .clone();
         for &(v, lb, ub) in effective {
-            self.scratch.set_bounds(v, lb, ub);
+            scratch.set_bounds(v, lb, ub);
         }
-        match self.scratch.solve_lp() {
+        match scratch.solve_lp() {
             Ok(s) => {
                 stats.pivots += s.stats.pivots;
                 stats.refactorizations += s.stats.refactorizations;
@@ -331,6 +336,17 @@ pub(crate) fn branch_and_bound(
     model: &Model,
     options: &MilpOptions,
 ) -> (Result<Solution, SolveError>, BranchBoundStats) {
+    search(model, options, false)
+}
+
+/// The search behind [`branch_and_bound`]. `eager_cold_base` clones the
+/// cold-solve base up front instead of on first use; the result must not
+/// depend on it, which the tests check.
+fn search(
+    model: &Model,
+    options: &MilpOptions,
+    eager_cold_base: bool,
+) -> (Result<Solution, SolveError>, BranchBoundStats) {
     let mut stats = BranchBoundStats::default();
     let minimize_sign = if model.is_minimize() { 1.0 } else { -1.0 };
     // A caller-supplied incumbent objective acts as the initial pruning
@@ -347,6 +363,9 @@ pub(crate) fn branch_and_bound(
         return (Err(SolveError::Infeasible), stats);
     };
     let mut ctx = SearchCtx::new(model, work);
+    if eager_cold_base {
+        ctx.cold_base = Some(model.clone());
+    }
 
     // Root solve + cover-cut rounds (cut-and-branch).
     let mut root = ctx.solve_root(&mut stats);
@@ -882,6 +901,39 @@ mod tests {
             with_cuts.objective,
             without.objective
         );
+    }
+
+    #[test]
+    fn cover_cuts_reach_the_lazily_created_cold_base() {
+        // The knapsack of `cover_cuts_do_not_change_the_optimum`: cuts fire
+        // at the root, and without warm starts every child node is a cold
+        // solve on the cut-augmented base. The lazily cloned base must
+        // hold the same rows as an up-front clone, so the whole search —
+        // values, objective and every counter — is the same.
+        let mut m = Model::new(Objective::Maximize);
+        let vars: Vec<_> = (0..10)
+            .map(|i| m.add_binary_var(1.0 + i as f64 * 0.7))
+            .collect();
+        m.add_constraint(
+            vars.iter()
+                .enumerate()
+                .map(|(i, &v)| (v, 2.0 + (i % 5) as f64 * 1.3)),
+            Sense::Le,
+            14.0,
+        );
+        let opts = MilpOptions {
+            warm_start: false,
+            ..MilpOptions::default()
+        };
+        let (lazy, lazy_stats) = search(&m, &opts, false);
+        let (eager, eager_stats) = search(&m, &opts, true);
+        assert!(lazy_stats.cuts > 0, "no cuts fired: {lazy_stats:?}");
+        assert!(lazy_stats.nodes > 1, "no cold node solves: {lazy_stats:?}");
+        assert_eq!(lazy_stats, eager_stats);
+        let (lazy, eager) = (lazy.expect("lazy"), eager.expect("eager"));
+        assert_eq!(lazy.objective.to_bits(), eager.objective.to_bits());
+        let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&lazy), bits(&eager));
     }
 
     #[test]

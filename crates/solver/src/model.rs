@@ -229,22 +229,36 @@ impl Model {
         sense: Sense,
         rhs: f64,
     ) {
-        // Sum duplicate terms; a map keeps this linear for the large
-        // budget rows the fill ILPs generate.
-        let mut dense: Vec<(usize, f64)> = Vec::new();
-        let mut index_of: std::collections::HashMap<usize, usize> =
-            std::collections::HashMap::new();
-        for (v, c) in terms {
-            assert!(v.0 < self.obj.len(), "variable out of range");
-            match index_of.entry(v.0) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    dense[*e.get()].1 += c;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(dense.len());
-                    dense.push((v.0, c));
+        // Sum duplicate terms in first-occurrence order. A slot per
+        // variable in the row's index span keeps this linear for the large
+        // budget rows the fill ILPs generate, without hashing.
+        let mut dense: Vec<(usize, f64)> = terms
+            .into_iter()
+            .map(|(v, c)| {
+                assert!(v.0 < self.obj.len(), "variable out of range");
+                (v.0, c)
+            })
+            .collect();
+        if dense.len() > 1 {
+            let (lo, hi) = dense
+                .iter()
+                .fold((usize::MAX, 0), |(lo, hi), &(i, _)| (lo.min(i), hi.max(i)));
+            // `slot[i - lo]` is the position of variable `i`'s first term
+            // among the kept ones; later terms add onto it in order.
+            let mut slot = vec![usize::MAX; hi - lo + 1];
+            let mut kept = 0;
+            for t in 0..dense.len() {
+                let (i, c) = dense[t];
+                match slot[i - lo] {
+                    usize::MAX => {
+                        slot[i - lo] = kept;
+                        dense[kept] = (i, c);
+                        kept += 1;
+                    }
+                    at => dense[at].1 += c,
                 }
             }
+            dense.truncate(kept);
         }
         self.constraints.push(Constraint {
             terms: dense,
@@ -568,6 +582,46 @@ mod tests {
         m.add_constraint(vec![(x, 1.0), (x, 1.0)], Sense::Le, 6.0);
         let s = m.solve().expect("solvable");
         assert!((s.value(x) - 3.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn repeated_terms_merge_in_first_occurrence_order() {
+        let mut m = Model::new(Objective::Minimize);
+        let _ = m.add_var(0.0, 1.0, 0.0);
+        let a = m.add_var(0.0, 1.0, 0.0);
+        let b = m.add_var(0.0, 1.0, 0.0);
+        m.add_constraint(vec![(a, 1.0), (b, 2.0), (a, 3.0)], Sense::Le, 1.0);
+        // Later index first: order follows the terms, not the indices.
+        m.add_constraint(
+            vec![(b, 0.5), (a, 1.0), (b, 0.25), (b, 0.25)],
+            Sense::Ge,
+            0.0,
+        );
+        m.add_constraint(vec![(b, 7.0)], Sense::Eq, 0.0);
+        let rows: Vec<Vec<(usize, f64)>> = m
+            .constraint_rows()
+            .iter()
+            .map(|c| c.terms.clone())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec![(a.index(), 4.0), (b.index(), 2.0)],
+                vec![(b.index(), 1.0), (a.index(), 1.0)],
+                vec![(b.index(), 7.0)],
+            ]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "variable out of range")]
+    fn foreign_variable_in_a_row_panics() {
+        let mut other = Model::new(Objective::Minimize);
+        let _ = other.add_var(0.0, 1.0, 0.0);
+        let x = other.add_var(0.0, 1.0, 0.0);
+        let mut m = Model::new(Objective::Minimize);
+        let _ = m.add_var(0.0, 1.0, 0.0);
+        m.add_constraint(vec![(x, 1.0)], Sense::Le, 1.0);
     }
 
     #[test]

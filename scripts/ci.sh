@@ -29,8 +29,10 @@ echo "==> cargo test --release (pilfill-rc, pilfill-core)"
 cargo test --release -q -p pilfill-rc -p pilfill-core
 
 # Paper tables smoke: table1/table2 --smoke run one cell per testcase,
-# exit non-zero if ILP-II's delay exceeds Normal's on any row, and must
-# leave the committed full-grid CSVs in results/ untouched.
+# exit non-zero if ILP-II's delay exceeds Normal's on any row or if a row
+# differs from the matching row of the committed results/table{1,2}.csv
+# in any column but cpu_s (so a change that drifts the paper tables fails
+# here), and must leave the committed full-grid CSVs untouched.
 echo "==> paper tables smoke (table1/table2 --smoke)"
 tables_before=$(cksum results/table1.csv results/table2.csv)
 ./target/release/table1 --smoke >/dev/null
