@@ -75,7 +75,7 @@ impl FillMethod for IlpTwo {
 
 impl IlpTwo {
     /// Like [`FillMethod::place`], but also reports the branch-and-bound
-    /// search statistics (nodes, pivots, LU refactorizations, cuts) — the
+    /// search statistics (nodes, pivots, LU refactorizations) — the
     /// benchmark harness records these as solver-effort observability
     /// counters. Stats are reported even when the greedy incumbent
     /// survives the cutoff search; a tile the root-bound pre-check decides

@@ -296,16 +296,16 @@ fn optimizers_never_beat_dp_on_model_cost() {
 }
 
 #[test]
-fn solver_backends_agree_on_extracted_tiles_under_all_defs() {
+fn one_hot_optimum_matches_dp_on_extracted_tiles_under_all_defs() {
     use pilfill_core::{build_tile_problems, SlackColumnDef};
     use pilfill_density::FixedDissection;
     use pilfill_layout::Tech;
-    use pilfill_solver::{Model, Objective, Sense, SolverBackend};
+    use pilfill_solver::{Model, Objective, Sense};
 
     // One-hot ILP-II model (paper Eq. 15-23 shape) straight from the tile
-    // tables, built identically for both backends.
-    fn one_hot_model(p: &pilfill_core::TileProblem, budget: u32, backend: SolverBackend) -> Model {
-        let mut m = Model::with_backend(Objective::Minimize, backend);
+    // tables; `DpExact` is the exact optimum of the same cost model.
+    fn one_hot_model(p: &pilfill_core::TileProblem, budget: u32) -> Model {
+        let mut m = Model::new(Objective::Minimize);
         let mut budget_terms = Vec::new();
         for col in &p.columns {
             let vars: Vec<_> = (0..=col.capacity().min(budget))
@@ -338,28 +338,23 @@ fn solver_backends_agree_on_extracted_tiles_under_all_defs() {
                 if budget == 0 {
                     continue;
                 }
-                let sparse = one_hot_model(p, budget, SolverBackend::Sparse)
-                    .solve()
-                    .expect("sparse solvable");
-                let dense = one_hot_model(p, budget, SolverBackend::DenseReference)
-                    .solve()
-                    .expect("dense solvable");
-                assert!(
-                    (sparse.objective - dense.objective).abs()
-                        <= 1e-6 * (1.0 + dense.objective.abs()),
-                    "{def}: sparse {} vs dense {}",
-                    sparse.objective,
-                    dense.objective
-                );
-                // The production path (IlpTwo on the sparse default) must
-                // land on the same optimum as the one-hot model.
                 let mut mrng = StdRng::seed_from_u64(11);
+                let dp = DpExact.place(p, budget, false, &mut mrng).expect("dp");
+                let dp_cost = p.cost_of(&dp, false);
+                let tol = 1e-6 * (1.0 + dp_cost.abs());
+                let one_hot = one_hot_model(p, budget).solve().expect("one-hot solvable");
+                assert!(
+                    (one_hot.objective - dp_cost).abs() <= tol,
+                    "{def}: one-hot optimum {} vs dp {dp_cost}",
+                    one_hot.objective
+                );
+                // The production path (IlpTwo) must land on the same
+                // optimum.
                 let counts = IlpTwo.place(p, budget, false, &mut mrng).expect("ilp2");
                 let cost = p.cost_of(&counts, false);
                 assert!(
-                    (cost - dense.objective).abs() <= 1e-6 * (1.0 + dense.objective.abs()),
-                    "{def}: ilp2 cost {cost} vs one-hot optimum {}",
-                    dense.objective
+                    (cost - dp_cost).abs() <= tol,
+                    "{def}: ilp2 cost {cost} vs dp {dp_cost}"
                 );
                 compared += 1;
             }

@@ -11,13 +11,15 @@
 //! - [`Model`]: a builder API for variables (with bounds and integrality),
 //!   linear constraints and a linear objective;
 //! - a *sparse revised simplex* with an LU-factored basis, native bounded
-//!   variables and two-phase feasibility as the default LP engine
-//!   ([`Model::solve_lp`]), with the original dense bounded-variable Big-M
-//!   tableau retained as a cross-checking oracle
-//!   ([`SolverBackend::DenseReference`]);
+//!   variables and two-phase feasibility ([`Model::solve_lp`]) — the one LP
+//!   engine;
 //! - a best-incumbent depth-first branch-and-bound layer for integer
-//!   variables ([`Model::solve`]) with most-fractional branching and root
-//!   knapsack cover cuts (cut-and-branch).
+//!   variables ([`Model::solve`]) with most-fractional branching, whose
+//!   child nodes re-optimize from the parent basis with the dual simplex.
+//!
+//! The original dense bounded-variable Big-M tableau survives only under
+//! `cfg(test)`, as the oracle the sparse engine's unit tests compare
+//! against.
 //!
 //! # Examples
 //!
@@ -34,7 +36,6 @@
 //! # Ok::<(), pilfill_solver::SolveError>(())
 //! ```
 
-mod cuts;
 mod lu;
 mod milp;
 mod model;
@@ -42,5 +43,5 @@ mod simplex;
 mod sparse;
 
 pub use milp::{BranchBoundStats, MilpOptions};
-pub use model::{Model, Objective, Sense, Solution, SolveError, SolverBackend, VarId};
+pub use model::{Model, Objective, Sense, Solution, SolveError, VarId};
 pub use simplex::LpStatus;

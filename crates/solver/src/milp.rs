@@ -3,35 +3,23 @@
 //! Depth-first search with best-incumbent pruning. The branch variable is
 //! the most fractional one (first on ties); the search explores the
 //! branch nearer the fractional value first (a cheap form of best-first
-//! dive). Node, pivot, cut and refactorization counts are
-//! reported in [`BranchBoundStats`] so benchmark tables can include
-//! solver effort, not just wall time.
-//!
-//! At the root, **knapsack cover cuts** ([`crate::cuts`]) are separated
-//! from `<=`/`=` rows over binaries (cut-and-branch): a few rounds of
-//! globally valid covers tighten the relaxation before the tree starts,
-//! which the ILP-II budget row is particularly amenable to.
+//! dive). Node, pivot and refactorization counts are reported in
+//! [`BranchBoundStats`] so benchmark tables can include solver effort,
+//! not just wall time.
 //!
 //! Child nodes are warm-started from the parent's optimal basis: a branch
 //! only tightens one variable's bounds, which leaves the basis dual
 //! feasible, so the child re-optimizes with a few dual-simplex pivots
 //! instead of a from-scratch primal solve. Both children of a node share
-//! the parent state through an [`Rc`] and clone it on use; any numerical
-//! trouble on the warm path falls back to the cold solve. The warm state
-//! is backend-shaped: an LU-factored [`SparseSimplex`] for the default
-//! sparse engine, a dense [`Tableau`] for the reference oracle.
+//! the parent's LU-factored [`SparseSimplex`] through an [`Rc`] and clone
+//! it on use; any numerical trouble on the warm path falls back to a cold
+//! solve of the caller's model under the node's bounds.
 
 use std::rc::Rc;
 
-use crate::cuts;
-use crate::model::{Model, Solution, SolveError, SolverBackend, VarId};
-use crate::simplex::{self, LpStatus, StandardLp, Tableau};
+use crate::model::{Model, Solution, SolveError, VarId};
+use crate::simplex::{LpSolution, LpStatus};
 use crate::sparse::{self, SparseLp, SparseSimplex};
-
-/// Rounds of cover-cut separation at the root.
-const CUT_ROUNDS: usize = 3;
-/// Maximum cover cuts accepted per separation round.
-const CUTS_PER_ROUND: usize = 8;
 
 /// Tuning knobs for [`Model::solve_with`].
 #[derive(Debug, Clone)]
@@ -42,10 +30,6 @@ pub struct MilpOptions {
     pub int_tol: f64,
     /// Prune nodes whose bound is within this of the incumbent (absolute).
     pub gap_tol: f64,
-    /// Warm-start child nodes from the parent LP basis (dual simplex).
-    /// Disable to force the from-scratch solve at every node (slower;
-    /// useful for testing and as a numerical escape hatch).
-    pub warm_start: bool,
     /// Objective value of a known feasible solution (in the model's own
     /// optimization direction), used as the initial incumbent bound: any
     /// node whose relaxation cannot beat it by more than `gap_tol` is
@@ -54,8 +38,6 @@ pub struct MilpOptions {
     /// [`SolveError::Cutoff`] and the caller should keep the solution the
     /// cutoff came from.
     pub cutoff: Option<f64>,
-    /// Separate knapsack cover cuts at the root (cut-and-branch).
-    pub cover_cuts: bool,
 }
 
 impl Default for MilpOptions {
@@ -64,9 +46,7 @@ impl Default for MilpOptions {
             node_limit: 200_000,
             int_tol: 1e-6,
             gap_tol: 1e-9,
-            warm_start: true,
             cutoff: None,
-            cover_cuts: true,
         }
     }
 }
@@ -84,248 +64,102 @@ pub struct BranchBoundStats {
     pub pivots: usize,
     /// Nodes re-optimized from the parent basis (dual simplex).
     pub warm_solves: usize,
-    /// LU basis refactorizations (sparse backend only).
+    /// LU basis refactorizations.
     pub refactorizations: usize,
-    /// Cover cuts added at the root.
+    /// Cutting planes added. The search separates none, so this is always
+    /// 0; the field stays so reports that carry it keep their shape.
     pub cuts: usize,
 }
 
-/// Backend-shaped warm-start state shared by both children of a node.
-enum WarmState {
-    Dense(Rc<Tableau>),
-    Sparse(Rc<SparseSimplex>),
-}
-
-impl WarmState {
-    fn share(&self) -> WarmState {
-        match self {
-            WarmState::Dense(t) => WarmState::Dense(Rc::clone(t)),
-            WarmState::Sparse(s) => WarmState::Sparse(Rc::clone(s)),
-        }
-    }
+#[cfg(test)]
+thread_local! {
+    /// Test seam: when set, every node below the root skips the warm dual
+    /// re-optimize and takes the cold solve, so tests can check the
+    /// fallback path against the same oracles as the warm one.
+    static COLD_NODES: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
 struct Node {
     /// (var, lb, ub) bound overrides along this branch.
     bounds: Vec<(VarId, f64, f64)>,
     /// Parent's optimal basis plus this node's single new bound
-    /// `(column, lb, ub)` — in root standard space for the dense backend,
-    /// in model space for the sparse backend.
-    warm: Option<(WarmState, (usize, f64, f64))>,
+    /// `(column, lb, ub)` in model space.
+    warm: Option<(Rc<SparseSimplex>, (usize, f64, f64))>,
     depth: usize,
 }
 
 /// Per-node LP solve outcome, normalized to model space.
 enum Relaxed {
-    Optimal(Solution, Option<WarmState>),
+    Optimal(Solution, Option<Rc<SparseSimplex>>),
     Infeasible,
     Unbounded,
     Fatal(SolveError),
 }
 
-/// Shared per-search solve context: the cut-augmented models and the
-/// backend-specific root forms they compile to.
-struct SearchCtx<'m> {
-    /// The caller's model, the source of the cold-solve base.
-    model: &'m Model,
-    /// Presolved root model plus any cover cuts (bound base for branching).
-    work: Model,
-    /// Original model plus the same cuts (cold-solve base: keeps the
-    /// original rows so node bounds computed against original bases stay
-    /// sound). Cloned from `model` on first use — the first cover cut or
-    /// the first cold node solve — since most searches need neither.
-    cold_base: Option<Model>,
-    backend: SolverBackend,
-    minimize_sign: f64,
-    /// Dense-backend root form: standard LP, objective offset, root lower
-    /// bounds (the shift the warm deltas are expressed in).
-    dense: Option<(StandardLp, f64, Vec<f64>)>,
-    /// Sparse-backend root form.
-    sparse: Option<Rc<SparseLp>>,
-}
-
-impl<'m> SearchCtx<'m> {
-    fn new(model: &'m Model, work: Model) -> Self {
-        let backend = model.backend();
-        let mut ctx = Self {
-            model,
-            work,
-            cold_base: None,
-            backend,
-            minimize_sign: if model.is_minimize() { 1.0 } else { -1.0 },
-            dense: None,
-            sparse: None,
-        };
-        ctx.compile_root();
-        ctx
-    }
-
-    /// (Re-)compiles the root forms from `work`; called after cut rounds.
-    fn compile_root(&mut self) {
-        match self.backend {
-            SolverBackend::DenseReference => {
-                let (lp, offset) = self.work.to_standard();
-                let lower = self.work.lower_bounds().to_vec();
-                self.dense = Some((lp, offset, lower));
-                self.sparse = None;
-            }
-            SolverBackend::Sparse => {
-                self.sparse = Some(Rc::new(SparseLp::build(&self.work)));
-                self.dense = None;
-            }
-        }
-    }
-
-    /// Adds cover cuts to both models. The cuts are globally valid, so
-    /// they strengthen every node's relaxation.
-    fn add_cuts(&mut self, new_cuts: &[cuts::CoverCut]) {
-        let cold_base = self.cold_base.get_or_insert_with(|| self.model.clone());
-        for cut in new_cuts {
-            let terms: Vec<(VarId, f64)> = cut.vars.iter().map(|&v| (v, 1.0)).collect();
-            self.work
-                .add_constraint(terms.clone(), crate::Sense::Le, cut.rhs);
-            cold_base.add_constraint(terms, crate::Sense::Le, cut.rhs);
-        }
-        self.compile_root();
-    }
-
-    /// Solves the root relaxation, producing the tree-seeding warm state.
-    fn solve_root(&mut self, stats: &mut BranchBoundStats) -> Relaxed {
-        match self.backend {
-            SolverBackend::DenseReference => {
-                let Some((lp, offset, lower)) = self.dense.as_ref() else {
-                    return Relaxed::Fatal(SolveError::IterationLimit);
-                };
-                let (sol, warm) = simplex::solve_with_warm(lp);
-                stats.pivots += sol.iterations;
-                self.dense_outcome(sol, warm.map(Rc::new), *offset, lower)
-            }
-            SolverBackend::Sparse => {
-                let Some(lp) = self.sparse.as_ref() else {
-                    return Relaxed::Fatal(SolveError::IterationLimit);
-                };
-                let (sol, warm) = sparse::solve_sparse(lp);
-                stats.pivots += sol.iterations;
-                if let Some(sim) = &warm {
-                    stats.refactorizations += sim.refactor_count();
-                }
-                self.sparse_outcome(sol, warm.map(Rc::new))
-            }
-        }
-    }
-
-    fn dense_outcome(
-        &self,
-        sol: simplex::LpSolution,
-        warm: Option<Rc<Tableau>>,
-        offset: f64,
-        lower: &[f64],
-    ) -> Relaxed {
-        match sol.status {
-            LpStatus::Optimal => {
-                let values: Vec<f64> = sol.values.iter().zip(lower).map(|(v, lb)| v + lb).collect();
-                let objective = self.minimize_sign * (sol.objective + offset);
-                Relaxed::Optimal(
-                    Solution {
-                        values,
-                        objective,
-                        stats: BranchBoundStats::default(),
-                    },
-                    warm.map(WarmState::Dense),
-                )
-            }
-            LpStatus::Infeasible => Relaxed::Infeasible,
-            LpStatus::Unbounded => Relaxed::Unbounded,
-            LpStatus::IterationLimit => Relaxed::Fatal(SolveError::IterationLimit),
-        }
-    }
-
-    fn sparse_outcome(&self, sol: simplex::LpSolution, warm: Option<Rc<SparseSimplex>>) -> Relaxed {
+impl Relaxed {
+    /// Wraps a sparse solve (in minimization sense) as a model-space
+    /// outcome; `minimize_sign` restores the model's own direction.
+    fn from_lp(sol: LpSolution, warm: Option<Rc<SparseSimplex>>, minimize_sign: f64) -> Self {
         match sol.status {
             LpStatus::Optimal => Relaxed::Optimal(
                 Solution {
                     values: sol.values,
-                    objective: self.minimize_sign * sol.objective,
+                    objective: minimize_sign * sol.objective,
                     stats: BranchBoundStats::default(),
                 },
-                warm.map(WarmState::Sparse),
+                warm,
             ),
             LpStatus::Infeasible => Relaxed::Infeasible,
             LpStatus::Unbounded => Relaxed::Unbounded,
             LpStatus::IterationLimit => Relaxed::Fatal(SolveError::IterationLimit),
         }
     }
+}
 
-    /// Solves one node's relaxation: warm dual re-optimize when possible,
-    /// cold solve on the cut-augmented base model otherwise.
-    fn solve_node(
-        &mut self,
-        node: &Node,
-        effective: &[(VarId, f64, f64)],
-        stats: &mut BranchBoundStats,
-        options: &MilpOptions,
-    ) -> Relaxed {
-        if options.warm_start {
-            if let Some((parent, (col, lb, ub))) = &node.warm {
-                match parent {
-                    WarmState::Dense(parent) => {
-                        let mut tab = Tableau::clone(parent);
-                        if !tab.apply_var_bounds(*col, *lb, *ub) {
-                            return Relaxed::Infeasible;
-                        }
-                        if let Some(sol) = tab.dual_solve() {
-                            stats.pivots += sol.iterations;
-                            stats.warm_solves += 1;
-                            let (offset, lower): (f64, &[f64]) = match self.dense.as_ref() {
-                                Some((_, off, low)) => (*off, low),
-                                None => (0.0, &[]),
-                            };
-                            return self.dense_outcome(sol, Some(Rc::new(tab)), offset, lower);
-                        }
-                        // Dual solve bailed out: fall through to cold.
-                    }
-                    WarmState::Sparse(parent) => {
-                        let mut sim = SparseSimplex::clone(parent);
-                        if !sim.apply_var_bounds(*col, *lb, *ub) {
-                            return Relaxed::Infeasible;
-                        }
-                        let refactor0 = sim.refactor_count();
-                        if let Some(sol) = sim.dual_solve() {
-                            stats.pivots += sol.iterations;
-                            stats.warm_solves += 1;
-                            stats.refactorizations += sim.refactor_count() - refactor0;
-                            return self.sparse_outcome(sol, Some(Rc::new(sim)));
-                        }
-                        // Dual solve bailed out: fall through to cold.
-                    }
-                }
-            }
+/// Solves one non-root node's relaxation: warm dual re-optimize from the
+/// parent basis when possible, cold solve of `model` under the node's
+/// `effective` bounds otherwise. The cold solve starts from the caller's
+/// original rows, so presolve-consumed singleton rows cannot be loosened
+/// away.
+fn solve_node(
+    model: &Model,
+    node: &Node,
+    effective: &[(VarId, f64, f64)],
+    minimize_sign: f64,
+    stats: &mut BranchBoundStats,
+) -> Relaxed {
+    #[cfg(test)]
+    let warm = node.warm.as_ref().filter(|_| !COLD_NODES.get());
+    #[cfg(not(test))]
+    let warm = node.warm.as_ref();
+    if let Some((parent, (col, lb, ub))) = warm {
+        let mut sim = SparseSimplex::clone(parent);
+        if !sim.apply_var_bounds(*col, *lb, *ub) {
+            return Relaxed::Infeasible;
         }
+        let refactor0 = sim.refactor_count();
+        if let Some(sol) = sim.dual_solve() {
+            stats.pivots += sol.iterations;
+            stats.warm_solves += 1;
+            stats.refactorizations += sim.refactor_count() - refactor0;
+            return Relaxed::from_lp(sol, Some(Rc::new(sim)), minimize_sign);
+        }
+        // Dual solve bailed out: fall through to cold.
+    }
 
-        if node.depth == 0 {
-            return self.solve_root(stats);
+    let mut scratch = model.clone();
+    for &(v, lb, ub) in effective {
+        scratch.set_bounds(v, lb, ub);
+    }
+    match scratch.solve_lp() {
+        Ok(s) => {
+            stats.pivots += s.stats.pivots;
+            stats.refactorizations += s.stats.refactorizations;
+            Relaxed::Optimal(s, None)
         }
-
-        // Cold fallback: apply bounds onto a fresh copy of the base model
-        // (original rows plus cuts, so presolve-consumed singleton rows
-        // cannot be loosened away).
-        let mut scratch = self
-            .cold_base
-            .get_or_insert_with(|| self.model.clone())
-            .clone();
-        for &(v, lb, ub) in effective {
-            scratch.set_bounds(v, lb, ub);
-        }
-        match scratch.solve_lp() {
-            Ok(s) => {
-                stats.pivots += s.stats.pivots;
-                stats.refactorizations += s.stats.refactorizations;
-                Relaxed::Optimal(s, None)
-            }
-            Err(SolveError::Infeasible) => Relaxed::Infeasible,
-            Err(SolveError::Unbounded) => Relaxed::Unbounded,
-            Err(e) => Relaxed::Fatal(e),
-        }
+        Err(SolveError::Infeasible) => Relaxed::Infeasible,
+        Err(SolveError::Unbounded) => Relaxed::Unbounded,
+        Err(e) => Relaxed::Fatal(e),
     }
 }
 
@@ -335,17 +169,6 @@ impl<'m> SearchCtx<'m> {
 pub(crate) fn branch_and_bound(
     model: &Model,
     options: &MilpOptions,
-) -> (Result<Solution, SolveError>, BranchBoundStats) {
-    search(model, options, false)
-}
-
-/// The search behind [`branch_and_bound`]. `eager_cold_base` clones the
-/// cold-solve base up front instead of on first use; the result must not
-/// depend on it, which the tests check.
-fn search(
-    model: &Model,
-    options: &MilpOptions,
-    eager_cold_base: bool,
 ) -> (Result<Solution, SolveError>, BranchBoundStats) {
     let mut stats = BranchBoundStats::default();
     let minimize_sign = if model.is_minimize() { 1.0 } else { -1.0 };
@@ -357,39 +180,21 @@ fn search(
     debug_assert!(!int_vars.is_empty());
 
     // Root presolve once: singleton-row bound tightenings are valid at
-    // every node, and the resulting forms fix the spaces all warm-started
-    // bases share.
+    // every node, and the compiled root LP fixes the space all
+    // warm-started bases share.
     let Some(work) = model.presolved() else {
         return (Err(SolveError::Infeasible), stats);
     };
-    let mut ctx = SearchCtx::new(model, work);
-    if eager_cold_base {
-        ctx.cold_base = Some(model.clone());
+    let (root_sol, root_warm) = sparse::solve_sparse(&Rc::new(SparseLp::build(&work)));
+    stats.pivots += root_sol.iterations;
+    if let Some(sim) = &root_warm {
+        stats.refactorizations += sim.refactor_count();
     }
-
-    // Root solve + cover-cut rounds (cut-and-branch).
-    let mut root = ctx.solve_root(&mut stats);
-    if options.cover_cuts {
-        for _ in 0..CUT_ROUNDS {
-            let Relaxed::Optimal(sol, _) = &root else {
-                break;
-            };
-            let fractional = int_vars.iter().any(|&v| {
-                let val = sol.values[v.index()];
-                (val - val.round()).abs() > options.int_tol
-            });
-            if !fractional {
-                break;
-            }
-            let new_cuts = cuts::separate_cover_cuts(&ctx.work, &sol.values, CUTS_PER_ROUND);
-            if new_cuts.is_empty() {
-                break;
-            }
-            stats.cuts += new_cuts.len();
-            ctx.add_cuts(&new_cuts);
-            root = ctx.solve_root(&mut stats);
-        }
-    }
+    let mut root_relax = Some(Relaxed::from_lp(
+        root_sol,
+        root_warm.map(Rc::new),
+        minimize_sign,
+    ));
 
     let mut incumbent: Option<Solution> = None;
     let mut stack = vec![Node {
@@ -397,7 +202,6 @@ fn search(
         warm: None,
         depth: 0,
     }];
-    let mut root_relax = Some(root);
     let mut relaxation_unbounded_at_root = false;
 
     while let Some(node) = stack.pop() {
@@ -434,9 +238,11 @@ fn search(
         }
 
         stats.nodes += 1;
+        // The root is the first node popped; every later one is solved
+        // here.
         let relax = match root_relax.take() {
-            Some(r) if node.depth == 0 => r,
-            _ => ctx.solve_node(&node, &effective, &mut stats, options),
+            Some(r) => r,
+            None => solve_node(model, &node, &effective, minimize_sign, &mut stats),
         };
         let (relax, warm) = match relax {
             Relaxed::Optimal(sol, warm) => (sol, warm),
@@ -496,32 +302,18 @@ fn search(
         // compute the child's full [lb, ub] for v so the warm path can
         // apply it as a single delta. The base comes from the *presolved*
         // root model: singleton rows were consumed into these bounds and
-        // no longer exist in the shared root forms, so dropping them here
+        // no longer exist in the shared root LP, so dropping them here
         // would let children escape them.
-        let (mut cur_lb, mut cur_ub) = ctx.work.bounds(v);
+        let (mut cur_lb, mut cur_ub) = work.bounds(v);
         if let Some(&(_, lb, ub)) = effective.iter().find(|&&(ev, _, _)| ev == v) {
             cur_lb = cur_lb.max(lb);
             cur_ub = cur_ub.min(ub);
         }
-        // Warm deltas: root-standard space (shifted by the root lower
-        // bound) for the dense backend, model space for the sparse one.
-        let (down_delta, up_delta) = match ctx.backend {
-            SolverBackend::DenseReference => {
-                let lb0 = ctx
-                    .dense
-                    .as_ref()
-                    .map_or(0.0, |(_, _, lower)| lower[v.index()]);
-                (
-                    (v.index(), cur_lb - lb0, floor - lb0),
-                    (v.index(), floor + 1.0 - lb0, cur_ub - lb0),
-                )
-            }
-            SolverBackend::Sparse => ((v.index(), cur_lb, floor), (v.index(), floor + 1.0, cur_ub)),
-        };
+        let (down_delta, up_delta) = ((v.index(), cur_lb, floor), (v.index(), floor + 1.0, cur_ub));
         let frac = val - floor;
         let child = |bounds: Vec<(VarId, f64, f64)>, delta| Node {
             bounds,
-            warm: warm.as_ref().map(|w| (w.share(), delta)),
+            warm: warm.as_ref().map(|w| (Rc::clone(w), delta)),
             depth: node.depth + 1,
         };
         // Explore the nearer branch last so it pops first (DFS stack
@@ -642,7 +434,18 @@ mod tests {
 
     type BruteCase = (bool, Vec<f64>, Vec<i64>, Vec<(Vec<f64>, Sense, f64)>);
 
-    fn run_cases(warm_start: bool) {
+    /// Runs `f` with every node below the root forced through the cold
+    /// solve.
+    fn with_cold_nodes<T>(f: impl FnOnce() -> T) -> T {
+        COLD_NODES.set(true);
+        let out = f();
+        COLD_NODES.set(false);
+        out
+    }
+
+    /// Checks the fixed instances against brute force and returns the
+    /// summed `(nodes, warm_solves)` of the searches.
+    fn run_cases() -> (usize, usize) {
         let cases: Vec<BruteCase> = vec![
             (
                 true,
@@ -666,10 +469,7 @@ mod tests {
                 ],
             ),
         ];
-        let opts = MilpOptions {
-            warm_start,
-            ..MilpOptions::default()
-        };
+        let (mut nodes, mut warm_solves) = (0, 0);
         for (maximize, objs, caps, cons) in cases {
             let mut m = Model::new(if maximize {
                 Objective::Maximize
@@ -685,28 +485,34 @@ mod tests {
                 m.add_constraint(vars.iter().zip(coeffs).map(|(&v, &c)| (v, c)), *sense, *rhs);
             }
             let expected = brute_force_best(maximize, &objs, &caps, &cons);
-            match (m.solve_with(&opts), expected) {
+            match (m.solve(), expected) {
                 (Ok(sol), Some(best)) => {
                     assert!(
                         (sol.objective - best).abs() < 1e-6,
-                        "milp {} vs brute {best} (warm_start {warm_start})",
+                        "milp {} vs brute {best}",
                         sol.objective
                     );
+                    nodes += sol.stats.nodes;
+                    warm_solves += sol.stats.warm_solves;
                 }
                 (Err(SolveError::Infeasible), None) => {}
                 (got, want) => panic!("mismatch: got {got:?}, brute force {want:?}"),
             }
         }
+        (nodes, warm_solves)
     }
 
     #[test]
     fn matches_brute_force_on_fixed_instances() {
-        run_cases(true);
+        let (_, warm_solves) = run_cases();
+        assert!(warm_solves > 0, "no child node was warm-started");
     }
 
     #[test]
     fn matches_brute_force_without_warm_start() {
-        run_cases(false);
+        let (nodes, warm_solves) = with_cold_nodes(run_cases);
+        assert!(nodes > 3, "no case branched, so no cold node solve ran");
+        assert_eq!(warm_solves, 0);
     }
 
     #[test]
@@ -804,28 +610,94 @@ mod tests {
         assert!((sol.objective - best.objective).abs() < 1e-6);
     }
 
-    /// Builds an ILP-II tile-shaped instance: one-hot binaries per costed
-    /// column over capacities, a convexity row per column, one budget row.
-    fn ilp2_tile(k: usize, cap: u32, budget: f64) -> Model {
+    /// Cost table of an ILP-II tile-shaped instance: `k` columns placing
+    /// 0..=`cap` features each, at a cost deliberately non-convex in the
+    /// count (weighted tiles produce such tables), so the LP relaxation
+    /// goes fractional and branching actually happens.
+    fn ilp2_costs(k: usize, cap: u32) -> Vec<Vec<f64>> {
+        (0..k)
+            .map(|col| {
+                let alpha = 1.0 + (col % 7) as f64 * 0.31;
+                (0..=cap)
+                    .map(|n| {
+                        let jitter = ((col * 31 + n as usize * 17) % 13) as f64 * 0.23;
+                        alpha * (n as f64) * 0.4 + jitter
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The one-hot ILP-II encoding of a cost table: a binary per (column,
+    /// count), a convexity row per column, one budget row.
+    fn one_hot(costs: &[Vec<f64>], budget: f64) -> Model {
         let mut m = Model::new(Objective::Minimize);
         let mut budget_terms = Vec::new();
-        for col in 0..k {
-            let alpha = 1.0 + (col % 7) as f64 * 0.31;
-            let vars: Vec<_> = (0..=cap)
-                .map(|n| {
-                    // Deliberately non-convex in n (weighted tiles produce
-                    // such tables), so the LP relaxation goes fractional
-                    // and branching actually happens.
-                    let jitter = ((col * 31 + n as usize * 17) % 13) as f64 * 0.23;
-                    let cost = alpha * (n as f64) * 0.4 + jitter;
-                    m.add_binary_var(cost)
-                })
-                .collect();
+        for table in costs {
+            let vars: Vec<_> = table.iter().map(|&c| m.add_binary_var(c)).collect();
             m.add_constraint(vars.iter().map(|&v| (v, 1.0)), Sense::Eq, 1.0);
             budget_terms.extend(vars.iter().enumerate().map(|(n, &v)| (v, n as f64)));
         }
         m.add_constraint(budget_terms, Sense::Eq, budget);
         m
+    }
+
+    fn ilp2_tile(k: usize, cap: u32, budget: f64) -> Model {
+        one_hot(&ilp2_costs(k, cap), budget)
+    }
+
+    /// Exact oracle for [`one_hot`] models: a DP over (column, features
+    /// used so far) gives the least cost of placing exactly `budget`
+    /// features, or `None` when the columns cannot hold them.
+    fn budget_dp(costs: &[Vec<f64>], budget: usize) -> Option<f64> {
+        let mut best = vec![f64::INFINITY; budget + 1];
+        best[0] = 0.0;
+        for table in costs {
+            let mut next = vec![f64::INFINITY; budget + 1];
+            for (used, &base) in best.iter().enumerate() {
+                for (n, &c) in table.iter().enumerate().take(budget + 1 - used) {
+                    next[used + n] = next[used + n].min(base + c);
+                }
+            }
+            best = next;
+        }
+        Some(best[budget]).filter(|c| c.is_finite())
+    }
+
+    /// Solves the one-hot model of `costs` at `budget` and checks it
+    /// against [`budget_dp`]: same optimum, and the incumbent is a
+    /// one-hot point that places exactly `budget` features at that cost.
+    fn check_against_budget_dp(costs: &[Vec<f64>], budget: usize, context: &str) {
+        let result = one_hot(costs, budget as f64).solve();
+        let Some(want) = budget_dp(costs, budget) else {
+            assert!(
+                matches!(result, Err(SolveError::Infeasible)),
+                "{context}: DP infeasible, B&B {result:?}"
+            );
+            return;
+        };
+        let sol = result.unwrap_or_else(|e| panic!("{context}: {e}"));
+        let tol = 1e-6 * (1.0 + want.abs());
+        assert!(
+            (sol.objective - want).abs() <= tol,
+            "{context}: B&B {} vs DP {want}",
+            sol.objective
+        );
+        let (mut placed, mut cost, mut at) = (0, 0.0, 0);
+        for table in costs {
+            let picked: Vec<usize> = (0..table.len())
+                .filter(|&n| sol.values[at + n].round() == 1.0)
+                .collect();
+            assert_eq!(picked.len(), 1, "{context}: column not one-hot");
+            placed += picked[0];
+            cost += table[picked[0]];
+            at += table.len();
+        }
+        assert_eq!(placed, budget, "{context}: incumbent misses the budget");
+        assert!(
+            (cost - want).abs() <= tol,
+            "{context}: incumbent costs {cost}, DP {want}"
+        );
     }
 
     #[test]
@@ -836,12 +708,7 @@ mod tests {
         let warm = m
             .solve_with(&MilpOptions::default())
             .expect("warm solvable");
-        let cold = m
-            .solve_with(&MilpOptions {
-                warm_start: false,
-                ..MilpOptions::default()
-            })
-            .expect("cold solvable");
+        let cold = with_cold_nodes(|| m.solve()).expect("cold solvable");
         assert!(
             (warm.objective - cold.objective).abs() < 1e-6,
             "optima differ: warm {} cold {}",
@@ -871,84 +738,37 @@ mod tests {
     }
 
     #[test]
-    fn cover_cuts_do_not_change_the_optimum() {
-        // A knapsack with distinct weights, where cover separation can
-        // actually fire.
-        let mut weights = Vec::new();
-        let mut m = Model::new(Objective::Maximize);
-        let vars: Vec<_> = (0..10)
-            .map(|i| {
-                let w = 2.0 + (i % 5) as f64 * 1.3;
-                weights.push(w);
-                m.add_binary_var(1.0 + i as f64 * 0.7)
-            })
-            .collect();
-        m.add_constraint(
-            vars.iter().zip(&weights).map(|(&v, &w)| (v, w)),
-            Sense::Le,
-            14.0,
-        );
-        let with_cuts = m.solve().expect("with cuts");
-        let without = m
-            .solve_with(&MilpOptions {
-                cover_cuts: false,
-                ..MilpOptions::default()
-            })
-            .expect("without cuts");
-        assert!(
-            (with_cuts.objective - without.objective).abs() < 1e-6,
-            "cuts changed the optimum: {} vs {}",
-            with_cuts.objective,
-            without.objective
-        );
+    fn ilp2_tile_matches_budget_dp_at_every_budget() {
+        let costs = ilp2_costs(8, 3);
+        for budget in 0..=25 {
+            check_against_budget_dp(&costs, budget, &format!("budget {budget}"));
+        }
     }
 
+    /// ILP-II-shaped instances at a larger scale than the fixed tile: the
+    /// exact shape the fill flow produces, where bound-flip-heavy knapsack
+    /// relaxations exercise the sparse engine's candidate list hardest.
     #[test]
-    fn cover_cuts_reach_the_lazily_created_cold_base() {
-        // The knapsack of `cover_cuts_do_not_change_the_optimum`: cuts fire
-        // at the root, and without warm starts every child node is a cold
-        // solve on the cut-augmented base. The lazily cloned base must
-        // hold the same rows as an up-front clone, so the whole search —
-        // values, objective and every counter — is the same.
-        let mut m = Model::new(Objective::Maximize);
-        let vars: Vec<_> = (0..10)
-            .map(|i| m.add_binary_var(1.0 + i as f64 * 0.7))
-            .collect();
-        m.add_constraint(
-            vars.iter()
-                .enumerate()
-                .map(|(i, &v)| (v, 2.0 + (i % 5) as f64 * 1.3)),
-            Sense::Le,
-            14.0,
-        );
-        let opts = MilpOptions {
-            warm_start: false,
-            ..MilpOptions::default()
-        };
-        let (lazy, lazy_stats) = search(&m, &opts, false);
-        let (eager, eager_stats) = search(&m, &opts, true);
-        assert!(lazy_stats.cuts > 0, "no cuts fired: {lazy_stats:?}");
-        assert!(lazy_stats.nodes > 1, "no cold node solves: {lazy_stats:?}");
-        assert_eq!(lazy_stats, eager_stats);
-        let (lazy, eager) = (lazy.expect("lazy"), eager.expect("eager"));
-        assert_eq!(lazy.objective.to_bits(), eager.objective.to_bits());
-        let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&lazy), bits(&eager));
-    }
+    fn random_ilp2_tiles_match_budget_dp() {
+        use pilfill_prng::rngs::StdRng;
+        use pilfill_prng::{Rng, SeedableRng};
 
-    #[test]
-    fn backends_agree_on_ilp2_tile() {
-        let sparse = ilp2_tile(8, 3, 11.0);
-        let mut dense = sparse.clone();
-        dense.set_backend(crate::SolverBackend::DenseReference);
-        let s = sparse.solve().expect("sparse solvable");
-        let d = dense.solve().expect("dense solvable");
-        assert!(
-            (s.objective - d.objective).abs() < 1e-6,
-            "sparse {} vs dense {}",
-            s.objective,
-            d.objective
-        );
+        let mut rng = StdRng::seed_from_u64(0xEAE_0003);
+        for case in 0..8 {
+            let k = rng.gen_range(6usize..14);
+            let cap = rng.gen_range(2u32..5);
+            let costs: Vec<Vec<f64>> = (0..k)
+                .map(|_| {
+                    let alpha = rng.gen_range(0.2f64..2.0);
+                    (0..=cap)
+                        // Non-convex jitter forces genuine branching.
+                        .map(|n| alpha * f64::from(n) * 0.4 + rng.gen_range(0.0f64..0.8))
+                        .collect()
+                })
+                .collect();
+            let budget = rng.gen_range(1u32..k as u32 * cap);
+            check_against_budget_dp(&costs, budget as usize, &format!("case {case}"));
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 use std::rc::Rc;
 
 use crate::milp::{self, BranchBoundStats, MilpOptions};
-use crate::simplex::{self, LpStatus, StandardLp};
+#[cfg(test)]
+use crate::simplex::dense_reference::StandardLp;
+use crate::simplex::LpStatus;
 use crate::sparse::{self, SparseLp};
 
 /// Handle to a decision variable in a [`Model`].
@@ -24,19 +26,6 @@ pub enum Objective {
     Minimize,
     /// Maximize the objective function.
     Maximize,
-}
-
-/// Which LP engine backs [`Model::solve_lp`] and the branch-and-bound
-/// relaxations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverBackend {
-    /// Sparse revised simplex with an LU-factored basis, bounded
-    /// variables and two-phase feasibility (the default engine).
-    #[default]
-    Sparse,
-    /// The original dense bounded-variable tableau with Big-M
-    /// feasibility — kept as a numerical oracle and escape hatch.
-    DenseReference,
 }
 
 /// Constraint sense.
@@ -139,7 +128,6 @@ pub struct Model {
     upper: Vec<f64>,
     integer: Vec<bool>,
     constraints: Vec<Constraint>,
-    backend: SolverBackend,
 }
 
 impl Model {
@@ -149,24 +137,6 @@ impl Model {
             minimize: objective == Objective::Minimize,
             ..Self::default()
         }
-    }
-
-    /// Creates an empty model solved by a specific LP backend.
-    pub fn with_backend(objective: Objective, backend: SolverBackend) -> Self {
-        Self {
-            backend,
-            ..Self::new(objective)
-        }
-    }
-
-    /// The LP engine this model solves with.
-    pub fn backend(&self) -> SolverBackend {
-        self.backend
-    }
-
-    /// Switches the LP engine (e.g. to cross-check the two backends).
-    pub fn set_backend(&mut self, backend: SolverBackend) {
-        self.backend = backend;
     }
 
     /// Adds a continuous variable with bounds `[lb, ub]` and objective
@@ -310,13 +280,6 @@ impl Model {
         &self.constraints
     }
 
-    /// `true` when variable `idx` is a 0/1 integer.
-    pub(crate) fn is_binary(&self, idx: usize) -> bool {
-        // Exact bound comparison: binaries are constructed with literal
-        // 0.0/1.0 bounds, never computed ones. pilfill: allow(float-eq)
-        self.integer[idx] && self.lower[idx] == 0.0 && self.upper[idx] == 1.0
-    }
-
     /// Light presolve: empty rows become feasibility checks, singleton
     /// rows become variable bounds. Returns the simplified model, or
     /// `None` when presolve proves infeasibility.
@@ -362,9 +325,10 @@ impl Model {
         Some(out)
     }
 
-    /// Converts to computational standard form: shift each variable by its
-    /// lower bound so all variables live in `[0, ub - lb]`, and negate the
-    /// objective for maximization.
+    /// Converts to the dense oracle's computational standard form: shift
+    /// each variable by its lower bound so all variables live in
+    /// `[0, ub - lb]`, and negate the objective for maximization.
+    #[cfg(test)]
     pub(crate) fn to_standard(&self) -> (StandardLp, f64) {
         let n = self.num_vars();
         let sign = if self.minimize { 1.0 } else { -1.0 };
@@ -428,18 +392,6 @@ impl Model {
     /// [`SolveError::IterationLimit`] when no optimal solution exists or the
     /// solver fails to converge.
     pub fn solve_lp(&self) -> Result<Solution, SolveError> {
-        match self.backend {
-            SolverBackend::Sparse => match self.solve_lp_sparse() {
-                // Numerical trouble in the sparse engine: retry on the
-                // dense oracle before reporting failure.
-                Err(SolveError::IterationLimit) => self.solve_lp_dense(),
-                other => other,
-            },
-            SolverBackend::DenseReference => self.solve_lp_dense(),
-        }
-    }
-
-    fn solve_lp_sparse(&self) -> Result<Solution, SolveError> {
         let presolved = self.presolved().ok_or(SolveError::Infeasible)?;
         let lp = Rc::new(SparseLp::build(&presolved));
         let (sol, warm) = sparse::solve_sparse(&lp);
@@ -453,34 +405,6 @@ impl Model {
                     stats: BranchBoundStats {
                         pivots: sol.iterations,
                         refactorizations: warm.as_ref().map_or(0, |s| s.refactor_count()),
-                        ..BranchBoundStats::default()
-                    },
-                })
-            }
-            LpStatus::Infeasible => Err(SolveError::Infeasible),
-            LpStatus::Unbounded => Err(SolveError::Unbounded),
-            LpStatus::IterationLimit => Err(SolveError::IterationLimit),
-        }
-    }
-
-    fn solve_lp_dense(&self) -> Result<Solution, SolveError> {
-        let presolved = self.presolved().ok_or(SolveError::Infeasible)?;
-        let (std_lp, offset) = presolved.to_standard();
-        let sol = simplex::solve_standard(&std_lp);
-        match sol.status {
-            LpStatus::Optimal => {
-                let sign = if self.minimize { 1.0 } else { -1.0 };
-                let values: Vec<f64> = sol
-                    .values
-                    .iter()
-                    .zip(&presolved.lower)
-                    .map(|(v, lb)| v + lb)
-                    .collect();
-                Ok(Solution {
-                    objective: sign * (sol.objective + offset),
-                    values,
-                    stats: BranchBoundStats {
-                        pivots: sol.iterations,
                         ..BranchBoundStats::default()
                     },
                 })

@@ -1,4 +1,7 @@
-//! Dense bounded-variable primal simplex with Big-M feasibility.
+//! Dense bounded-variable primal simplex with Big-M feasibility: the
+//! test oracle the sparse engine is checked against. It shares no code
+//! with [`crate::sparse`] beyond the model's presolve, so agreement
+//! between the two is evidence, not tautology.
 //!
 // Exact `!= 0.0` comparisons in this file are sparsity/no-op guards:
 // skipping arithmetic on an exactly-zero coefficient never changes a
@@ -20,15 +23,9 @@
 //! every row. A full reduced-cost refresh runs periodically and before
 //! declaring optimality, so accumulated float drift cannot produce a wrong
 //! termination.
-//!
-//! For branch-and-bound, a solved tableau doubles as a warm-start state:
-//! tightening a structural variable's bounds leaves `B^-1 A` and the
-//! reduced costs unchanged (bound shifts touch only the right-hand side),
-//! so a child node is re-optimized with the dual simplex from the parent
-//! basis instead of re-running the Big-M primal from scratch. See
-//! [`Tableau::apply_var_bounds`] and [`Tableau::dual_solve`].
 
-use super::{LpSolution, LpStatus, StandardLp};
+use super::{LpSolution, LpStatus};
+use crate::model::{Model, SolveError};
 
 const EPS: f64 = 1e-9;
 /// Pivot elements smaller than this are rejected for stability.
@@ -46,26 +43,52 @@ enum NonbasicAt {
     Upper,
 }
 
+/// A linear program in dense computational standard form, built by
+/// [`Model::to_standard`].
+#[derive(Debug, Clone)]
+pub(crate) struct StandardLp {
+    /// Number of structural variables (excluding slacks/artificials).
+    pub(crate) n_structural: usize,
+    /// Objective coefficients (minimization), length `n_structural`.
+    pub(crate) costs: Vec<f64>,
+    /// Dense constraint rows over structural variables.
+    pub(crate) rows: Vec<Vec<f64>>,
+    /// Row senses normalized to `<=` (false) or `=` (true); `>=` rows are
+    /// pre-negated by the caller.
+    pub(crate) eq: Vec<bool>,
+    /// Right-hand sides, one per row.
+    pub(crate) rhs: Vec<f64>,
+    /// Upper bounds per structural variable (may be `f64::INFINITY`).
+    pub(crate) upper: Vec<f64>,
+}
+
 /// Solves the standard-form LP with the bounded-variable Big-M simplex.
 ///
 /// All variables have implicit lower bound zero. Slack variables are added
 /// for `<=` rows; artificial variables (with Big-M cost) are added for `=`
 /// rows and for `<=` rows with negative right-hand side.
-pub fn solve_standard(lp: &StandardLp) -> LpSolution {
+pub(crate) fn solve_standard(lp: &StandardLp) -> LpSolution {
     Tableau::build(lp).primal_solve()
 }
 
-/// Solves the LP and, on optimality, also returns the solved tableau so
-/// branch-and-bound can warm-start child nodes from it.
-pub(crate) fn solve_with_warm(lp: &StandardLp) -> (LpSolution, Option<Tableau>) {
-    let mut tab = Tableau::build(lp);
-    let sol = tab.primal_solve();
-    let warm = (sol.status == LpStatus::Optimal).then_some(tab);
-    (sol, warm)
+/// Objective of the continuous relaxation of `model` on the dense
+/// tableau, in the model's own direction: the oracle counterpart of
+/// [`Model::solve_lp`], with the same presolve and error mapping.
+pub(crate) fn lp_objective(model: &Model) -> Result<f64, SolveError> {
+    let presolved = model.presolved().ok_or(SolveError::Infeasible)?;
+    let (std_lp, offset) = presolved.to_standard();
+    let sol = solve_standard(&std_lp);
+    let sign = if model.is_minimize() { 1.0 } else { -1.0 };
+    match sol.status {
+        LpStatus::Optimal => Ok(sign * (sol.objective + offset)),
+        LpStatus::Infeasible => Err(SolveError::Infeasible),
+        LpStatus::Unbounded => Err(SolveError::Unbounded),
+        LpStatus::IterationLimit => Err(SolveError::IterationLimit),
+    }
 }
 
 #[derive(Debug, Clone)]
-pub(crate) struct Tableau {
+struct Tableau {
     /// `n_rows x n_cols` coefficient matrix (structural + slack +
     /// artificial), row-major in one flat allocation.
     a: Vec<f64>,
@@ -76,10 +99,6 @@ pub(crate) struct Tableau {
     cost: Vec<f64>,
     /// Width of the feasible interval per column (`hi - lo` after shifts).
     upper: Vec<f64>,
-    /// Current lower bound of each column in root standard space. Zero
-    /// until branch-and-bound tightens a bound; only structural columns
-    /// ever acquire a shift.
-    shift: Vec<f64>,
     /// Maintained reduced costs, refreshed periodically.
     d: Vec<f64>,
     /// Basic variable (column index) per row.
@@ -201,7 +220,6 @@ impl Tableau {
             b: rhs,
             cost,
             upper,
-            shift: vec![0.0; n_cols],
             d: vec![0.0; n_cols],
             basis,
             in_basis,
@@ -216,11 +234,6 @@ impl Tableau {
         };
         tab.refresh_reduced_costs();
         tab
-    }
-
-    #[inline]
-    fn row(&self, i: usize) -> &[f64] {
-        &self.a[i * self.n_cols..(i + 1) * self.n_cols]
     }
 
     #[inline]
@@ -437,9 +450,8 @@ impl Tableau {
         }
     }
 
-    /// Pivot: q enters the basis at row r; the old basic leaves to
-    /// `leave_to`. Shared by the primal and dual loops — both move q by
-    /// `t >= 0` in direction `dir` and then exchange basis columns.
+    /// Pivot: q enters the basis at row r after moving by `t >= 0` in
+    /// direction `dir`; the old basic leaves to `leave_to`.
     fn pivot(&mut self, r: usize, q: usize, dir: f64, t: f64, leave_to: NonbasicAt) {
         let leaving_var = self.basis[r];
         let nc = self.n_cols;
@@ -504,180 +516,6 @@ impl Tableau {
         }
     }
 
-    /// Tightens column `j` (structural) to `[lo, hi]` in root standard
-    /// space. Only the right-hand side changes — `B^-1 A` and the reduced
-    /// costs are invariant under bound shifts — so a subsequent
-    /// [`Tableau::dual_solve`] re-optimizes from the current basis.
-    ///
-    /// Returns `false` when the interval is empty (the node is infeasible).
-    pub(crate) fn apply_var_bounds(&mut self, j: usize, lo: f64, hi: f64) -> bool {
-        debug_assert!(j < self.n_structural);
-        if hi - lo < -1e-9 {
-            return false;
-        }
-        let width = (hi - lo).max(0.0);
-        let nc = self.n_cols;
-        if !self.in_basis[j] && self.at[j] == NonbasicAt::Upper {
-            // The variable rests at its (finite) upper bound; moving that
-            // bound moves the rest value.
-            let old_hi = self.shift[j] + self.upper[j];
-            let move_down = old_hi - hi;
-            if move_down != 0.0 {
-                for i in 0..self.n_rows {
-                    self.b[i] += self.a[i * nc + j] * move_down;
-                }
-            }
-        } else {
-            // Resting at (or basic above) the lower bound: shifting the
-            // lower bound by delta moves the rest value by delta. A basic
-            // column is the unit e_r, so only its own row adjusts and its
-            // model-space value is preserved.
-            let delta = lo - self.shift[j];
-            if delta != 0.0 {
-                for i in 0..self.n_rows {
-                    self.b[i] -= self.a[i * nc + j] * delta;
-                }
-            }
-        }
-        self.shift[j] = lo;
-        self.upper[j] = width;
-        true
-    }
-
-    /// Re-optimizes with the bounded dual simplex after bound tightenings.
-    ///
-    /// The basis stays dual feasible across [`Tableau::apply_var_bounds`],
-    /// so each iteration drops the most infeasible basic variable to the
-    /// violated bound and brings in the column that keeps the reduced
-    /// costs sign-correct. Returns `None` on numerical trouble (caller
-    /// falls back to a cold solve); otherwise the usual solution with
-    /// status `Optimal` or `Infeasible`.
-    pub(crate) fn dual_solve(&mut self) -> Option<LpSolution> {
-        let feas_tol = 1e-7 * (1.0 + self.big_m / 1e7);
-        // Start from exact reduced costs and verify dual feasibility; a
-        // violation means the caller's tableau was not optimal.
-        self.refresh_reduced_costs();
-        if !self.dual_feasible(feas_tol) {
-            return None;
-        }
-
-        let iter_limit = 100 * (self.n_rows + self.n_cols).max(50);
-        let mut iterations = 0usize;
-        loop {
-            if iterations > iter_limit {
-                return None;
-            }
-
-            // Leaving row: largest primal bound violation.
-            let mut leave: Option<(usize, f64, NonbasicAt)> = None;
-            for i in 0..self.n_rows {
-                let xb = self.b[i];
-                let ub = self.upper[self.basis[i]];
-                if xb < -feas_tol {
-                    let viol = -xb;
-                    if leave.is_none_or(|(_, v, _)| viol > v) {
-                        leave = Some((i, viol, NonbasicAt::Lower));
-                    }
-                } else if ub.is_finite() && xb > ub + feas_tol {
-                    let viol = xb - ub;
-                    if leave.is_none_or(|(_, v, _)| viol > v) {
-                        leave = Some((i, viol, NonbasicAt::Upper));
-                    }
-                }
-            }
-            let Some((r, _, leave_to)) = leave else {
-                // Primal feasible again; certify optimality before
-                // extracting (drifted d would silently mis-terminate).
-                self.refresh_reduced_costs();
-                if !self.dual_feasible(feas_tol) {
-                    return None;
-                }
-                return Some(self.extract(iterations));
-            };
-
-            // Entering column: dual ratio test. Eligibility keeps the
-            // movement reducing the violation; among eligible columns pick
-            // the smallest |d/a| (first dual constraint to go tight).
-            let below = leave_to == NonbasicAt::Lower;
-            let row = self.row(r);
-            let mut entering: Option<(usize, f64, f64)> = None; // (col, ratio, |a|)
-            let mut any_eligible_sign = false;
-            for (j, &arj) in row.iter().enumerate() {
-                if self.in_basis[j] {
-                    continue;
-                }
-                let eligible = match (below, self.at[j]) {
-                    (true, NonbasicAt::Lower) => arj < -EPS,
-                    (true, NonbasicAt::Upper) => arj > EPS,
-                    (false, NonbasicAt::Lower) => arj > EPS,
-                    (false, NonbasicAt::Upper) => arj < -EPS,
-                };
-                if !eligible {
-                    continue;
-                }
-                any_eligible_sign = true;
-                if arj.abs() <= PIVOT_EPS {
-                    continue;
-                }
-                let ratio = self.d[j].abs() / arj.abs();
-                let better = match entering {
-                    None => true,
-                    Some((_, best, besta)) => {
-                        ratio < best - EPS || (ratio < best + EPS && arj.abs() > besta)
-                    }
-                };
-                if better {
-                    entering = Some((j, ratio, arj.abs()));
-                }
-            }
-            match entering {
-                Some((q, _, _)) => {
-                    let dir = if self.at[q] == NonbasicAt::Lower {
-                        1.0
-                    } else {
-                        -1.0
-                    };
-                    // Move q until the leaving basic lands on its violated
-                    // bound: b[r] - dir*a[r][q]*t = target.
-                    let target = match leave_to {
-                        NonbasicAt::Lower => 0.0,
-                        NonbasicAt::Upper => self.upper[self.basis[r]],
-                    };
-                    let t = (self.b[r] - target) / (dir * self.coeff(r, q));
-                    debug_assert!(t >= -EPS, "negative dual step {t}");
-                    self.pivot(r, q, dir, t.max(0.0), leave_to);
-                }
-                None if any_eligible_sign => {
-                    // Only numerically tiny pivots available: bail out to
-                    // the cold path rather than risk a bad basis.
-                    return None;
-                }
-                None => {
-                    // No column can reduce the violation: the primal is
-                    // infeasible (dual unbounded).
-                    return Some(LpSolution {
-                        status: LpStatus::Infeasible,
-                        values: vec![0.0; self.n_structural],
-                        objective: f64::NAN,
-                        iterations,
-                    });
-                }
-            }
-            iterations += 1;
-        }
-    }
-
-    /// Checks the reduced-cost sign conditions for every nonbasic column.
-    fn dual_feasible(&self, tol: f64) -> bool {
-        (0..self.n_cols).all(|j| {
-            self.in_basis[j]
-                || match self.at[j] {
-                    NonbasicAt::Lower => self.d[j] >= -tol,
-                    NonbasicAt::Upper => self.d[j] <= tol,
-                }
-        })
-    }
-
     fn extract(&self, iterations: usize) -> LpSolution {
         let mut values = vec![0.0; self.n_cols];
         for (j, v) in values.iter_mut().enumerate() {
@@ -702,15 +540,7 @@ impl Tableau {
         }
         let structural: Vec<f64> = values[..self.n_structural]
             .iter()
-            .zip(&self.shift)
-            .map(|(&v, &s)| {
-                let x = v + s;
-                if x.abs() < 1e-11 {
-                    0.0
-                } else {
-                    x
-                }
-            })
+            .map(|&x| if x.abs() < 1e-11 { 0.0 } else { x })
             .collect();
         let objective = structural.iter().zip(&self.cost).map(|(v, c)| v * c).sum();
         LpSolution {
@@ -725,6 +555,9 @@ impl Tableau {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Objective, Sense};
+    use pilfill_prng::rngs::StdRng;
+    use pilfill_prng::{Rng, SeedableRng};
 
     fn lp(costs: Vec<f64>, rows: Vec<(Vec<f64>, bool, f64)>, upper: Vec<f64>) -> StandardLp {
         let n = costs.len();
@@ -862,81 +695,68 @@ mod tests {
         assert!((s.values[2] - 2.0).abs() < 1e-6);
     }
 
-    #[test]
-    fn warm_restart_matches_cold_after_bound_tightening() {
-        // min -3x - 5y; x <= 4; 2y <= 12; 3x + 2y <= 18. Tighten x <= 1
-        // (warm) and compare against solving the tightened LP cold.
-        let p = lp(
-            vec![-3.0, -5.0],
-            vec![
-                (vec![1.0, 0.0], false, 4.0),
-                (vec![0.0, 2.0], false, 12.0),
-                (vec![3.0, 2.0], false, 18.0),
-            ],
-            vec![f64::INFINITY, f64::INFINITY],
-        );
-        let (root, warm) = solve_with_warm(&p);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let mut tab = warm.expect("warm state on optimal");
-        assert!(tab.apply_var_bounds(0, 0.0, 1.0));
-        let warm_sol = tab.dual_solve().expect("dual solve");
-        assert_eq!(warm_sol.status, LpStatus::Optimal);
-
-        let mut cold_lp = p.clone();
-        cold_lp.upper[0] = 1.0;
-        let cold_sol = solve_standard(&cold_lp);
-        assert_eq!(cold_sol.status, LpStatus::Optimal);
-        assert!(
-            (warm_sol.objective - cold_sol.objective).abs() < 1e-6,
-            "warm {} vs cold {}",
-            warm_sol.objective,
-            cold_sol.objective
-        );
-        assert!((warm_sol.values[0] - 1.0).abs() < 1e-6);
-        assert!((warm_sol.values[1] - 6.0).abs() < 1e-6);
+    /// A random bounded LP: continuous variables with mixed-sign finite
+    /// lower bounds, occasional infinite uppers, and a handful of random
+    /// rows, with every number a multiple of 1/4 so both engines stay well
+    /// away from float noise.
+    fn rand_lp(rng: &mut StdRng) -> Model {
+        let quarters = |x: f64| (x * 4.0).round() / 4.0;
+        let n = rng.gen_range(2usize..7);
+        let mut m = Model::new(if rng.gen::<bool>() {
+            Objective::Maximize
+        } else {
+            Objective::Minimize
+        });
+        let vars: Vec<_> = (0..n)
+            .map(|_| {
+                let lb = quarters(rng.gen_range(-4.0f64..2.0));
+                let width = quarters(rng.gen_range(0.0f64..8.0));
+                let ub = if rng.gen_range(0u32..5) == 0 {
+                    f64::INFINITY
+                } else {
+                    lb + width
+                };
+                let obj = quarters(rng.gen_range(-5.0f64..5.0));
+                m.add_var(lb, ub, obj)
+            })
+            .collect();
+        for _ in 0..rng.gen_range(1usize..4) {
+            let coeffs: Vec<f64> = (0..n)
+                .map(|_| quarters(rng.gen_range(-3.0f64..3.0)))
+                .collect();
+            let sense = match rng.gen_range(0u32..4) {
+                0 | 1 => Sense::Le,
+                2 => Sense::Ge,
+                _ => Sense::Eq,
+            };
+            let rhs = quarters(rng.gen_range(-6.0f64..10.0));
+            m.add_constraint(vars.iter().zip(&coeffs).map(|(&v, &c)| (v, c)), sense, rhs);
+        }
+        m
     }
 
+    /// 192 random bounded LPs: the sparse engine behind [`Model::solve_lp`]
+    /// and this tableau must report the same status, and equal objectives
+    /// at optimality.
     #[test]
-    fn warm_restart_raised_lower_bound() {
-        // MDFC shape again: min 3a + b + 2c, a+b+c = 4, all in [0,2].
-        // Optimal has a = 0; force a >= 1 and re-optimize warm.
-        let p = lp(
-            vec![3.0, 1.0, 2.0],
-            vec![(vec![1.0, 1.0, 1.0], true, 4.0)],
-            vec![2.0, 2.0, 2.0],
-        );
-        let (root, warm) = solve_with_warm(&p);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let mut tab = warm.expect("warm");
-        assert!(tab.apply_var_bounds(0, 1.0, 2.0));
-        let sol = tab.dual_solve().expect("dual solve");
-        assert_eq!(sol.status, LpStatus::Optimal);
-        // a=1 forced; remaining 3 split b=2, c=1: obj 3 + 2 + 2 = 7.
-        assert!((sol.objective - 7.0).abs() < 1e-6, "obj {}", sol.objective);
-        assert!((sol.values[0] - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn warm_restart_detects_infeasible_child() {
-        // x + y = 4 with x, y in [0, 2]: forcing x = 0 leaves y = 4 > 2.
-        let p = lp(
-            vec![1.0, 1.0],
-            vec![(vec![1.0, 1.0], true, 4.0)],
-            vec![2.0, 2.0],
-        );
-        let (root, warm) = solve_with_warm(&p);
-        assert_eq!(root.status, LpStatus::Optimal);
-        let mut tab = warm.expect("warm");
-        assert!(tab.apply_var_bounds(0, 0.0, 0.0));
-        let sol = tab.dual_solve().expect("dual path");
-        assert_eq!(sol.status, LpStatus::Infeasible);
-    }
-
-    #[test]
-    fn warm_restart_empty_interval_rejected() {
-        let p = lp(vec![1.0], vec![], vec![5.0]);
-        let (_, warm) = solve_with_warm(&p);
-        let mut tab = warm.expect("warm");
-        assert!(!tab.apply_var_bounds(0, 3.0, 2.0));
+    fn sparse_lp_objectives_agree_with_the_dense_oracle() {
+        let mut rng = StdRng::seed_from_u64(0xEAE_0001);
+        for case in 0..192 {
+            let model = rand_lp(&mut rng);
+            match (model.solve_lp(), lp_objective(&model)) {
+                (Ok(s), Ok(d)) => {
+                    let tol = 1e-6 * (1.0 + d.abs());
+                    assert!(
+                        (s.objective - d).abs() <= tol,
+                        "case {case}: sparse {} vs dense {d}",
+                        s.objective
+                    );
+                }
+                (Err(se), Err(de)) => {
+                    assert_eq!(se, de, "case {case}: sparse err vs dense err");
+                }
+                (s, d) => panic!("case {case}: sparse {s:?} vs dense {d:?}"),
+            }
+        }
     }
 }

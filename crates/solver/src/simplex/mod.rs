@@ -1,17 +1,9 @@
-//! LP engines and their shared status/solution types.
-//!
-//! Two backends implement the same solve/warm-start/dual-re-optimize
-//! contract:
-//!
-//! - [`crate::sparse`] — the default sparse revised simplex with an
-//!   LU-factored basis, native bounds and two-phase feasibility;
-//! - [`dense_reference`] — the original dense bounded-variable Big-M
-//!   tableau, kept as the oracle for equivalence suites and as the
-//!   [`crate::model::SolverBackend::DenseReference`] escape hatch.
+//! LP status and solution types shared by the sparse engine
+//! ([`crate::sparse`]) and the dense tableau oracle that tests check it
+//! against (`dense_reference`, compiled only under `cfg(test)`).
 
+#[cfg(test)]
 pub(crate) mod dense_reference;
-
-pub(crate) use dense_reference::{solve_standard, solve_with_warm, Tableau};
 
 /// Feasibility/boundedness status of an LP solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,36 +18,16 @@ pub enum LpStatus {
     IterationLimit,
 }
 
-/// A linear program in dense computational standard form (the
-/// [`dense_reference`] input; the sparse backend builds its own form
-/// directly from the model).
-#[derive(Debug, Clone)]
-pub struct StandardLp {
-    /// Number of structural variables (excluding slacks/artificials).
-    pub n_structural: usize,
-    /// Objective coefficients (minimization), length `n_structural`.
-    pub costs: Vec<f64>,
-    /// Dense constraint rows over structural variables.
-    pub rows: Vec<Vec<f64>>,
-    /// Row senses normalized to `<=` (false) or `=` (true); `>=` rows are
-    /// pre-negated by the caller.
-    pub eq: Vec<bool>,
-    /// Right-hand sides, one per row.
-    pub rhs: Vec<f64>,
-    /// Upper bounds per structural variable (may be `f64::INFINITY`).
-    pub upper: Vec<f64>,
-}
-
-/// Result of an LP solve (either backend).
+/// Result of an LP solve.
 #[derive(Debug, Clone)]
 #[must_use = "an LP solve is expensive; dropping the solution discards it"]
 pub struct LpSolution {
     /// Solve status; values/objective are meaningful only for
     /// [`LpStatus::Optimal`].
     pub status: LpStatus,
-    /// Values of the structural variables. The dense backend reports them
-    /// in shifted (lower-bound-relative) space; the sparse backend reports
-    /// model space directly.
+    /// Values of the structural variables. The sparse engine reports them
+    /// in model space; the dense oracle reports them relative to each
+    /// variable's lower bound.
     pub values: Vec<f64>,
     /// Objective value (minimization sense).
     pub objective: f64,

@@ -1,7 +1,8 @@
 //! Sparse revised simplex with bounded variables and an LU-factored basis.
 //!
-//! This is the default LP engine. Compared to the dense tableau oracle in
-//! [`crate::simplex::dense_reference`]:
+//! This is the solver's only LP engine. Compared to the dense tableau
+//! oracle its tests check it against (`simplex::dense_reference`, built
+//! only under `cfg(test)`):
 //!
 //! - **Columns are sparse** `(row, value)` vectors in CSC layout; the
 //!   work per iteration scales with the nonzeros touched, not with
@@ -202,8 +203,7 @@ fn col_dot(lp: &SparseLp, arts: &[(usize, f64)], j: usize, y: &[f64]) -> f64 {
 /// Sparse revised simplex state. A solved instance doubles as the
 /// warm-start state for branch-and-bound: [`SparseSimplex::apply_var_bounds`]
 /// tightens a structural variable in model space and
-/// [`SparseSimplex::dual_solve`] re-optimizes from the current basis,
-/// mirroring the dense `Tableau` contract.
+/// [`SparseSimplex::dual_solve`] re-optimizes from the current basis.
 #[derive(Debug, Clone)]
 pub(crate) struct SparseSimplex {
     lp: Rc<SparseLp>,
@@ -778,8 +778,7 @@ impl SparseSimplex {
     /// Re-optimizes with the bounded dual simplex after
     /// [`SparseSimplex::apply_var_bounds`]. Returns `None` on numerical
     /// trouble (the caller falls back to a cold solve); otherwise a
-    /// solution with status `Optimal` or `Infeasible` — the same contract
-    /// as the dense `Tableau::dual_solve`.
+    /// solution with status `Optimal` or `Infeasible`.
     pub(crate) fn dual_solve(&mut self) -> Option<LpSolution> {
         let feas_tol = 1e-7 * self.lp.scale;
         let total = self.total_cols();

@@ -40,6 +40,19 @@ tables_before=$(cksum results/table1.csv results/table2.csv)
 [ "$(cksum results/table1.csv results/table2.csv)" = "$tables_before" ] ||
   { echo "a --smoke run rewrote results/table{1,2}.csv"; exit 1; }
 
+# Ablation and extension reruns: the three ablations and ext_budgets take
+# about a second together, carry no timing column and are deterministic,
+# so a rerun must rewrite their committed CSVs byte for byte. ext_budgets
+# is also the only caller that runs branch-and-bound with a non-default
+# node limit.
+echo "==> ablation/extension CSVs reproduce (ext_budgets, ablation_*)"
+for bin in ext_budgets ablation_slackdef ablation_granularity ablation_greedy_bound; do
+  "./target/release/$bin" >/dev/null
+done
+git diff --exit-code -- results/ext_budgets.csv results/ablation_slackdef.csv \
+  results/ablation_granularity.csv results/ablation_greedy_bound.csv ||
+  { echo "a rerun changed a committed ablation/extension CSV"; exit 1; }
+
 # Benchmark gate. perfbench is a separate cargo package that drives the
 # crates through their public API; it must build from this checkout and
 # its smoke run (tiny inputs, every workload, traced and untraced, ~7 s)
