@@ -261,7 +261,7 @@ impl FillMethod for BudgetedIlpTwo {
                 Err(
                     pilfill_solver::SolveError::Infeasible
                     | pilfill_solver::SolveError::NodeLimit
-                    | pilfill_solver::SolveError::IterationLimit,
+                    | pilfill_solver::SolveError::IterationLimit { .. },
                 ) => continue,
                 Err(e) => return Err(e.into()),
             };

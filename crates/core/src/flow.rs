@@ -20,6 +20,7 @@ use pilfill_prng::rngs::StdRng;
 use pilfill_prng::SeedableRng;
 use std::borrow::Cow;
 use std::ops::Range;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one flow run.
@@ -914,10 +915,10 @@ impl<'d> FlowContext<'d> {
     /// Merges per-tile assignments into features, density and impact. With
     /// a pool, the delay evaluation shards its per-column work across the
     /// lanes (same result — the accumulator fold order is fixed).
-    fn assemble(
+    fn assemble<C: AsRef<[u32]>>(
         &self,
         method_name: &'static str,
-        per_tile: Vec<(usize, Vec<u32>, Duration)>,
+        per_tile: Vec<(usize, C, Duration)>,
         pool: Option<&WorkerPool>,
     ) -> Result<FlowOutcome, FlowError> {
         let design: &Design = &self.frame_design;
@@ -930,12 +931,13 @@ impl<'d> FlowContext<'d> {
         let mut area_deltas = Vec::with_capacity(per_tile.len());
 
         for (i, counts, elapsed) in per_tile {
+            let counts = counts.as_ref();
             let problem = &self.problems[i];
             let want = self.budget.features(problem.cell) as u64;
             let tile_placed: u64 = counts.iter().map(|&m| m as u64).sum();
             shortfall += want.saturating_sub(tile_placed);
             solve_time += elapsed;
-            for (col, &m) in problem.columns.iter().zip(&counts) {
+            for (col, &m) in problem.columns.iter().zip(counts) {
                 for slot in col.slots.iter().take(units::index(i64::from(m))) {
                     features.push(FillFeature {
                         x: col.feature_x,
@@ -1097,6 +1099,22 @@ pub fn run_flow_streamed<'d>(
     run_flow_streamed_impl(design, config, method, pool, pool_is_parallel(pool))
 }
 
+/// One tile-grid column of the streamed pipeline: its tile problems and
+/// the slots their solves write into.
+///
+/// The producer allocates the slots along with the problems, and a lane
+/// copies each tile's counts in and drops the method's `Vec` at once, so
+/// nothing a worker lane allocates outlives the tile it solves. Results
+/// that lived on the lanes until the job ended kept glibc's per-thread
+/// arenas from trimming and inflated peak RSS.
+struct StreamSlab {
+    problems: Vec<TileProblem>,
+    /// Every tile's per-column counts, tile after tile.
+    counts: Vec<AtomicU32>,
+    /// Every tile's solve time in nanoseconds.
+    nanos: Vec<AtomicU64>,
+}
+
 /// The body of [`run_flow_streamed`]; `parallel` selects the
 /// producer/consumer gate over the fused serial loop (tests pass
 /// `pool.lanes() > 1` to drive the gate on any host).
@@ -1118,22 +1136,40 @@ fn run_flow_streamed_impl<'d>(
     let (nx, ny) = (grid.nx(), grid.ny());
     let ranges = slab_ranges(&p.columns, &p.dissection, p.frame_design.rules);
 
-    type TileResult = Result<(Vec<u32>, Duration), MethodError>;
-    let solve_tile = |problem: &TileProblem| -> TileResult {
-        solve_one_tile(problem, &p.budget, config, method)
-    };
-    let build_slab = |ix: usize| -> Vec<TileProblem> {
-        build_slab_problems(
+    let build_slab = |ix: usize| -> StreamSlab {
+        let problems = build_slab_problems(
             &p.lines,
             &p.columns[ranges[ix].clone()],
             &p.dissection,
             &p.frame_design.tech,
             p.frame_design.rules,
             ix,
-        )
+        );
+        let columns = problems.iter().map(|t| t.columns.len()).sum();
+        StreamSlab {
+            counts: (0..columns).map(|_| AtomicU32::new(0)).collect(),
+            nanos: (0..problems.len()).map(|_| AtomicU64::new(0)).collect(),
+            problems,
+        }
     };
-    let solve_slab = |_ix: usize, slab: &Vec<TileProblem>| -> Vec<TileResult> {
-        slab.iter().map(solve_tile).collect()
+    // Solves a slab's tiles into its slots, stopping at the first failure
+    // (later tiles of the slab come after it in row-major order too).
+    let solve_slab = |_ix: usize, slab: &StreamSlab| -> Result<(), (usize, MethodError)> {
+        let mut offset = 0;
+        for (iy, (problem, nanos)) in slab.problems.iter().zip(&slab.nanos).enumerate() {
+            let (counts, elapsed) =
+                solve_one_tile(problem, &p.budget, config, method).map_err(|e| (iy, e))?;
+            let slots = &slab.counts[offset..offset + counts.len()];
+            offset += counts.len();
+            for (slot, count) in slots.iter().zip(counts) {
+                slot.store(count, Ordering::Relaxed);
+            }
+            nanos.store(
+                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
+                Ordering::Relaxed,
+            );
+        }
+        Ok(())
     };
 
     let (slabs, results) = if parallel {
@@ -1150,22 +1186,39 @@ fn run_flow_streamed_impl<'d>(
         }
         (slabs, results)
     };
+    // The first failing tile in row-major order is the one a serial run
+    // reports.
+    let failure = results
+        .into_iter()
+        .enumerate()
+        .filter_map(|(ix, r)| r.err().map(|(iy, e)| ((iy, ix), e)))
+        .min_by_key(|&(at, _)| at);
+    if let Some((_, e)) = failure {
+        return Err(e.into());
+    }
 
     // Fold slabs (column-major) into the row-major tile order; the fixed
     // fold order is what makes the outcome bit-identical to the serial
-    // build + run at any lane count.
+    // build + run at any lane count. The job has ended (the pool joined
+    // every lane), so the slots hold every lane's stores.
+    let mut slab_iters = Vec::with_capacity(nx);
+    let mut slab_counts: Vec<Vec<u32>> = Vec::with_capacity(nx);
+    for slab in slabs {
+        slab_iters.push(slab.problems.into_iter().zip(slab.nanos));
+        slab_counts.push(slab.counts.into_iter().map(AtomicU32::into_inner).collect());
+    }
+    let mut offsets = vec![0usize; nx];
     let mut problems = Vec::with_capacity(nx * ny);
     let mut per_tile = Vec::with_capacity(nx * ny);
-    let mut slab_iters: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
-    let mut result_iters: Vec<_> = results.into_iter().map(Vec::into_iter).collect();
     for iy in 0..ny {
         for ix in 0..nx {
             // Every slab holds exactly `ny` tiles (build_slab_problems).
             // pilfill: allow(unwrap)
-            let problem = slab_iters[ix].next().expect("slab tile count");
-            // pilfill: allow(unwrap)
-            let (counts, elapsed) = result_iters[ix].next().expect("slab result count")?;
-            per_tile.push((iy * nx + ix, counts, elapsed));
+            let (problem, nanos) = slab_iters[ix].next().expect("slab tile count");
+            let span = offsets[ix]..offsets[ix] + problem.columns.len();
+            offsets[ix] = span.end;
+            let elapsed = Duration::from_nanos(nanos.into_inner());
+            per_tile.push((iy * nx + ix, &slab_counts[ix][span], elapsed));
             problems.push(problem);
         }
     }

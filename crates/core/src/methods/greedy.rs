@@ -31,13 +31,16 @@ impl FillMethod for GreedyFill {
         // Line 13 of Figure 8: sort by full-capacity delay alpha * Cap(C_k).
         // Each column is scored once. The index breaks ties, so no two
         // entries compare equal and an unstable sort gives the one order.
-        let mut order: Vec<(f64, usize)> = problem
-            .columns
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.capacity() > 0)
-            .map(|(i, c)| (c.cost_exact(c.capacity(), weighted), i))
-            .collect();
+        // Sized up front: a filtered collect would regrow it.
+        let mut order: Vec<(f64, usize)> = Vec::with_capacity(problem.columns.len());
+        order.extend(
+            problem
+                .columns
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.capacity() > 0)
+                .map(|(i, c)| (c.cost_exact(c.capacity(), weighted), i)),
+        );
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         // Lines 15-19: fill whole columns until the budget is met.
         let mut left = budget;

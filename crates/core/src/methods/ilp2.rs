@@ -25,32 +25,46 @@
 //! beats the cutoff the greedy counts are returned as-is (optimal to
 //! within the pruning tolerance).
 //!
-//! **Root bound by selection.** Most tiles end right there: the root
-//! relaxation cannot beat the greedy cutoff, the search prunes the root
-//! and reports [`SolveError::Cutoff`]. Under the incremental encoding
-//! that root relaxation is one unit-coefficient row over `[0, 1]`
-//! binaries plus a zero-cost free aggregate, so with nonnegative
-//! marginals its optimum is closed-form: the free aggregate takes
-//! `min(F, free_cap)` features and the `need = F - min(F, free_cap)`
-//! smallest marginals take the rest. A selection
-//! (`select_nth_unstable_by`) finds that sum without a sort. When it
-//! clears the search's own pruning test — `bound >= cutoff - gap_tol` —
-//! by a margin `delta` that covers the summation round-off, the search
-//! would prune its root too, so the greedy counts are returned without
-//! building the model. Any simplex objective at a feasible vertex is at
-//! least the true optimum (less round-off), so a tile the pre-check
-//! decides is a tile the search would have cut off, and the counts are
-//! the same by construction. Every other tile — a bound below the cutoff,
-//! a non-convex table, no costed binary, or a negative marginal — is
-//! solved as before, and its counts still come from the simplex. Only the
-//! reported [`BranchBoundStats`] differ: a pre-checked tile reports no
+//! **Root relaxation by selection.** Under the incremental encoding the
+//! root relaxation is one unit-coefficient row over `[0, 1]` binaries plus
+//! a zero-cost free aggregate, so with nonnegative marginals its optimum
+//! is closed-form: the free aggregate takes `min(F, free_cap)` features
+//! and the `need = F - min(F, free_cap)` smallest marginals take the rest.
+//! A selection (`select_nth_unstable_by`) finds that sum and the
+//! `(need + 1)`-th marginal without a sort, and gives one of three
+//! answers:
+//!
+//! - *prune*: the sum clears the search's own pruning test — `bound >=
+//!   cutoff - gap_tol` — by a margin `delta` that covers the summation
+//!   round-off. The search would prune its root and report
+//!   [`SolveError::Cutoff`], so the greedy counts are returned without
+//!   building the model. Any simplex objective at a feasible vertex is at
+//!   least the true optimum (less round-off), so this is a tile the search
+//!   would have cut off.
+//! - *unique*: the sum is below the pruning level by `delta` and the
+//!   `(need + 1)`-th marginal exceeds the `need`-th by more than
+//!   [`UNIT_ROW_TIE_MARGIN`]. Then the selection is the relaxation's only
+//!   optimum and the simplex returns exactly it (see the margin's docs);
+//!   it is integral, so the search takes it as its incumbent at the root.
+//!   Each costed column takes its marginals at or below the threshold, and
+//!   the free aggregate goes first-fit over the free columns in index
+//!   order, as the search's counts are extracted.
+//! - *search*: anything else — a near tie, a bound within `delta` of the
+//!   pruning level, a non-convex table or a negative marginal — builds the
+//!   model and runs branch-and-bound, so its counts still come from the
+//!   simplex.
+//!
+//! The counts are the search's in every case; only the reported
+//! [`BranchBoundStats`] differ, since a tile decided by selection runs no
 //! search.
 
 use super::{check_budget, FillMethod, GreedyFill, MethodError};
 use crate::{TileColumn, TileProblem};
 use pilfill_geom::units;
 use pilfill_prng::rngs::StdRng;
-use pilfill_solver::{BranchBoundStats, MilpOptions, Model, Objective, Sense, SolveError, VarId};
+use pilfill_solver::{
+    BranchBoundStats, MilpOptions, Model, Objective, Sense, SolveError, VarId, UNIT_ROW_TIE_MARGIN,
+};
 
 /// The Section-5.3 lookup-table ILP.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -78,8 +92,8 @@ impl IlpTwo {
     /// search statistics (nodes, pivots, LU refactorizations) — the
     /// benchmark harness records these as solver-effort observability
     /// counters. Stats are reported even when the greedy incumbent
-    /// survives the cutoff search; a tile the root-bound pre-check decides
-    /// runs no search and reports zero stats.
+    /// survives the cutoff search; a tile the root selection decides runs
+    /// no search and reports zero stats.
     ///
     /// # Errors
     ///
@@ -96,15 +110,19 @@ impl IlpTwo {
             return Ok((vec![0; problem.columns.len()], BranchBoundStats::default()));
         }
         let costs = TileCosts::new(problem, weighted);
-        let (greedy_counts, cutoff) = costs.greedy_incumbent(problem, budget, rng)?;
+        let (mut counts, cutoff) = costs.greedy_incumbent(problem, budget, rng)?;
         let options = MilpOptions {
             cutoff: Some(cutoff),
             ..MilpOptions::default()
         };
-        if costs.root_bound_prunes(budget, cutoff - options.gap_tol) {
-            return Ok((greedy_counts, BranchBoundStats::default()));
+        match costs.root_selection(budget, cutoff - options.gap_tol) {
+            RootSelection::Prunes => Ok((counts, BranchBoundStats::default())),
+            RootSelection::Unique { threshold } => {
+                costs.selected_counts(problem, budget, threshold, &mut counts);
+                Ok((counts, BranchBoundStats::default()))
+            }
+            RootSelection::Search => costs.branch_and_bound(problem, budget, counts, &options),
         }
-        costs.branch_and_bound(problem, budget, greedy_counts, &options)
     }
 }
 
@@ -117,9 +135,26 @@ fn is_free(c: &TileColumn, weighted: bool) -> bool {
     c.table.is_none() || c.alpha(weighted) == 0.0
 }
 
-/// The per-tile data both the root-bound pre-check and the model build
-/// read: the free aggregate's capacity, the objective scale and every
-/// costed column's scaled marginal costs.
+/// What the root relaxation, solved by selection, says about a tile.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum RootSelection {
+    /// The relaxation cannot beat the greedy cutoff: the search would
+    /// prune its root, so the greedy counts stand.
+    Prunes,
+    /// The relaxation's optimum is unique, integral and clearly below the
+    /// pruning level: the search would return it from its root. A costed
+    /// column's count is its number of marginals at or below `threshold`.
+    Unique {
+        /// The `need`-th smallest marginal (0 when `need` is 0).
+        threshold: f64,
+    },
+    /// Neither is certain: run branch-and-bound.
+    Search,
+}
+
+/// The per-tile data the root selection and the model build both read:
+/// the free aggregate's capacity, the objective scale and every costed
+/// column's scaled marginal costs.
 struct TileCosts {
     weighted: bool,
     /// Summed capacity of the free columns.
@@ -127,9 +162,10 @@ struct TileCosts {
     /// Objective scale: the largest full-column cost (costs are in
     /// ohm*farad ~ 1e-18).
     scale: f64,
-    /// Per column, the scaled marginals `m_n = (f(n) - f(n-1)) / scale`
-    /// for n = 1..=C_k; `None` for free columns.
-    marginals: Vec<Option<Vec<f64>>>,
+    /// The scaled marginals `m_n = (f(n) - f(n-1)) / scale`, n = 1..=C_k,
+    /// of every costed column in column order ([`TileCosts::per_column`]
+    /// splits them back up).
+    marginals: Vec<f64>,
     /// Every costed column's marginals are nondecreasing (within
     /// round-off), so the incremental encoding is exact.
     convex: bool,
@@ -159,28 +195,25 @@ impl TileCosts {
             .fold(0.0f64, f64::max);
         let scale = if max_cost > 0.0 { max_cost } else { 1.0 };
 
-        // The incremental encoding is exact iff the marginals are
-        // nondecreasing within every column (convexity).
-        let marginals: Vec<Option<Vec<f64>>> = problem
-            .columns
-            .iter()
-            .map(|col| {
-                let table = col.table.as_ref().filter(|_| !is_free(col, weighted))?;
-                let alpha = col.alpha(weighted);
-                Some(
-                    (1..=col.capacity())
-                        .map(|n| alpha * table.marginal(n) / scale)
-                        .collect(),
-                )
-            })
-            .collect();
+        // The costed columns hold the capacity the free ones do not.
+        let mut marginals =
+            Vec::with_capacity(usize::try_from(problem.capacity() - free_cap).unwrap_or(0));
         // Tolerance in scaled space (all costs are in [0, 1] there): a
         // marginal may dip below its predecessor by round-off without
         // breaking the exchange argument in any measurable way.
         const CONVEX_EPS: f64 = 1e-12;
-        let convex = marginals.iter().flatten().all(|ms| {
-            ms.windows(2).all(|w| w[1] + CONVEX_EPS >= w[0]) && ms.iter().all(|&m| m >= -CONVEX_EPS)
-        });
+        // The incremental encoding is exact iff the marginals are
+        // nondecreasing within every column (convexity).
+        let mut convex = true;
+        for col in problem.columns.iter().filter(|c| !is_free(c, weighted)) {
+            let alpha = col.alpha(weighted);
+            let Some(table) = &col.table else { continue };
+            let start = marginals.len();
+            marginals.extend((1..=col.capacity()).map(|n| alpha * table.marginal(n) / scale));
+            let ms = &marginals[start..];
+            convex &= ms.windows(2).all(|w| w[1] + CONVEX_EPS >= w[0])
+                && ms.iter().all(|&m| m >= -CONVEX_EPS);
+        }
         Self {
             weighted,
             free_cap,
@@ -188,6 +221,22 @@ impl TileCosts {
             marginals,
             convex,
         }
+    }
+
+    /// Per column, its scaled marginals; `None` for free columns.
+    fn per_column<'a>(
+        &'a self,
+        problem: &'a TileProblem,
+    ) -> impl Iterator<Item = Option<&'a [f64]>> + 'a {
+        let mut rest = self.marginals.as_slice();
+        problem.columns.iter().map(move |col| {
+            if is_free(col, self.weighted) {
+                return None;
+            }
+            let (ms, tail) = rest.split_at(units::index(col.capacity().into()));
+            rest = tail;
+            Some(ms)
+        })
     }
 
     /// The greedy warm start and its scaled cost, the search's cutoff.
@@ -207,42 +256,85 @@ impl TileCosts {
         Ok((counts, cost))
     }
 
-    /// `true` when the root relaxation of the compact model provably
-    /// cannot go below `level` — the search's pruning level `cutoff -
-    /// gap_tol` — so branch-and-bound would prune its root and return
-    /// [`SolveError::Cutoff`].
+    /// Solves the compact model's root relaxation by selection and says
+    /// what branch-and-bound would do with it, given the search's pruning
+    /// level `level = cutoff - gap_tol`.
     ///
     /// Applies only to the incremental encoding with nonnegative
-    /// marginals and at least one binary; every other tile answers
-    /// `false` and takes the full search. With nonnegative marginals the
+    /// marginals; every other tile answers [`RootSelection::Search`]. The
     /// relaxation's optimum is the sum of the `need` smallest marginals
-    /// (see the module docs). The margin `delta` bounds the difference
+    /// (see the module docs); the margin `delta` bounds the difference
     /// between this sum and the simplex's objective, which are the same
-    /// quantity summed in different orders.
-    fn root_bound_prunes(&self, budget: u32, level: f64) -> bool {
+    /// quantity summed in different orders. The optimum is unique when
+    /// the `(need + 1)`-th smallest marginal clears the `need`-th (or,
+    /// for `need = 0`, the free aggregate's zero cost) by
+    /// [`UNIT_ROW_TIE_MARGIN`].
+    fn root_selection(&self, budget: u32, level: f64) -> RootSelection {
         if !self.convex {
-            return false;
+            return RootSelection::Search;
         }
-        let mut sel: Vec<f64> = self.marginals.iter().flatten().flatten().copied().collect();
-        if sel.is_empty() || !sel.iter().all(|&m| m >= 0.0) {
-            return false;
+        let mut sel = self.marginals.clone();
+        if !sel.iter().all(|&m| m >= 0.0) {
+            return RootSelection::Search;
         }
         // The free aggregate takes what it can; the binaries take the rest.
         let Ok(need) = usize::try_from(u64::from(budget).saturating_sub(self.free_cap)) else {
-            return false;
+            return RootSelection::Search;
         };
         // `check_budget` caps the budget at the tile capacity, so the
         // costed columns always hold `need` features.
         debug_assert!(need <= sel.len());
         let delta = 1e-12 * (1.0 + sel.iter().sum::<f64>());
-        let bound = match need.checked_sub(1) {
-            None => 0.0,
+        let min = |ms: &[f64]| ms.iter().copied().fold(f64::INFINITY, f64::min);
+        let (bound, threshold, next) = match need.checked_sub(1) {
+            None => (0.0, 0.0, min(&sel)),
             Some(last) => {
-                let (smallest, nth, _) = sel.select_nth_unstable_by(last, f64::total_cmp);
-                smallest.iter().sum::<f64>() + *nth
+                let (smallest, nth, larger) = sel.select_nth_unstable_by(last, f64::total_cmp);
+                (smallest.iter().sum::<f64>() + *nth, *nth, min(larger))
             }
         };
-        bound >= level + delta
+        if bound >= level + delta {
+            RootSelection::Prunes
+        } else if bound < level - delta && next - threshold > UNIT_ROW_TIE_MARGIN {
+            RootSelection::Unique { threshold }
+        } else {
+            RootSelection::Search
+        }
+    }
+
+    /// Writes the [`RootSelection::Unique`] optimum into `counts`: each
+    /// costed column takes its marginals at or below `threshold`, and the
+    /// free aggregate `min(budget, free_cap)` goes first-fit over the free
+    /// columns in index order, as [`TileCosts::branch_and_bound`]
+    /// distributes it.
+    fn selected_counts(
+        &self,
+        problem: &TileProblem,
+        budget: u32,
+        threshold: f64,
+        counts: &mut [u32],
+    ) {
+        let mut free_left = u64::from(budget).min(self.free_cap);
+        for ((count, col), ms) in counts
+            .iter_mut()
+            .zip(&problem.columns)
+            .zip(self.per_column(problem))
+        {
+            *count = match ms {
+                Some(ms) => {
+                    units::saturating_count(ms.iter().filter(|&&m| m <= threshold).count() as u64)
+                }
+                None => {
+                    let take = units::saturating_count(u64::from(col.capacity()).min(free_left));
+                    free_left -= u64::from(take);
+                    take
+                }
+            };
+        }
+        debug_assert_eq!(
+            counts.iter().map(|&c| u64::from(c)).sum::<u64>(),
+            u64::from(budget)
+        );
     }
 
     /// Builds the model and runs branch-and-bound from the greedy
@@ -258,7 +350,7 @@ impl TileCosts {
         let mut model = Model::new(Objective::Minimize);
         let mut vars: Vec<Option<Vec<VarId>>> = Vec::with_capacity(problem.columns.len());
         let mut budget_terms: Vec<(VarId, f64)> = Vec::new();
-        for (col, ms) in problem.columns.iter().zip(&self.marginals) {
+        for (col, ms) in problem.columns.iter().zip(self.per_column(problem)) {
             let Some(ms) = ms else {
                 vars.push(None);
                 continue;
@@ -467,21 +559,23 @@ mod tests {
         assert_eq!(counts, vec![0, 4]);
     }
 
-    /// Root-bound pre-check against the search it skips: on every tile and
-    /// budget the suite tries, `place_with_stats` must return the counts of
-    /// the branch-and-bound path run without the pre-check, and the
-    /// pre-check must fire exactly where that search prunes its root and
-    /// returns `Cutoff`.
-    mod root_bound {
+    /// Root selection against the search it skips: on every tile and
+    /// budget the suites try, `place_with_stats` must return the counts of
+    /// the branch-and-bound path run without the selection; the selection
+    /// must answer `Prunes` exactly where that search keeps the greedy
+    /// counts, and `Unique` only where it takes its incumbent at the root.
+    mod root_selection {
         use super::*;
         use crate::flow::{FlowConfig, FlowContext};
+        use crate::methods::testutil::for_each_paper_table_tile;
         use crate::SlackColumnDef;
         use pilfill_layout::synth::{synthesize, SynthConfig};
 
-        /// Tallies of the tiles checked.
+        /// Tallies of the answers.
         #[derive(Debug, Default)]
         struct Tally {
-            fired: usize,
+            pruned: usize,
+            unique: usize,
             searched: usize,
         }
 
@@ -494,7 +588,7 @@ mod tests {
                 return;
             }
             // The search path exactly as `place_with_stats` takes it, minus
-            // the pre-check.
+            // the selection.
             let costs = TileCosts::new(problem, weighted);
             let (greedy, cutoff) = costs
                 .greedy_incumbent(problem, budget, &mut rng())
@@ -503,28 +597,41 @@ mod tests {
                 cutoff: Some(cutoff),
                 ..MilpOptions::default()
             };
-            let fired = costs.root_bound_prunes(budget, cutoff - options.gap_tol);
+            let answer = costs.root_selection(budget, cutoff - options.gap_tol);
             let (want, search) = costs
                 .branch_and_bound(problem, budget, greedy, &options)
                 .expect("search");
             let context = || {
                 format!(
-                    "budget {budget} weighted {weighted} fired {fired} search {search:?} \
+                    "budget {budget} weighted {weighted} answer {answer:?} search {search:?} \
                      tile {:?}",
                     problem.cell
                 )
             };
             assert_eq!(counts, want, "counts differ: {}", context());
-            // A search that ran and found no incumbent returned `Cutoff`;
-            // one that pruned its only node did so at the root.
-            let root_cutoff = search.nodes == 1 && search.incumbents == 0;
-            assert_eq!(fired, root_cutoff, "pre-check vs search: {}", context());
-            if fired {
-                assert_eq!(stats, BranchBoundStats::default(), "{}", context());
-                tally.fired += 1;
-            } else {
-                assert_eq!(stats, search, "{}", context());
-                tally.searched += 1;
+            // The search kept greedy if it found no incumbent at its only
+            // node, or if the tile has no binary and only the LP ran.
+            let kept_greedy = search.incumbents == 0 && search.nodes <= 1;
+            assert_eq!(
+                answer == RootSelection::Prunes,
+                kept_greedy,
+                "prune vs search: {}",
+                context()
+            );
+            match answer {
+                RootSelection::Prunes => {
+                    assert_eq!(stats, BranchBoundStats::default(), "{}", context());
+                    tally.pruned += 1;
+                }
+                RootSelection::Unique { .. } => {
+                    assert_eq!((search.nodes, search.incumbents), (1, 1), "{}", context());
+                    assert_eq!(stats, BranchBoundStats::default(), "{}", context());
+                    tally.unique += 1;
+                }
+                RootSelection::Search => {
+                    assert_eq!(stats, search, "{}", context());
+                    tally.searched += 1;
+                }
             }
         }
 
@@ -540,7 +647,20 @@ mod tests {
         }
 
         #[test]
-        fn precheck_matches_the_search_on_seeded_designs() {
+        fn selection_matches_the_search_on_the_paper_tables() {
+            let mut tally = Tally::default();
+            for_each_paper_table_tile(|problem, budget, weighted| {
+                check(problem, budget, weighted, &mut tally);
+            });
+            // Of the tiles the greedy cutoff does not decide, the closed
+            // form decides most; the rest are near ties.
+            let searched = tally.unique + tally.searched;
+            assert!(tally.pruned > 500 && searched > 400, "{tally:?}");
+            assert!(tally.unique * 10 >= searched * 8, "{tally:?}");
+        }
+
+        #[test]
+        fn selection_matches_the_search_on_seeded_designs() {
             let mut tally = Tally::default();
             for seed in [3u64, 11, 29] {
                 let design = synthesize(&SynthConfig::small_test(seed));
@@ -563,23 +683,28 @@ mod tests {
                     }
                 }
             }
-            // Both outcomes are exercised, so neither direction of the
+            // Every answer is exercised, so no direction of the
             // equivalence holds vacuously.
-            assert!(tally.fired > 100, "{tally:?}");
-            assert!(tally.searched > 100, "{tally:?}");
+            assert!(tally.pruned > 100, "{tally:?}");
+            assert!(tally.unique > 100, "{tally:?}");
+            assert!(tally.searched > 10, "{tally:?}");
         }
 
         #[test]
-        fn precheck_matches_the_search_on_synthetic_tiles() {
+        fn selection_matches_the_search_on_synthetic_tiles() {
             let mut tally = Tally::default();
             let tiles = [
                 // Exactly tied duplicate columns: the relaxation has many
-                // optimal vertices, and greedy (whole columns) is optimal
-                // only at some budgets.
+                // optimal vertices, so the selection must leave them to the
+                // search, and greedy (whole columns) is optimal only at
+                // some budgets.
                 synthetic_tile(&[(2_000, 4, 1.0), (2_000, 4, 1.0), (2_000, 4, 1.0)], 0),
                 synthetic_tile(&[(2_000, 4, 1.0), (2_000, 4, 1.0)], 3),
-                // Free-only tiles: no binaries, so the pre-check never
-                // applies and the plain LP path runs.
+                // Near ties: marginals 1e-8 apart, inside the margin.
+                synthetic_tile(&[(2_000, 4, 1.0), (2_000, 4, 1.0 + 1e-8)], 0),
+                synthetic_tile(&[(3_000, 6, 1.0 + 1e-8), (3_000, 6, 1.0), (900, 2, 0.1)], 1),
+                // Free-only tiles: no binaries; greedy's first-fit is the
+                // LP's.
                 synthetic_tile(&[], 5),
                 // Greedy optimal: one costed column behind a free one, and
                 // a cheap wide column ahead of an expensive narrow one.
@@ -604,7 +729,8 @@ mod tests {
                     }
                 }
             }
-            assert!(tally.fired > 10, "{tally:?}");
+            assert!(tally.pruned > 10, "{tally:?}");
+            assert!(tally.unique > 10, "{tally:?}");
             assert!(tally.searched > 10, "{tally:?}");
         }
     }

@@ -149,6 +149,34 @@ pub(crate) mod testutil {
         }
     }
 
+    /// Calls `f(problem, budget, weighted)` for every budgeted tile of
+    /// the paper's Tables 1 and 2: T1 and T2 × W ∈ {32k, 20k} ×
+    /// r ∈ {2, 4, 8} under definition III, each tile at its flow budget,
+    /// once unweighted (Table 1) and once weighted (Table 2).
+    pub fn for_each_paper_table_tile(mut f: impl FnMut(&TileProblem, u32, bool)) {
+        use crate::flow::{FlowConfig, FlowContext};
+        use pilfill_layout::synth::{synthesize, SynthConfig};
+        for design in [
+            synthesize(&SynthConfig::t1()),
+            synthesize(&SynthConfig::t2()),
+        ] {
+            for window in [32_000, 20_000] {
+                for r in [2, 4, 8] {
+                    let config = FlowConfig::new(window, r).expect("config");
+                    let ctx = FlowContext::build(&design, &config).expect("context");
+                    for problem in ctx.problems() {
+                        let cap = u32::try_from(problem.capacity()).unwrap_or(u32::MAX);
+                        let budget = ctx.budget_features(problem.cell).min(cap);
+                        if budget > 0 {
+                            f(problem, budget, false);
+                            f(problem, budget, true);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     pub fn assert_valid_assignment(problem: &TileProblem, counts: &[u32], budget: u32) {
         assert_eq!(counts.len(), problem.columns.len());
         let total: u32 = counts.iter().sum();

@@ -45,3 +45,4 @@ mod sparse;
 pub use milp::{BranchBoundStats, MilpOptions};
 pub use model::{Model, Objective, Sense, Solution, SolveError, VarId};
 pub use simplex::LpStatus;
+pub use sparse::UNIT_ROW_TIE_MARGIN;

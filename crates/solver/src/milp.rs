@@ -97,9 +97,15 @@ enum Relaxed {
 }
 
 impl Relaxed {
-    /// Wraps a sparse solve (in minimization sense) as a model-space
-    /// outcome; `minimize_sign` restores the model's own direction.
-    fn from_lp(sol: LpSolution, warm: Option<Rc<SparseSimplex>>, minimize_sign: f64) -> Self {
+    /// Wraps a sparse solve of `lp` (in minimization sense) as a
+    /// model-space outcome; `minimize_sign` restores the model's own
+    /// direction.
+    fn from_lp(
+        sol: LpSolution,
+        lp: &SparseLp,
+        warm: Option<Rc<SparseSimplex>>,
+        minimize_sign: f64,
+    ) -> Self {
         match sol.status {
             LpStatus::Optimal => Relaxed::Optimal(
                 Solution {
@@ -111,7 +117,7 @@ impl Relaxed {
             ),
             LpStatus::Infeasible => Relaxed::Infeasible,
             LpStatus::Unbounded => Relaxed::Unbounded,
-            LpStatus::IterationLimit => Relaxed::Fatal(SolveError::IterationLimit),
+            LpStatus::IterationLimit => Relaxed::Fatal(lp.iteration_limit(sol.iterations)),
         }
     }
 }
@@ -142,7 +148,7 @@ fn solve_node(
             stats.pivots += sol.iterations;
             stats.warm_solves += 1;
             stats.refactorizations += sim.refactor_count() - refactor0;
-            return Relaxed::from_lp(sol, Some(Rc::new(sim)), minimize_sign);
+            return Relaxed::from_lp(sol, parent.lp(), Some(Rc::new(sim)), minimize_sign);
         }
         // Dual solve bailed out: fall through to cold.
     }
@@ -185,13 +191,15 @@ pub(crate) fn branch_and_bound(
     let Some(work) = model.presolved() else {
         return (Err(SolveError::Infeasible), stats);
     };
-    let (root_sol, root_warm) = sparse::solve_sparse(&Rc::new(SparseLp::build(&work)));
+    let root_lp = Rc::new(SparseLp::build(&work));
+    let (root_sol, root_warm) = sparse::solve_sparse(&root_lp);
     stats.pivots += root_sol.iterations;
     if let Some(sim) = &root_warm {
         stats.refactorizations += sim.refactor_count();
     }
     let mut root_relax = Some(Relaxed::from_lp(
         root_sol,
+        &root_lp,
         root_warm.map(Rc::new),
         minimize_sign,
     ));

@@ -46,8 +46,17 @@ pub enum SolveError {
     Infeasible,
     /// The objective is unbounded in the optimization direction.
     Unbounded,
-    /// The simplex iteration limit was hit (numerical trouble).
-    IterationLimit,
+    /// The simplex iteration limit was hit (numerical trouble). Carries
+    /// the size of the LP that failed, after presolve, and the pivots the
+    /// failed solve made.
+    IterationLimit {
+        /// Constraint rows of the LP.
+        rows: usize,
+        /// Structural columns of the LP.
+        cols: usize,
+        /// Simplex pivots before the solve gave up.
+        pivots: usize,
+    },
     /// Branch-and-bound exhausted its node limit before proving optimality.
     NodeLimit,
     /// Every branch was pruned against [`crate::MilpOptions::cutoff`]: no
@@ -62,7 +71,13 @@ impl std::fmt::Display for SolveError {
         f.write_str(match self {
             SolveError::Infeasible => "model is infeasible",
             SolveError::Unbounded => "model is unbounded",
-            SolveError::IterationLimit => "simplex iteration limit exceeded",
+            SolveError::IterationLimit { rows, cols, pivots } => {
+                return write!(
+                    f,
+                    "simplex iteration limit exceeded after {pivots} pivots \
+                     on an LP of {rows} rows and {cols} columns"
+                );
+            }
             SolveError::NodeLimit => "branch-and-bound node limit exceeded",
             SolveError::Cutoff => "no integer solution beats the cutoff incumbent",
         })
@@ -411,7 +426,7 @@ impl Model {
             }
             LpStatus::Infeasible => Err(SolveError::Infeasible),
             LpStatus::Unbounded => Err(SolveError::Unbounded),
-            LpStatus::IterationLimit => Err(SolveError::IterationLimit),
+            LpStatus::IterationLimit => Err(lp.iteration_limit(sol.iterations)),
         }
     }
 
@@ -473,6 +488,33 @@ mod tests {
         assert!((s.objective - 36.0).abs() < 1e-6);
         assert!((s.value(x) - 2.0).abs() < 1e-6);
         assert!((s.value(y) - 6.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn iteration_limit_names_the_presolved_lp_and_its_pivots() {
+        // Three rows, one of them a singleton that presolve folds into a
+        // bound: the error reports the LP the simplex actually ran.
+        let mut m = Model::new(Objective::Minimize);
+        let x = m.add_var(0.0, 4.0, 1.0);
+        let y = m.add_var(0.0, 4.0, 2.0);
+        let z = m.add_var(0.0, 4.0, 3.0);
+        m.add_constraint(vec![(x, 1.0), (y, 1.0), (z, 1.0)], Sense::Ge, 2.0);
+        m.add_constraint(vec![(x, 1.0), (y, -1.0)], Sense::Le, 1.0);
+        m.add_constraint(vec![(z, 1.0)], Sense::Le, 3.0);
+        let lp = SparseLp::build(&m.presolved().expect("feasible"));
+        let err = lp.iteration_limit(17);
+        assert_eq!(
+            err,
+            SolveError::IterationLimit {
+                rows: 2,
+                cols: 3,
+                pivots: 17
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "simplex iteration limit exceeded after 17 pivots on an LP of 2 rows and 3 columns"
+        );
     }
 
     #[test]

@@ -83,7 +83,11 @@ pub(crate) fn lp_objective(model: &Model) -> Result<f64, SolveError> {
         LpStatus::Optimal => Ok(sign * (sol.objective + offset)),
         LpStatus::Infeasible => Err(SolveError::Infeasible),
         LpStatus::Unbounded => Err(SolveError::Unbounded),
-        LpStatus::IterationLimit => Err(SolveError::IterationLimit),
+        LpStatus::IterationLimit => Err(SolveError::IterationLimit {
+            rows: std_lp.rows.len(),
+            cols: std_lp.n_structural,
+            pivots: sol.iterations,
+        }),
     }
 }
 

@@ -35,13 +35,51 @@
 use std::rc::Rc;
 
 use crate::lu::{Lu, LuError, REFACTOR_INTERVAL};
-use crate::model::Model;
+use crate::model::{Model, SolveError};
 use crate::simplex::{LpSolution, LpStatus};
 use crate::Sense;
 
+/// Reduced-cost optimality tolerance (and bound-width / degeneracy
+/// threshold), absolute, in the model's own cost units.
 const EPS: f64 = 1e-9;
 /// Pivot elements smaller than this are rejected for stability.
 const PIVOT_EPS: f64 = 1e-7;
+/// Dual simplex primal and dual feasibility tolerance per unit of
+/// [`SparseLp::scale`].
+const DUAL_FEAS_TOL: f64 = 1e-7;
+
+/// Cost gap, in a model's own objective units, above which the simplex
+/// answer of a *unit-row program* is the threshold selection.
+///
+/// A unit-row program minimizes `c'x` subject to one equality row
+/// `sum x_j = F` with unit coefficients and box bounds `0 <= x_j <= u_j`
+/// (ILP-I, and ILP-II's incremental encoding, are of this form). Fill the
+/// cheapest variables first to `F`; call a variable *taken* if the fill
+/// gives it a positive value and *open* if it leaves it room. When every
+/// open variable costs more than this margin above every *other* taken
+/// variable, that fill is the program's only optimum, and it is exactly
+/// what the primal simplex returns:
+///
+/// - the basis is the one row, so the dual is one value `y` (the cost of
+///   the basic column, or 0 for a basic logical), and each reduced cost
+///   is `c_j - y`, one rounded subtraction;
+/// - the primal loop stops only when no non-fixed nonbasic column has a
+///   reduced cost past [`EPS`] in its improving direction, so any
+///   variable the simplex answer raises above the fill costs at most
+///   `y + EPS`, and any it lowers below the fill costs at least
+///   `y - EPS`;
+/// - a different answer would need one variable of each kind, with costs
+///   at most `2·EPS` apart, which the margin rules out;
+/// - the root vertex is integral (every nonbasic column rests at an
+///   integral bound, and the basic one takes the integral remainder), so
+///   branch-and-bound stops at the root and never reaches the dual
+///   simplex, and its unit pivot elements never meet [`PIVOT_EPS`].
+///
+/// The proof needs only `2·EPS` plus an ulp; the margin is ten times the
+/// largest tolerance the engine applies at unit scale (`EPS`,
+/// `PIVOT_EPS`, `DUAL_FEAS_TOL`), so it still holds if any of them is
+/// loosened by up to that factor.
+pub const UNIT_ROW_TIE_MARGIN: f64 = 10.0 * EPS.max(PIVOT_EPS).max(DUAL_FEAS_TOL);
 
 /// A linear program in sparse computational form:
 /// `min c'x  s.t.  Ax + l = b,  lo <= (x, l) <= hi`,
@@ -143,6 +181,16 @@ impl SparseLp {
             lower,
             upper,
             scale,
+        }
+    }
+
+    /// The [`SolveError::IterationLimit`] of a failed solve of this LP
+    /// that made `pivots` pivots.
+    pub(crate) fn iteration_limit(&self, pivots: usize) -> SolveError {
+        SolveError::IterationLimit {
+            rows: self.m,
+            cols: self.n,
+            pivots,
         }
     }
 }
@@ -349,6 +397,11 @@ impl SparseSimplex {
             let _ = sim.refactor();
         }
         sim
+    }
+
+    /// The LP this state solves.
+    pub(crate) fn lp(&self) -> &SparseLp {
+        &self.lp
     }
 
     /// Cumulative LU refactorization count.
@@ -780,7 +833,7 @@ impl SparseSimplex {
     /// trouble (the caller falls back to a cold solve); otherwise a
     /// solution with status `Optimal` or `Infeasible`.
     pub(crate) fn dual_solve(&mut self) -> Option<LpSolution> {
-        let feas_tol = 1e-7 * self.lp.scale;
+        let feas_tol = DUAL_FEAS_TOL * self.lp.scale;
         let total = self.total_cols();
         let iter_limit = 100 * (self.lp.m + total).max(50);
         let mut iterations = 0usize;

@@ -85,9 +85,11 @@ RUSTFLAGS="--cfg pilfill_check" CARGO_TARGET_DIR=target/check \
 
 # Serve smoke: the daemon answers a cold upload, a warm by-hash repeat
 # (byte-for-byte identical outcome blob), and a one-net edit riding the
-# cached context through the rebuild path, then shuts down cleanly. A
-# real gate — determinism of the serving layer is an invariant, not a
-# perf number.
+# cached context through the rebuild path, then shuts down cleanly. The
+# cold/warm pair runs for Greedy and for ILP-II (closed-form tile solves
+# plus the branch-and-bound fallback); ILP-II uses another `r`, so its
+# context is built cold. A real gate — determinism of the serving layer
+# is an invariant, not a perf number.
 echo "==> serve smoke (unix socket: cold / warm-repeat / one-net-edit)"
 serve_dir=$(mktemp -d)
 serve_sock="$serve_dir/pilfill-ci.sock"
@@ -97,15 +99,21 @@ serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true; rm -rf "$serve_dir"' EXIT
 request() {
   ./target/release/pilfill request "$serve_dir/smoke.pfl" \
-    --connect "unix:$serve_sock" --window 8000 --r 2 --method greedy "$@"
+    --connect "unix:$serve_sock" --window 8000 "$@"
 }
-out=$(request --dump "$serve_dir/cold.blob")
-echo "$out" | grep -q "status cold" || { echo "expected a cold fill: $out"; exit 1; }
-out=$(request --by-hash --dump "$serve_dir/warm.blob")
-echo "$out" | grep -q "status warm" || { echo "expected a warm fill: $out"; exit 1; }
-cmp "$serve_dir/cold.blob" "$serve_dir/warm.blob" ||
-  { echo "warm reply must match cold byte-for-byte"; exit 1; }
-out=$(request --edit dup-sink:0)
+cold_warm() {
+  local tag=$1
+  shift
+  out=$(request "$@" --dump "$serve_dir/cold-$tag.blob")
+  echo "$out" | grep -q "status cold" || { echo "expected a cold $tag fill: $out"; exit 1; }
+  out=$(request "$@" --by-hash --dump "$serve_dir/warm-$tag.blob")
+  echo "$out" | grep -q "status warm" || { echo "expected a warm $tag fill: $out"; exit 1; }
+  cmp "$serve_dir/cold-$tag.blob" "$serve_dir/warm-$tag.blob" ||
+    { echo "warm $tag reply must match cold byte-for-byte"; exit 1; }
+}
+cold_warm greedy --r 2 --method greedy
+cold_warm ilp2 --r 4 --method ilp2
+out=$(request --r 2 --method greedy --edit dup-sink:0)
 echo "$out" | grep -q "status rebuild-" || { echo "expected a rebuild: $out"; exit 1; }
 ./target/release/pilfill request --connect "unix:$serve_sock" --shutdown |
   grep -q "shutdown acknowledged" || { echo "shutdown not acknowledged"; exit 1; }
