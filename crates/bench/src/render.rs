@@ -30,7 +30,7 @@ pub fn render_rows(rows: &[ExperimentRow], weighted: bool) -> String {
         let cpu = |i: usize| row.methods[i].cpu.as_secs_f64() * 1e3; // ms
         let _ = writeln!(
             out,
-            "{:<10} {:>10} | {:>9.2} | {:>9.2} {:>5.0}ms | {:>9.2} {:>5.0}ms | {:>9.2} {:>5.0}ms",
+            "{:<10} {:>10} | {:>9.2} | {:>9.2} {:>5.2}ms | {:>9.2} {:>5.2}ms | {:>9.2} {:>5.2}ms",
             format!("{}/{}/{}", row.testcase, row.window_label, row.r),
             row.budget,
             tau(0),
@@ -59,7 +59,7 @@ fn csv_text(rows: &[ExperimentRow]) -> String {
         for m in &row.methods {
             let _ = writeln!(
                 out,
-                "{},{},{},{},{},{:.6e},{:.6e},{:.4},{},{},{:.6}",
+                "{},{},{},{},{},{:.6e},{:.6e},{:.6},{},{},{:.6}",
                 row.testcase,
                 row.window_label,
                 row.r,

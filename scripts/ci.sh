@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Full offline CI pass: formatting, lints, repo audit, build, tests,
-# bench smoke, and (when the toolchain provides them) miri + TSan gates.
+# paper-table and ablation reproduction, the perfbench smoke, model
+# checking, serve and DRC smokes, and (when the toolchain provides them)
+# miri + TSan gates. Every step that runs can fail the pass.
 # The workspace has zero external dependencies, so everything here runs
 # without network access.
 set -euo pipefail
@@ -135,34 +137,6 @@ echo "$out" | grep -q "DRC clean" || { echo "expected DRC clean: $out"; exit 1; 
 trap - EXIT
 rm -rf "$drc_dir"
 
-# Informational, non-blocking: a --quick bench run checks the harness
-# end-to-end (including the sweep and serve-load flag paths) without
-# pretending CI hardware produces comparable medians; the diff against
-# the committed baseline is printed for the log but never fails the
-# build.
-echo "==> bench smoke (--quick --threads-sweep --serve-load, informational)"
-cargo run --release -q -p pilfill-bench --bin bench_json -- \
-  --quick --threads-sweep --serve-load --out BENCH_smoke.json ||
-  echo "==> bench smoke failed — informational, not a gate"
-# The quick report uses a smaller design, so it is never diffed against
-# the committed full-size baselines; instead the committed reports are
-# diffed against each other to surface the perf trajectory in the log.
-# --allow-cross-host: the two baselines may have been recorded on
-# different machines, and this diff is informational either way.
-if [ -f BENCH_pr8.json ] && [ -f BENCH_pr9.json ]; then
-  echo "==> committed baseline drift BENCH_pr8.json -> BENCH_pr9.json (informational)"
-  ./scripts/bench_compare.sh --threshold 25 --allow-cross-host BENCH_pr8.json BENCH_pr9.json ||
-    echo "==> bench drift above threshold — informational, not a gate"
-fi
-# Scaling floors from the committed sweep. check_scaling.sh itself
-# downgrades to informational when the recording host had < 4 cores or
-# the lane is wider than the host, so this is a real gate exactly where
-# the numbers are meaningful.
-if [ -f BENCH_pr9.json ]; then
-  echo "==> multicore scaling check (BENCH_pr9.json)"
-  ./scripts/check_scaling.sh BENCH_pr9.json
-fi
-
 # Optional soundness gates: run only when the host toolchain has the
 # nightly components (offline containers usually don't; the GitHub
 # workflow installs them and runs these for real).
@@ -174,10 +148,11 @@ else
 fi
 
 if [ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library" ]; then
-  echo "==> ThreadSanitizer (FlowOutcome determinism)"
+  echo "==> ThreadSanitizer (FlowOutcome determinism, pooled and streamed)"
   RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-    -p pilfill-core --lib parallel_run_is_bit_identical -- --test-threads 1
+    -p pilfill-core --lib -- --test-threads 1 parallel_run_is_bit_identical \
+    streamed_run_is_bit_identical_to_serial_for_every_lane_count
 else
   echo "==> nightly rust-src unavailable (skipping TSan; CI runs it)"
 fi
