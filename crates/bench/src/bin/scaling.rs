@@ -8,8 +8,12 @@
 //!
 //! Both pools are persistent and created outside the timed region, so the
 //! figures measure steady-state dispatch rather than thread spawn-up.
-//! Each measurement is the median of 7 timed calls after 2 untimed ones.
-//! A speedup is printed in permille of the 1-lane median (2000 = a clean
+//! A timed call takes well under a millisecond, so each sample is a batch
+//! of back-to-back calls lasting at least 10 ms, read as nanoseconds per
+//! call. Each measurement is the median of 15 samples after one untimed
+//! batch, and the 1-lane and `LANE`-lane samples are taken in turn (in
+//! alternating order), so a slow spell on the host hits both sides of a
+//! speedup alike. A speedup is printed in permille of the 1-lane median (2000 = a clean
 //! 2x). It is judged against the floor only when the host has at least 4
 //! CPUs and `LANE` fits the host; otherwise the lanes cannot all run at
 //! once, the sweep measures scheduling overhead, and the key is printed
@@ -22,14 +26,16 @@ use pilfill_core::WorkerPool;
 use pilfill_layout::synth::{synthesize, SynthConfig};
 use std::hint::black_box;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Speedup floor in permille of the 1-lane median (+20%).
 const FLOOR_PERMILLE: u64 = 1200;
 /// Fewest host CPUs on which a speedup is judged.
 const MIN_JUDGED_HOST: usize = 4;
-/// Timed calls per measurement.
-const SAMPLES: usize = 7;
+/// Timed batches per measurement.
+const SAMPLES: usize = 15;
+/// Shortest timed batch.
+const MIN_BATCH: Duration = Duration::from_millis(10);
 /// Widest pool the driver accepts.
 const MAX_LANE: usize = 64;
 
@@ -56,21 +62,26 @@ fn judge(host: usize, lane: usize, permille: u64) -> Verdict {
     }
 }
 
-/// Median wall-clock nanoseconds of `SAMPLES` calls of `f`, after
-/// `ceil(SAMPLES / 4)` untimed warm-up calls.
-fn median_ns<T>(mut f: impl FnMut() -> T) -> u64 {
-    for _ in 0..SAMPLES.div_ceil(4) {
+/// Runs `f` back to back until the batch has lasted at least `min`;
+/// returns the mean nanoseconds per call.
+fn batch_ns<T>(min: Duration, mut f: impl FnMut() -> T) -> u64 {
+    let start = Instant::now();
+    let mut calls = 0u64;
+    loop {
         black_box(f());
+        calls += 1;
+        let elapsed = start.elapsed();
+        if elapsed >= min {
+            let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+            return ns / calls;
+        }
     }
-    let mut ns: Vec<u64> = (0..SAMPLES)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(f());
-            u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
-        })
-        .collect();
-    ns.sort_unstable();
-    ns[SAMPLES / 2]
+}
+
+/// The median of `samples` (sorted in place).
+fn median(samples: &mut [u64]) -> u64 {
+    samples.sort_unstable();
+    samples[samples.len() / 2]
 }
 
 fn main() -> ExitCode {
@@ -91,13 +102,39 @@ fn main() -> ExitCode {
     let design = synthesize(&SynthConfig::t2());
     let cfg = FlowConfig::new(32_000, 2).expect("config");
     let ctx = FlowContext::build(&design, &cfg).expect("context");
-    let mut medians = Vec::new();
-    for lanes in [1, lane] {
-        let pool = WorkerPool::new(lanes);
-        let build = median_ns(|| FlowContext::build_pool(&design, &cfg, &pool).expect("context"));
-        let run = median_ns(|| ctx.run_pool(&cfg, &IlpTwo, &pool).expect("run"));
+    let pools = [WorkerPool::new(1), WorkerPool::new(lane)];
+    // One batch of key `k` (0 = build, 1 = run) on `pool`, in ns per call.
+    let sample = |pool: &WorkerPool, k: usize| {
+        if k == 0 {
+            batch_ns(MIN_BATCH, || {
+                FlowContext::build_pool(&design, &cfg, pool).expect("context")
+            })
+        } else {
+            batch_ns(MIN_BATCH, || {
+                ctx.run_pool(&cfg, &IlpTwo, pool).expect("run")
+            })
+        }
+    };
+    for pool in &pools {
+        sample(pool, 0);
+        sample(pool, 1);
+    }
+    // samples[pool][key]
+    let mut samples: [[Vec<u64>; 2]; 2] = Default::default();
+    for round in 0..SAMPLES {
+        // Alternate which pool goes first, so neither side always runs
+        // right after the other.
+        let order = if round % 2 == 0 { [0, 1] } else { [1, 0] };
+        for p in order {
+            for (k, key) in samples[p].iter_mut().enumerate() {
+                key.push(sample(&pools[p], k));
+            }
+        }
+    }
+    let medians = samples.map(|keys| keys.map(|mut s| median(&mut s)));
+    for (pool, [build, run]) in pools.iter().zip(&medians) {
+        let lanes = pool.lanes();
         println!("{lanes} lane(s): context_build_t2 {build} ns, run_ilp2_t2 {run} ns");
-        medians.push([build, run]);
     }
 
     println!("host_parallelism = {host}, floor = {FLOOR_PERMILLE} permille");
@@ -154,6 +191,43 @@ mod tests {
         assert_eq!(judge(4, 4, 1199), Verdict::BelowFloor);
         assert_eq!(exit_status(4, 4, [1199, 1199]), 2);
         assert_eq!(exit_status(8, 2, [1199, 5000]), 1);
+    }
+
+    /// Spins until `d` has passed.
+    fn spin(d: Duration) {
+        let start = Instant::now();
+        while start.elapsed() < d {
+            std::hint::spin_loop();
+        }
+    }
+
+    #[test]
+    fn batch_lasts_at_least_the_minimum() {
+        let mut calls = 0u64;
+        let ns = batch_ns(Duration::from_millis(2), || {
+            calls += 1;
+            spin(Duration::from_micros(100));
+        });
+        assert!((2..=20).contains(&calls), "{calls} calls of 100 µs in 2 ms");
+        assert!(ns >= 100_000, "{ns} ns per call is below the spin time");
+        assert!(ns * calls + calls >= 2_000_000, "{calls} x {ns} ns < 2 ms");
+    }
+
+    #[test]
+    fn slow_call_is_a_batch_of_one() {
+        let mut calls = 0u64;
+        let ns = batch_ns(Duration::from_millis(1), || {
+            calls += 1;
+            spin(Duration::from_millis(3));
+        });
+        assert_eq!(calls, 1);
+        assert!(ns >= 3_000_000, "{ns} ns for a 3 ms call");
+    }
+
+    #[test]
+    fn median_takes_the_middle_sample() {
+        assert_eq!(median(&mut [5, 1, 9, 3, 7]), 5);
+        assert_eq!(median(&mut [4, 2]), 4);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Data-layout constants of the scanline hot path, collected in one place
-//! so the kernel shapes (bitmask word width, slab chunking) are documented
+//! so the kernel shapes (bitmask word width, tile-run sharding) are documented
 //! and tuned together rather than scattered as magic numbers.
 
 /// Bits per occupancy-bitmask word in the span sweep.
@@ -12,16 +12,6 @@
 /// integer with single-instruction bit scans on every supported target,
 /// so one word covers 64 site columns per scan step.
 pub const MASK_WORD_BITS: usize = 64;
-
-/// Global slack columns per definition-III slab-row work item.
-///
-/// The sharded tile-problem build distributes the global column list in
-/// fixed-size chunks. The shard size is independent of the worker-pool
-/// lane count, so the merged output is the concatenation of the same
-/// shards in the same order for every pool — exactly the sequential
-/// result. 64 columns keep a shard's working set (columns + cost-table
-/// rows) within L1 while still amortizing the claim overhead.
-pub const DEF_THREE_SHARD_COLUMNS: usize = 64;
 
 /// Tiles per definition-I/II tile-build work item.
 ///

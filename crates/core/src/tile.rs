@@ -13,9 +13,7 @@
 //!   column inside the tile keeps its association with active lines in
 //!   adjacent tiles. This is the most accurate definition and the default.
 
-use crate::layout::{
-    DEF_ONE_TWO_SHARD_TILES as DEF_ONE_TWO_SHARD, DEF_THREE_SHARD_COLUMNS as DEF_THREE_SHARD,
-};
+use crate::layout::DEF_ONE_TWO_SHARD_TILES as DEF_ONE_TWO_SHARD;
 use crate::{ActiveLine, SlackColumn, Slots};
 use pilfill_density::FixedDissection;
 use pilfill_exec::WorkerPool;
@@ -247,7 +245,9 @@ fn make_tile_column(
 /// calling `f` once per non-empty `(cell, sub-progression)` in ascending
 /// row order — the arithmetic equivalent of classifying every slot through
 /// `grid.cell_at` (slots outside the grid bounds are skipped, rows past the
-/// last boundary clamp to the top row).
+/// last boundary clamp to the top row). The rows of the first and last
+/// in-grid slot come in closed form (two divisions); a column whose two
+/// ends share a row — most columns — is one chunk with no further search.
 fn for_each_row_chunk(
     col: &SlackColumn,
     fx: Coord,
@@ -259,48 +259,33 @@ fn for_each_row_chunk(
         return;
     }
     let ix = units::index((fx - bounds.left) / grid.pitch_x()).min(grid.nx() - 1);
-    let mut start = col.slots.count_below(bounds.bottom);
-    let stop = col.slots.count_below(bounds.top);
-    while start < stop {
-        let Some(y) = col.slots.get(start) else {
-            return;
-        };
-        let iy = units::index((y - bounds.bottom) / grid.pitch_y()).min(grid.ny() - 1);
-        let end = if iy + 1 >= grid.ny() {
-            stop
-        } else {
-            let row_top = bounds.bottom + grid.pitch_y() * units::coord(iy + 1);
-            col.slots.count_below(row_top).min(stop)
-        };
-        f((ix, iy), col.slots.slice(start, end - start));
-        start = end;
+    let slots = &col.slots;
+    let Some(last) = slots.last() else {
+        return;
+    };
+    let mut start = slots.count_below(bounds.bottom);
+    let stop = if last < bounds.top {
+        slots.len()
+    } else {
+        slots.count_below(bounds.top)
+    };
+    if start >= stop {
+        return;
     }
-}
-
-/// Definition III worker: expands one contiguous chunk of global columns
-/// into `(tile index, column)` pairs, preserving column order within the
-/// chunk. An arithmetic counting pass sizes the output exactly, so the
-/// chunk costs one allocation.
-fn def_three_chunk(
-    lines: &[ActiveLine],
-    chunk: &[SlackColumn],
-    grid: &Grid,
-    rules: FillRules,
-    model: &CouplingModel,
-) -> Vec<(usize, TileColumn)> {
-    let mut n = 0;
-    for col in chunk {
-        for_each_row_chunk(col, col.feature_x(rules), grid, |_, _| n += 1);
+    let (Some(lo), Some(hi)) = (slots.get(start), slots.get(stop - 1)) else {
+        return;
+    };
+    let row = |y: Coord| units::index((y - bounds.bottom) / grid.pitch_y()).min(grid.ny() - 1);
+    let (first_row, last_row) = (row(lo), row(hi));
+    for iy in first_row..last_row {
+        let row_top = bounds.bottom + grid.pitch_y() * units::coord(iy + 1);
+        let end = slots.count_below(row_top);
+        if end > start {
+            f((ix, iy), slots.slice(start, end - start));
+            start = end;
+        }
     }
-    let mut out = Vec::with_capacity(n);
-    for col in chunk {
-        let fx = col.feature_x(rules);
-        for_each_row_chunk(col, fx, grid, |(ix, iy), slots| {
-            let tc = make_tile_column(lines, col, slots, rules, model);
-            out.push((iy * grid.nx() + ix, tc));
-        });
-    }
-    out
+    f((ix, last_row), slots.slice(start, stop - start));
 }
 
 /// Per-tile definition-III fill capacities (row-major `iy * nx + ix`)
@@ -360,10 +345,10 @@ pub fn slab_ranges(
 
 /// Builds the definition-III tile problems of one grid column — tiles
 /// `(ix, 0..ny)`, indexed by row — from that column's slab of the global
-/// scan (see [`slab_ranges`]). Feeding each slab through the same expansion
-/// as the full build, in the same column order, makes the per-tile output
-/// bit-identical to [`build_tile_problems`]; this is the unit of work of
-/// the streamed pipeline and the rebuild cache.
+/// scan (see [`slab_ranges`]). The full build is made of these slab
+/// builds, so a slab's tiles are bit-identical to the same tiles of
+/// [`build_tile_problems`]; this is also the unit of work of the streamed
+/// pipeline and the rebuild cache.
 pub fn build_slab_problems(
     lines: &[ActiveLine],
     slab: &[SlackColumn],
@@ -373,35 +358,44 @@ pub fn build_slab_problems(
     ix: usize,
 ) -> Vec<TileProblem> {
     let model = CouplingModel::new(tech);
-    let grid = dissection.tiles();
-    let nx = grid.nx();
-    let mut problems: Vec<TileProblem> = (0..grid.ny())
-        .map(|iy| TileProblem {
-            cell: (ix, iy),
-            rect: grid.cell_rect((ix, iy)),
-            columns: Vec::new(),
-        })
-        .collect();
-    let pairs = def_three_chunk(lines, slab, &grid, rules, &model);
-    reserve_exact_per_tile(&mut problems, pairs.iter().map(|&(idx, _)| idx / nx));
-    for (idx, tc) in pairs {
-        debug_assert_eq!(idx % nx, ix, "slab column escaped its grid column");
-        problems[idx / nx].columns.push(tc);
-    }
-    problems
+    slab_problems(lines, slab, &dissection.tiles(), rules, &model, ix)
 }
 
-/// Sizes each problem's column buffer to the number of `targets` naming
-/// it, so the columns that follow land with one allocation per non-empty
-/// tile instead of a doubling sequence.
-fn reserve_exact_per_tile(problems: &mut [TileProblem], targets: impl Iterator<Item = usize>) {
-    let mut counts = vec![0usize; problems.len()];
-    for idx in targets {
-        counts[idx] += 1;
+/// [`build_slab_problems`] with the grid and coupling model supplied. A
+/// counting walk sizes each tile's column buffer exactly, then a second
+/// walk pushes the columns in slab order, so the slab costs one
+/// allocation per non-empty tile plus two (the counts and the tiles).
+fn slab_problems(
+    lines: &[ActiveLine],
+    slab: &[SlackColumn],
+    grid: &Grid,
+    rules: FillRules,
+    model: &CouplingModel,
+    ix: usize,
+) -> Vec<TileProblem> {
+    let mut counts = vec![0usize; grid.ny()];
+    for col in slab {
+        for_each_row_chunk(col, col.feature_x(rules), grid, |(_, iy), _| {
+            counts[iy] += 1
+        });
     }
-    for (problem, n) in problems.iter_mut().zip(counts) {
-        problem.columns.reserve_exact(n);
+    let mut problems: Vec<TileProblem> = counts
+        .iter()
+        .enumerate()
+        .map(|(iy, &n)| TileProblem {
+            cell: (ix, iy),
+            rect: grid.cell_rect((ix, iy)),
+            columns: Vec::with_capacity(n),
+        })
+        .collect();
+    for col in slab {
+        for_each_row_chunk(col, col.feature_x(rules), grid, |(cx, iy), slots| {
+            debug_assert_eq!(cx, ix, "slab column escaped its grid column");
+            let tc = make_tile_column(lines, col, slots, rules, model);
+            problems[iy].columns.push(tc);
+        });
     }
+    problems
 }
 
 /// Definition I/II worker: scans and fills one tile in place. Each tile's
@@ -462,10 +456,10 @@ pub fn build_tile_problems(
 /// index order, so the output is identical to the sequential build for
 /// every lane count.
 ///
-/// Definition III shards the global column list into fixed-size chunks
-/// (each expanding to `(tile, column)` pairs, concatenated in shard
-/// order); definitions I and II shard the tiles into fixed-size runs, each
-/// filling its own `TileProblem` slots in place.
+/// Definition III builds one slab per grid column ([`build_slab_problems`]
+/// over [`slab_ranges`]) and interleaves the slabs into row-major order;
+/// definitions I and II shard the tiles into fixed-size runs, each filling
+/// its own `TileProblem` slots in place.
 pub fn build_tile_problems_pool(
     lines: &[ActiveLine],
     global_columns: &[SlackColumn],
@@ -477,6 +471,30 @@ pub fn build_tile_problems_pool(
 ) -> Vec<TileProblem> {
     let model = CouplingModel::new(tech);
     let grid = dissection.tiles();
+
+    if def == SlackColumnDef::Three {
+        // Distribute each global column's slots to the tiles containing
+        // them; the column keeps its true line associations.
+        let ranges = slab_ranges(global_columns, dissection, rules);
+        let slabs = pool.map(ranges.len(), |ix| {
+            let slab = &global_columns[ranges[ix].clone()];
+            slab_problems(lines, slab, &grid, rules, &model, ix)
+        });
+        let mut slabs: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
+        let mut problems = Vec::with_capacity(grid.len());
+        for _ in 0..grid.ny() {
+            for slab in &mut slabs {
+                problems.extend(slab.next());
+            }
+        }
+        return problems;
+    }
+
+    // Per-tile scan: lines are clipped to the tile, so columns bounded by
+    // geometry outside the tile lose their association (definition II) or
+    // are dropped entirely (definition I). Tiles are claimed in fixed-size
+    // shards, each threading one scan scratch and column buffer through
+    // its tiles.
     let mut problems: Vec<TileProblem> = grid
         .indices()
         .map(|cell| TileProblem {
@@ -485,40 +503,14 @@ pub fn build_tile_problems_pool(
             columns: Vec::new(),
         })
         .collect();
-
-    match def {
-        SlackColumnDef::Three => {
-            // Distribute each global column's slots to the tiles containing
-            // them; the column keeps its true line associations.
-            let shards: Vec<&[SlackColumn]> = global_columns.chunks(DEF_THREE_SHARD).collect();
-            let parts = pool.map(shards.len(), |si| {
-                def_three_chunk(lines, shards[si], &grid, rules, &model)
-            });
-            reserve_exact_per_tile(&mut problems, parts.iter().flatten().map(|&(idx, _)| idx));
-            for part in parts {
-                for (idx, tc) in part {
-                    problems[idx].columns.push(tc);
-                }
-            }
+    let mut shards: Vec<&mut [TileProblem]> = problems.chunks_mut(DEF_ONE_TWO_SHARD).collect();
+    pool.for_each_slot(&mut shards, |_, shard| {
+        let mut scratch = crate::ScanScratch::default();
+        let mut cols = Vec::new();
+        for problem in shard.iter_mut() {
+            def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
         }
-        SlackColumnDef::One | SlackColumnDef::Two => {
-            // Per-tile scan: lines are clipped to the tile, so columns
-            // bounded by geometry outside the tile lose their association
-            // (definition II) or are dropped entirely (definition I).
-            // Tiles are claimed in fixed-size shards, each threading one
-            // scan scratch and column buffer through its tiles.
-            let mut shards: Vec<&mut [TileProblem]> =
-                problems.chunks_mut(DEF_ONE_TWO_SHARD).collect();
-            pool.for_each_slot(&mut shards, |_, shard| {
-                let mut scratch = crate::ScanScratch::default();
-                let mut cols = Vec::new();
-                for problem in shard.iter_mut() {
-                    def_one_two_tile(lines, problem, rules, &model, def, &mut scratch, &mut cols);
-                }
-            });
-        }
-    }
-
+    });
     problems
 }
 
@@ -702,6 +694,80 @@ mod tests {
             let (ix, iy) = p.cell;
             assert_eq!(caps[iy * grid.nx() + ix], p.capacity(), "tile {:?}", p.cell);
         }
+    }
+
+    /// The closed-form row split against a per-slot `Grid::cell_at`
+    /// oracle: seeded columns that sit inside one row, straddle one or
+    /// more row boundaries, start below or end above the grid, stride
+    /// over whole rows, land in the clipped top row, or lie left or right
+    /// of the grid.
+    #[test]
+    fn row_split_matches_per_slot_cell_at() {
+        use pilfill_geom::Interval;
+        use pilfill_prng::{Rng, SeedableRng};
+        let mut rng = pilfill_prng::rngs::StdRng::seed_from_u64(0x5011_7C07);
+        // Cases with [one chunk, several chunks, a slot below the grid, a
+        // slot above the grid, a chunk in the clipped top row, no chunk].
+        let mut seen = [0usize; 6];
+        for _ in 0..400 {
+            let pitch: Coord = rng.gen_range(200..3_000);
+            let (left, bottom) = (rng.gen_range(-5_000..5_000), rng.gen_range(-5_000..5_000));
+            let (nx, ny): (Coord, Coord) = (rng.gen_range(1..4), rng.gen_range(1..7));
+            let clip = rng.gen_range(1..=pitch);
+            let bounds = Rect::new(
+                left,
+                bottom,
+                left + nx * pitch,
+                bottom + (ny - 1) * pitch + clip,
+            );
+            let grid = Grid::square(bounds, pitch);
+            let fx = rng.gen_range(left - pitch..bounds.right + pitch);
+            let stride = match rng.gen_range(0..3) {
+                0 => rng.gen_range(1..50),
+                1 => rng.gen_range(50..pitch + 1),
+                _ => rng.gen_range(pitch..3 * pitch),
+            };
+            let lo = rng.gen_range(bottom - 2 * pitch..bounds.top + pitch);
+            let count = rng.gen_range(0..40);
+            let col = SlackColumn {
+                site_x: 0,
+                x: fx,
+                gap: Interval::new(lo, lo + 1),
+                below: None,
+                above: None,
+                slots: Slots::evenly(lo, stride, count),
+            };
+
+            let mut want: Vec<(CellIndex, Vec<Coord>)> = Vec::new();
+            for y in col.slots.iter() {
+                let Some(cell) = grid.cell_at(fx, y) else {
+                    continue;
+                };
+                match want.last_mut() {
+                    Some((c, ys)) if *c == cell => ys.push(y),
+                    _ => want.push((cell, vec![y])),
+                }
+            }
+            let mut got: Vec<(CellIndex, Vec<Coord>)> = Vec::new();
+            for_each_row_chunk(&col, fx, &grid, |cell, slots| {
+                got.push((cell, slots.iter().collect()));
+            });
+            assert_eq!(
+                got, want,
+                "grid {bounds:?} pitch {pitch}, fx {fx}, slots {:?}",
+                col.slots
+            );
+
+            let top_row = grid.ny() - 1;
+            seen[0] += usize::from(got.len() == 1);
+            seen[1] += usize::from(got.len() > 2);
+            seen[2] += usize::from(!got.is_empty() && lo < bottom);
+            let above = col.slots.last().is_some_and(|y| y >= bounds.top);
+            seen[3] += usize::from(!got.is_empty() && above);
+            seen[4] += usize::from(clip < pitch && got.iter().any(|(c, _)| c.1 == top_row));
+            seen[5] += usize::from(got.is_empty() && count > 0);
+        }
+        assert!(seen.iter().all(|&n| n >= 20), "cases seen: {seen:?}");
     }
 
     #[test]

@@ -4,15 +4,16 @@
 //! - A tile build allocates per tile, not per column, under every slack
 //!   column definition: a [`pilfill_core::TileColumn`] is plain data, so
 //!   expanding tens of thousands of global columns costs no allocation
-//!   each, and the definition-I/II rescans reuse one scan scratch across
-//!   a run of tiles.
+//!   each, the definition-III slab builds size each tile's buffer
+//!   exactly, and the definition-I/II rescans reuse one scan scratch
+//!   across a run of tiles.
 //! - A warm `scan_slack_columns_into` rescan allocates nothing.
 //! - A warm `DensityMap::recompute` allocates nothing.
 //!
 //! Everything runs inside one `#[test]` so no concurrently running test
 //! can add allocations to a measured window.
 
-use pilfill_core::layout::DEF_THREE_SHARD_COLUMNS;
+use pilfill_core::layout::DEF_ONE_TWO_SHARD_TILES;
 use pilfill_core::{
     build_tile_problems, extract_active_lines, scan_slack_columns, scan_slack_columns_into,
     ScanScratch, SlackColumnDef,
@@ -76,20 +77,24 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
     let lines = extract_active_lines(&design, layer).expect("lines");
     let columns = scan_slack_columns(&lines, design.die, design.rules);
 
-    // Tile builds: O(tiles) allocations under every definition. The
-    // single-lane definition-III build makes one buffer per non-empty
-    // tile, one per fixed-size shard of global columns, and a few fixed
-    // ones (tile vector, shard list, pool slots, tile counts). Definitions
-    // I and II rescan each tile, threading one scan scratch through a run
-    // of tiles: one buffer per non-empty tile plus the scratch growth of
-    // each run of tiles, about 30 allocations per 64 tiles. A
+    // Tile builds: O(tiles) allocations under every definition. A
+    // definition-III build is one slab build per grid column: each slab
+    // makes its row counts, its tile vector and one exactly sized buffer
+    // per non-empty tile, and the merge adds a few fixed ones (slab
+    // ranges, pool slots, slab list, the row-major tile vector), so it
+    // stays within tiles + 2·nx + 8. Definitions I and II rescan each
+    // tile, threading one scan scratch through a run of
+    // `DEF_ONE_TWO_SHARD_TILES` tiles: one buffer per non-empty tile plus
+    // the scratch growth of each run, under 32 allocations a run. A
     // per-column allocation would put the count above the number of tile
     // columns.
-    let shards = columns.len().div_ceil(DEF_THREE_SHARD_COLUMNS) as u64;
-    for def in [
-        SlackColumnDef::One,
-        SlackColumnDef::Two,
-        SlackColumnDef::Three,
+    let grid = dissection.tiles();
+    let slabs = 2 * grid.nx() as u64;
+    let runs = 32 * grid.len().div_ceil(DEF_ONE_TWO_SHARD_TILES) as u64;
+    for (def, per_unit) in [
+        (SlackColumnDef::One, runs),
+        (SlackColumnDef::Two, runs),
+        (SlackColumnDef::Three, slabs),
     ] {
         let (problems, build_allocs) = count(|| {
             build_tile_problems(
@@ -102,16 +107,17 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
             )
         });
         let tiles = problems.len() as u64;
+        let bound = tiles + per_unit + 8;
         let tile_columns: u64 = problems.iter().map(|p| p.columns.len() as u64).sum();
         assert!(
-            tile_columns > tiles + shards + 8,
+            tile_columns > bound,
             "{def:?}: workload too sparse to tell per-column from per-tile: \
-             {tile_columns} columns, {tiles} tiles, {shards} shards"
+             {tile_columns} columns, bound {bound}"
         );
         assert!(
-            build_allocs <= tiles + shards + 8,
-            "{def:?}: tile build made {build_allocs} allocations for {tiles} tiles \
-             and {shards} shards ({tile_columns} tile columns)"
+            build_allocs <= bound,
+            "{def:?}: tile build made {build_allocs} allocations for {tiles} tiles, \
+             bound {bound} ({tile_columns} tile columns)"
         );
     }
 

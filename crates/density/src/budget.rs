@@ -190,8 +190,8 @@ pub fn lp_budget(
 }
 
 /// A heap entry of the budget loop's lazy priority queue. The `BinaryHeap`
-/// max-heap pops the *smallest* `(density, window)` because the `Ord` below
-/// is reversed.
+/// max-heap yields the *smallest* `(density, window)` because the `Ord`
+/// below is reversed.
 ///
 /// Every window that can still take fill has exactly one entry, and its
 /// `density` key is a *lower bound* on the window's current density:
@@ -199,7 +199,7 @@ pub fn lp_budget(
 /// rather than pushing a fresh entry. An entry whose key still equals the
 /// current density bit-for-bit is therefore the true minimum of the
 /// `(density, window)` order; one whose key has fallen behind is re-keyed
-/// on pop.
+/// in place when it surfaces.
 #[derive(Debug, Clone, Copy)]
 struct NeediestWindow {
     density: f64,
@@ -232,55 +232,6 @@ impl PartialEq for NeediestWindow {
 
 impl Eq for NeediestWindow {}
 
-/// A bipartite adjacency in compressed-sparse-row form: the neighbours of
-/// node `i` are `index[start[i]..start[i + 1]]`.
-struct Csr {
-    start: Vec<usize>,
-    index: Vec<usize>,
-}
-
-impl Csr {
-    fn row(&self, i: usize) -> &[usize] {
-        &self.index[self.start[i]..self.start[i + 1]]
-    }
-}
-
-/// Tiles of each window (in [`Window::tiles`](crate::Window::tiles)
-/// order) and windows covering each tile (ascending window index).
-fn window_tile_adjacency(dis: &FixedDissection) -> (Csr, Csr) {
-    let nx = dis.tiles().nx();
-    let n = dis.tiles().len();
-    let mut tiles_of_window = Csr {
-        start: vec![0],
-        index: Vec::new(),
-    };
-    let mut count = vec![0usize; n + 1];
-    for w in dis.windows() {
-        for (ix, iy) in w.tiles() {
-            let t = iy * nx + ix;
-            tiles_of_window.index.push(t);
-            count[t + 1] += 1;
-        }
-        tiles_of_window.start.push(tiles_of_window.index.len());
-    }
-    for t in 0..n {
-        count[t + 1] += count[t];
-    }
-    let mut next = count.clone();
-    let mut index = vec![0usize; tiles_of_window.index.len()];
-    for wi in 0..tiles_of_window.start.len() - 1 {
-        for &t in tiles_of_window.row(wi) {
-            index[next[t]] = wi;
-            next[t] += 1;
-        }
-    }
-    let windows_of_tile = Csr {
-        start: count,
-        index,
-    };
-    (tiles_of_window, windows_of_tile)
-}
-
 /// Scalable Monte-Carlo/greedy budgeting: repeatedly pick the window with
 /// the lowest density and add one feature to its tile with the most
 /// remaining slack, subject to no window exceeding `upper_bound`. Stops
@@ -288,17 +239,25 @@ fn window_tile_adjacency(dis: &FixedDissection) -> (Csr, Csr) {
 ///
 /// The neediest window comes from a lazy min-heap holding one entry per
 /// window that can still take fill. Densities only ever rise, so an
-/// entry's key is a lower bound on its window's density: a grant pushes
-/// only the chosen window back, and an entry whose key no longer matches
-/// the window's density bit-for-bit is re-keyed when it surfaces. An entry
-/// that does match is the true `(density, window)` minimum, so every pick
-/// is the one the O(W) linear scan would make.
+/// entry's key is a lower bound on its window's density: a grant re-keys
+/// only the chosen window, and an entry whose key no longer matches the
+/// window's density bit-for-bit is re-keyed when it surfaces. Both re-keys
+/// happen in place at the top of the heap (one sift-down). An entry that
+/// does match is the true `(density, window)` minimum, so every pick is
+/// the one the O(W) linear scan would make.
 ///
-/// A window is *full* once one more feature would lift it above
-/// `upper_bound`. Fill only raises `w_fill`, and IEEE addition and
-/// division round monotonically, so a full window stays full; each tile
-/// counts the full windows covering it, which turns the bound check of a
-/// candidate tile into one comparison and costs O(W·r²) for the whole run.
+/// Windows are the full `r × r` tile blocks, so the geometry is closed
+/// form: window `ay · mx + ax` covers tile rows `ay..ay + r` and columns
+/// `ax..ax + r`, and tile `(tx, ty)` is covered by the anchors in
+/// `[tx − r + 1, tx] × [ty − r + 1, ty]` clipped to the grid.
+///
+/// Each tile holds one packed candidate key, `(remaining << 32) | !t`, or
+/// 0 once it has no slack left or a *full* window covers it (one more
+/// feature would lift that window above `upper_bound`). A window's best
+/// tile — most remaining slack, ties towards the lower index — is then the
+/// maximum key over `r` contiguous row slices. Fill only raises `w_fill`,
+/// and IEEE addition and division round monotonically, so a full window
+/// stays full and a zeroed key stays zero.
 ///
 /// Deterministic: ties break towards lower tile index, and the heap's
 /// tie-break reproduces the historical linear scan exactly.
@@ -306,7 +265,8 @@ fn window_tile_adjacency(dis: &FixedDissection) -> (Csr, Csr) {
 /// # Errors
 ///
 /// Returns [`BudgetError::DimensionMismatch`] / `InvalidParameter` on bad
-/// inputs.
+/// inputs, including a tile count that does not fit the `u32` tile index
+/// of the packed key.
 pub fn montecarlo_budget(
     existing: &DensityMap,
     slack: &[u32],
@@ -315,10 +275,20 @@ pub fn montecarlo_budget(
 ) -> Result<FillBudget, BudgetError> {
     check_inputs(existing, slack, feature_area, upper_bound)?;
     let dis = *existing.dissection();
-    let n = dis.tiles().len();
-    let (tiles_of_window, windows_of_tile) = window_tile_adjacency(&dis);
+    let grid = dis.tiles();
+    let n = u32::try_from(grid.len()).map_err(|_| {
+        BudgetError::InvalidParameter(format!(
+            "{} tiles exceed the budget's u32 tile index",
+            grid.len()
+        ))
+    })?;
+    let (nx, r) = (grid.nx(), dis.r());
+    // Window anchors per row and per column (the die spans a window, so
+    // both are at least 1).
+    let mx = nx - (r - 1);
+    let my = grid.ny() - (r - 1);
 
-    // Window areas and current feature areas.
+    // Window areas and current feature areas, indexed `ay * mx + ax`.
     let w_area: Vec<f64> = dis
         .windows()
         .map(|w| dis.window_rect(w).area() as f64)
@@ -327,75 +297,87 @@ pub fn montecarlo_budget(
         .windows()
         .map(|w| existing.window_area(w) as f64)
         .collect();
-    let num_windows = w_area.len();
 
-    let mut remaining: Vec<u32> = slack.to_vec();
-    let mut budget = vec![0u32; n];
+    const ONE: u64 = 1 << 32;
+    let mut key: Vec<u64> = (0..n)
+        .zip(slack)
+        .map(|(t, &s)| {
+            if s == 0 {
+                0
+            } else {
+                u64::from(s) << 32 | u64::from(!t)
+            }
+        })
+        .collect();
+    let mut budget = vec![0u32; grid.len()];
     let fa = feature_area as f64;
 
     // The historical acceptance check `after <= upper_bound.max(current)
     // && after <= upper_bound` collapses to `after <= upper_bound` (the max
     // only ever raises the first bound). `full` is its negation with the
-    // same operands, order and comparison, so NaN lands the same way, and
-    // `blocked[t]` counts the full windows covering tile `t`.
+    // same operands, order and comparison, so NaN lands the same way.
     let fits = |fill: f64, area: f64| (fill + fa) / area <= upper_bound;
-    let mut full = vec![false; num_windows];
-    let mut blocked = vec![0u32; n];
-    for wi in 0..num_windows {
-        if !fits(w_fill[wi], w_area[wi]) {
-            full[wi] = true;
-            for &t in tiles_of_window.row(wi) {
-                blocked[t] += 1;
-            }
+    let block = |key: &mut [u64], ax: usize, ay: usize| {
+        for ty in ay..ay + r {
+            key[ty * nx + ax..][..r].fill(0);
         }
+    };
+    let mut full: Vec<bool> = w_fill
+        .iter()
+        .zip(&w_area)
+        .map(|(&f, &a)| !fits(f, a))
+        .collect();
+    for (wi, _) in full.iter().enumerate().filter(|(_, &f)| f) {
+        block(&mut key, wi % mx, wi / mx);
     }
 
-    let mut heap: BinaryHeap<NeediestWindow> = (0..num_windows)
-        .map(|wi| NeediestWindow {
-            density: w_fill[wi] / w_area[wi],
-            wi,
-        })
+    let mut heap: BinaryHeap<NeediestWindow> = w_fill
+        .iter()
+        .zip(&w_area)
+        .enumerate()
+        .map(|(wi, (&f, &a))| NeediestWindow { density: f / a, wi })
         .collect();
 
-    while let Some(entry) = heap.pop() {
-        let wi = entry.wi;
+    while let Some(mut top) = heap.peek_mut() {
+        let wi = top.wi;
         let density = w_fill[wi] / w_area[wi];
-        if density.to_bits() != entry.density.to_bits() {
-            heap.push(NeediestWindow { density, wi });
+        if density.to_bits() != top.density.to_bits() {
+            top.density = density;
             continue;
         }
 
-        // Best tile in that window: most remaining slack, addition must not
-        // push any covering window above the bound (never above it unless
-        // it already exceeded the bound from drawn features alone — then
-        // fill there is simply forbidden).
-        let candidate = tiles_of_window
-            .row(wi)
-            .iter()
-            .copied()
-            .filter(|&t| remaining[t] > 0 && blocked[t] == 0)
-            .max_by_key(|&t| (remaining[t], std::cmp::Reverse(t)));
-
-        // No candidate: the window is stuck and is not pushed back. Adding
+        // Best tile in that window: the largest key, which is 0 when every
+        // tile of the window is out of slack or under a full window.
+        let (ax, ay) = (wi % mx, wi / mx);
+        let best = (ay..ay + r)
+            .map(|ty| key[ty * nx + ax..][..r].iter().fold(0, |m, &k| m.max(k)))
+            .fold(0, u64::max);
+        // No candidate: the window is stuck and leaves the heap. Adding
         // fill elsewhere only raises densities, never creates capacity, so
         // it stays stuck.
-        let Some(t) = candidate else { continue };
-        remaining[t] -= 1;
+        if best == 0 {
+            std::collections::binary_heap::PeekMut::pop(top);
+            continue;
+        }
+        // The low half of a key is `!t` for a tile index that fits u32
+        // (checked above); u32 -> usize is widening on every supported
+        // target.
+        let t = !(best as u32) as usize; // pilfill: allow(as-cast)
         budget[t] += 1;
-        for &cw in windows_of_tile.row(t) {
-            w_fill[cw] += fa;
-            if !full[cw] && !fits(w_fill[cw], w_area[cw]) {
-                full[cw] = true;
-                for &ct in tiles_of_window.row(cw) {
-                    blocked[ct] += 1;
+        key[t] = if best < 2 * ONE { 0 } else { best - ONE };
+        let (tx, ty) = (t % nx, t / nx);
+        for cy in ty.saturating_sub(r - 1)..=ty.min(my - 1) {
+            for cx in tx.saturating_sub(r - 1)..=tx.min(mx - 1) {
+                let cw = cy * mx + cx;
+                w_fill[cw] += fa;
+                if !full[cw] && !fits(w_fill[cw], w_area[cw]) {
+                    full[cw] = true;
+                    block(&mut key, cx, cy);
                 }
             }
         }
         // The chosen tile lies inside window `wi`, so its density rose.
-        heap.push(NeediestWindow {
-            density: w_fill[wi] / w_area[wi],
-            wi,
-        });
+        top.density = w_fill[wi] / w_area[wi];
     }
 
     Ok(FillBudget::new(&dis, budget))
@@ -599,7 +581,19 @@ mod tests {
         };
         let (w, h) = (side(rng), side(rng));
         let dis = FixedDissection::new(Rect::new(0, 0, w, h), window, r).expect("dissection");
-        let mut map = DensityMap::zeros(&dis);
+        random_case(rng, &dis, quantum)
+    }
+
+    /// Random drawn areas (multiples of `quantum`, some tiles packed full)
+    /// and random slack with zeros mixed in, on the tiles of `dis`.
+    fn random_case(
+        rng: &mut pilfill_prng::rngs::StdRng,
+        dis: &FixedDissection,
+        quantum: i64,
+    ) -> (DensityMap, Vec<u32>) {
+        use pilfill_prng::Rng;
+        const TILE: i64 = 1_000;
+        let mut map = DensityMap::zeros(dis);
         let nx = dis.tiles().nx();
         let n = dis.tiles().len();
         let dense = rng.gen_range(0.0..0.3);
@@ -676,6 +670,51 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&n| n >= 8), "cases seen: {seen:?}");
+    }
+
+    /// The closed-form window geometry against the scan oracle on the
+    /// shapes where it is easiest to get wrong: `r = 1` (every tile is a
+    /// window), a single window row or column (`my = 1` / `mx = 1`),
+    /// non-square grids, and dies that end in clamped partial tiles.
+    #[test]
+    fn budget_matches_scan_on_edge_geometries() {
+        use pilfill_prng::{Rng, SeedableRng};
+        const TILE: i64 = 1_000;
+        let mut rng = pilfill_prng::rngs::StdRng::seed_from_u64(0x6E0_3E7);
+        // (r, die width, die height, expected (mx, my)).
+        let shapes = [
+            (1, TILE, TILE, (1, 1)),
+            (1, 7 * TILE, 3 * TILE, (7, 3)),
+            (1, 5 * TILE + 1, 2 * TILE + 999, (6, 3)),
+            (3, 3 * TILE, 9 * TILE, (1, 7)),
+            (3, 8 * TILE, 3 * TILE, (6, 1)),
+            (3, 3 * TILE, 3 * TILE, (1, 1)),
+            (2, 2 * TILE, 6 * TILE + 500, (1, 6)),
+            (2, 9 * TILE + 250, 2 * TILE, (9, 1)),
+            (4, 11 * TILE + 1, 5 * TILE + 700, (9, 3)),
+            (5, 6 * TILE + 300, 13 * TILE, (3, 9)),
+        ];
+        let mut granted = 0;
+        for (r, w, h, (mx, my)) in shapes {
+            let window = TILE * i64::try_from(r).expect("small r");
+            let dis = FixedDissection::new(Rect::new(0, 0, w, h), window, r).expect("dissection");
+            let anchors = dis.windows().count();
+            assert_eq!(anchors, mx * my, "r {r}, die {w} x {h}");
+            for case in 0..6 {
+                let quantum = if case % 2 == 0 { 25_000 } else { 1 };
+                let (map, slack) = random_case(&mut rng, &dis, quantum);
+                let feature_area = [1, 25_000, 160_000][case % 3];
+                let bound = [0.1, 0.4, 1.0][rng.gen_range(0usize..3)];
+                let fast = montecarlo_budget(&map, &slack, feature_area, bound).expect("mc");
+                let scan = montecarlo_budget_by_scan(&map, &slack, feature_area, bound);
+                assert_eq!(
+                    fast, scan,
+                    "r {r}, die {w} x {h}, case {case}, bound {bound}"
+                );
+                granted += usize::from(fast.total() > 0);
+            }
+        }
+        assert!(granted >= 30, "only {granted} of 60 cases granted fill");
     }
 
     #[test]

@@ -26,9 +26,10 @@ cargo test -q --workspace
 
 # The feature-locate overflow guard and the counting-allocator claims
 # behave differently with and without debug assertions and overflow
-# checks, so the crates that carry them are tested in release too.
-echo "==> cargo test --release (pilfill-rc, pilfill-core)"
-cargo test --release -q -p pilfill-rc -p pilfill-core
+# checks, so the crates that carry them are tested in release too; the
+# fill budget's seeded scan-oracle suite also runs as optimised code.
+echo "==> cargo test --release (pilfill-rc, pilfill-core, pilfill-density)"
+cargo test --release -q -p pilfill-rc -p pilfill-core -p pilfill-density
 
 # Paper tables smoke: table1/table2 --smoke run one cell per testcase,
 # exit non-zero if ILP-II's delay exceeds Normal's on any row or if a row
