@@ -161,33 +161,39 @@ fn pool_is_parallel(pool: &WorkerPool) -> bool {
     pool.lanes() > 1 && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
 }
 
+/// `true` when `layer` routes vertically, so the flow works on the
+/// transposed design.
+fn routes_vertically(design: &Design, layer: LayerId) -> bool {
+    design
+        .layers
+        .get(layer.0)
+        .is_some_and(|l| l.dir.is_vertical())
+}
+
+/// The fill budget for `slack` against `map`, under the exact LP or the
+/// Monte-Carlo greedy as `config` selects.
+fn fill_budget(
+    map: &DensityMap,
+    slack: &[u32],
+    feature_area: i64,
+    config: &FlowConfig,
+) -> Result<FillBudget, BudgetError> {
+    if config.lp_budget {
+        lp_budget(map, slack, feature_area, config.max_density)
+    } else {
+        montecarlo_budget(map, slack, feature_area, config.max_density)
+    }
+}
+
 /// The method-independent flow state up to (and including) the fill
 /// budget, shared by [`FlowContext::build_pool`] and the streamed runner:
 /// frame transposition, dissection, per-net line extraction, the arena
-/// scan, definition-III slack capacities, density map and budget. Tile
-/// problems are *not* built here — the streamed pipeline fuses their
-/// construction with solving.
-struct Prelude<'d> {
-    frame_design: Cow<'d, Design>,
-    transposed: bool,
-    dissection: FixedDissection,
-    lines: Vec<ActiveLine>,
-    net_line_ranges: Vec<Range<usize>>,
-    columns: Vec<SlackColumn>,
-    slack: Vec<u32>,
-    density_map: DensityMap,
-    density_before: DensityAnalysis,
-    budget: FillBudget,
-    budget_total: u64,
-}
-
-fn prelude<'d>(design: &'d Design, config: &FlowConfig) -> Result<Prelude<'d>, FlowError> {
+/// scan, definition-III slack capacities, density map and budget. The
+/// returned context's `problems` are empty: each caller builds them (the
+/// streamed pipeline fuses their construction with solving).
+fn prelude<'d>(design: &'d Design, config: &FlowConfig) -> Result<FlowContext<'d>, FlowError> {
     // Work in a frame where the target layer routes horizontally.
-    let transposed = design
-        .layers
-        .get(config.layer.0)
-        .map(|l| l.dir.is_vertical())
-        .unwrap_or(false);
+    let transposed = routes_vertically(design, config.layer);
     let frame_design: Cow<'d, Design> = if transposed {
         Cow::Owned(design.transposed())
     } else {
@@ -228,32 +234,28 @@ fn prelude<'d>(design: &'d Design, config: &FlowConfig) -> Result<Prelude<'d>, F
         .collect();
 
     let density_map = DensityMap::compute(design, config.layer, &dissection);
-    let density_before = density_map.analyze();
-    let feature_area = design.rules.feature_area();
-    let budget = if config.lp_budget {
-        lp_budget(&density_map, &slack, feature_area, config.max_density)?
-    } else {
-        montecarlo_budget(&density_map, &slack, feature_area, config.max_density)?
-    };
-    let budget_total = budget.total();
+    let budget = fill_budget(&density_map, &slack, design.rules.feature_area(), config)?;
 
-    Ok(Prelude {
+    Ok(FlowContext {
         frame_design,
         transposed,
+        config: config.clone(),
         dissection,
         lines,
         net_line_ranges,
         columns,
+        problems: Vec::new(),
         slack,
-        density_map,
-        density_before,
+        budget_total: budget.total(),
         budget,
-        budget_total,
+        density_before: density_map.analyze(),
+        density_scratch: DensityMap::zeros(density_map.dissection()),
+        density_map,
     })
 }
 
 /// Which tiles' previously computed solve results a
-/// [`FlowContext::rebuild`] invalidated — the complement of what a
+/// [`FlowContext::rebuild_owned`] invalidated — the complement of what a
 /// result cache layered above the context may keep.
 ///
 /// Invalidated means the tile's [`TileProblem`] was rebuilt or its
@@ -271,8 +273,8 @@ pub enum RebuildDirt {
     Tiles(Vec<usize>),
 }
 
-/// What [`FlowContext::rebuild`] did: either a localized update or a full
-/// rebuild, with the dirty extents for diagnostics and benches.
+/// What [`FlowContext::rebuild_owned`] did: either a localized update or
+/// a full rebuild, with the dirty extents for diagnostics and benches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[must_use = "rebuild stats tell whether the cache actually hit"]
 pub struct RebuildStats {
@@ -300,17 +302,6 @@ impl RebuildStats {
         dirty_grid_columns: 0,
         budget_reused: false,
     };
-}
-
-/// Outcome of the shared incremental-rebuild body: either the context was
-/// patched in place, or the change was not localizable and the caller
-/// must rebuild from scratch (with the design lifetime it owns).
-enum IncrOutcome {
-    NeedsFull,
-    Done {
-        stats: RebuildStats,
-        dirt: RebuildDirt,
-    },
 }
 
 /// Solves one tile: budget lookup, capacity clamp, per-tile seeded RNG,
@@ -410,375 +401,23 @@ impl<'d> FlowContext<'d> {
         config: &FlowConfig,
         pool: &WorkerPool,
     ) -> Result<Self, FlowError> {
-        let p = prelude(design, config)?;
-        let frame: &Design = &p.frame_design;
-        let problems = build_tile_problems_pool(
-            &p.lines,
-            &p.columns,
-            &p.dissection,
+        let mut ctx = prelude(design, config)?;
+        let frame: &Design = &ctx.frame_design;
+        ctx.problems = build_tile_problems_pool(
+            &ctx.lines,
+            &ctx.columns,
+            &ctx.dissection,
             &frame.tech,
             frame.rules,
             config.def,
             pool,
         );
-        Ok(Self {
-            frame_design: p.frame_design,
-            transposed: p.transposed,
-            config: config.clone(),
-            dissection: p.dissection,
-            lines: p.lines,
-            net_line_ranges: p.net_line_ranges,
-            columns: p.columns,
-            problems,
-            slack: p.slack,
-            budget: p.budget,
-            budget_total: p.budget_total,
-            density_before: p.density_before,
-            density_scratch: DensityMap::zeros(p.density_map.dissection()),
-            density_map: p.density_map,
-        })
-    }
-
-    /// Incrementally rebuilds the context for a mutated `design`, reusing
-    /// every cached artifact whose inputs did not change.
-    ///
-    /// The cache key is exact, not a hash: nets are diffed value-for-value
-    /// against the design the context was built from. For each changed net
-    /// its lines are re-extracted in place; if the net's segments moved,
-    /// the site columns its old and new buffer-expanded lines cover are
-    /// re-swept through the arena scan and their tiles' def-III slack is
-    /// patched per slab. Only the tile-grid columns containing a changed
-    /// site column get their [`TileProblem`]s rebuilt
-    /// ([`build_slab_problems`]) — value-only edits (a sink or timing
-    /// change) skip the sweep entirely, since columns depend only on
-    /// rects. The density map and budget are recomputed only when a
-    /// segment moved AND the recomputed map or slack actually differ;
-    /// otherwise the cached budget is reused (budgeting is a pure function
-    /// of the two). All clean columns and problems are kept bit-for-bit.
-    ///
-    /// Falls back to a full [`FlowContext::build_pool`] — reported via
-    /// [`RebuildStats::full`] — when the change is not localizable: a
-    /// different config, die, rules, tech, layer table, obstruction set or
-    /// net count, a transposed working frame, or a changed net whose line
-    /// count on the target layer differs (line indices would shift under
-    /// every clean column).
-    ///
-    /// Alongside the stats it reports which tiles' previously computed
-    /// solve results the rebuild invalidated ([`RebuildDirt`]) — the
-    /// contract a per-tile result cache layered above the context (the
-    /// serving layer) relies on.
-    ///
-    /// # Errors
-    ///
-    /// See [`FlowError`]. On error the context is left in its previous
-    /// state (full-rebuild errors excepted).
-    pub fn rebuild(
-        &mut self,
-        design: &'d Design,
-        config: &FlowConfig,
-        pool: &WorkerPool,
-    ) -> Result<(RebuildStats, RebuildDirt), FlowError> {
-        match self.rebuild_incr(design, config)? {
-            IncrOutcome::NeedsFull => {
-                *self = Self::build_pool(design, config, pool)?;
-                Ok((RebuildStats::FULL, RebuildDirt::All))
-            }
-            IncrOutcome::Done { stats, dirt } => {
-                self.frame_design = Cow::Borrowed(design);
-                Ok((stats, dirt))
-            }
-        }
-    }
-
-    /// The incremental-rebuild body shared by the borrowed
-    /// ([`FlowContext::rebuild`]) and owned
-    /// ([`FlowContext::rebuild_owned`]) entry points. Never stores
-    /// `design` into the context — on [`IncrOutcome::Done`] the caller
-    /// installs it with the lifetime it owns; on
-    /// [`IncrOutcome::NeedsFull`] the caller replaces the whole context
-    /// (partial line splices made before a mid-diff bailout are then
-    /// overwritten wholesale).
-    fn rebuild_incr(
-        &mut self,
-        design: &Design,
-        config: &FlowConfig,
-    ) -> Result<IncrOutcome, FlowError> {
-        let new_transposed = design
-            .layers
-            .get(config.layer.0)
-            .map(|l| l.dir.is_vertical())
-            .unwrap_or(false);
-        {
-            let old: &Design = &self.frame_design;
-            // The slab rebuild below is a definition-III construction
-            // (weaker definitions re-scan per tile anyway).
-            if *config != self.config
-                || config.def != SlackColumnDef::Three
-                || self.transposed
-                || new_transposed
-                || design.die != old.die
-                || design.rules != old.rules
-                || design.tech != old.tech
-                || design.layers != old.layers
-                || design.obstructions != old.obstructions
-                || design.nets.len() != old.nets.len()
-            {
-                return Ok(IncrOutcome::NeedsFull);
-            }
-        }
-
-        let die = design.die;
-        let rules = design.rules;
-        let pitch = rules.site_pitch();
-        let n_sites = site_column_count(die, rules);
-        // Two dirt granularities. `resolve`: site columns whose tiles'
-        // problems must be rebuilt (any line change — weights feed the
-        // cost tables). `rescan`: site columns whose slack columns must be
-        // re-swept (geometry moved — columns depend only on rects, so a
-        // value-only edit like a sink-weight bump leaves them untouched,
-        // and with them the slack vector and the density map).
-        let mut resolve = vec![false; n_sites];
-        let mut rescan = vec![false; n_sites];
-        // Marks the site columns a line's buffer-expanded rect covers —
-        // exactly the columns whose sweep sees the line as an event.
-        let mark = |rect: Rect, dirty: &mut Vec<bool>| {
-            let expanded = Rect::new(
-                rect.left - rules.buffer,
-                rect.bottom,
-                rect.right + rules.buffer,
-                rect.top,
-            );
-            let clipped = expanded.intersection(&die);
-            if clipped.is_empty() || n_sites == 0 {
-                return;
-            }
-            let lo = units::index(((clipped.left - die.left) / pitch).max(0));
-            let hi = units::index((clipped.right - 1 - die.left) / pitch).min(n_sites - 1);
-            for s in dirty.iter_mut().take(hi + 1).skip(lo) {
-                *s = true;
-            }
-        };
-
-        // Diff nets value-for-value; re-extract changed ones in place.
-        let mut changed_nets = 0usize;
-        let mut geometry_changed = false;
-        let mut fresh: Vec<ActiveLine> = Vec::new();
-        let mut extract_scratch = ExtractScratch::default();
-        for ni in 0..design.nets.len() {
-            if design.nets[ni] == self.frame_design.nets[ni] {
-                continue;
-            }
-            changed_nets += 1;
-            let geometry = design.nets[ni].segments != self.frame_design.nets[ni].segments;
-            geometry_changed |= geometry;
-            fresh.clear();
-            extract_net_lines_with(
-                design,
-                config.layer,
-                NetId(ni),
-                &mut extract_scratch,
-                &mut fresh,
-            )?;
-            let range = self.net_line_ranges[ni].clone();
-            if fresh.len() != range.len() {
-                // Line indices after this net would shift; every clean
-                // column's below/above reference would dangle.
-                return Ok(IncrOutcome::NeedsFull);
-            }
-            for l in self.lines[range.clone()].iter().chain(fresh.iter()) {
-                mark(l.rect, &mut resolve);
-                if geometry {
-                    mark(l.rect, &mut rescan);
-                }
-            }
-            for (slot, line) in self.lines[range].iter_mut().zip(fresh.drain(..)) {
-                *slot = line;
-            }
-        }
-        let dirty_site_columns = rescan.iter().filter(|&&d| d).count();
-        if !resolve.iter().any(|&d| d) {
-            return Ok(IncrOutcome::Done {
-                stats: RebuildStats {
-                    full: false,
-                    changed_nets,
-                    dirty_site_columns: 0,
-                    dirty_grid_columns: 0,
-                    budget_reused: true,
-                },
-                dirt: RebuildDirt::Tiles(Vec::new()),
-            });
-        }
-
-        // Splice the column list: clean site runs keep their columns
-        // (a flat copy — `SlackColumn` is `Copy`), dirty runs are re-swept.
-        // Value-only edits rescan nothing: columns depend only on rects.
-        let grid = self.dissection.tiles();
-        let nx = grid.nx();
-        if dirty_site_columns > 0 {
-            let mut new_columns = Vec::with_capacity(self.columns.len());
-            let mut scratch = ScanScratch::default();
-            let mut site = 0usize;
-            let mut cursor = 0usize;
-            while site < n_sites {
-                let run_start = site;
-                let run_dirty = rescan[site];
-                while site < n_sites && rescan[site] == run_dirty {
-                    site += 1;
-                }
-                let run_cursor = cursor;
-                while cursor < self.columns.len() && self.columns[cursor].site_x < site {
-                    cursor += 1;
-                }
-                if run_dirty {
-                    scan_site_columns(
-                        &self.lines,
-                        die,
-                        rules,
-                        run_start..site,
-                        &mut scratch,
-                        &mut new_columns,
-                    );
-                } else {
-                    new_columns.extend_from_slice(&self.columns[run_cursor..cursor]);
-                }
-            }
-            self.columns = new_columns;
-        }
-
-        // Rebuild problems for tile-grid columns containing any changed
-        // site; patch slack only where the columns were actually re-swept.
-        let mark_grid = |sites: &[bool], dirty_grid: &mut Vec<bool>| {
-            for (s, d) in sites.iter().enumerate() {
-                if !d {
-                    continue;
-                }
-                let fx = die.left + units::coord(s) * pitch + (pitch - rules.feature_size) / 2;
-                if fx >= grid.bounds().left && fx < grid.bounds().right {
-                    let ix = units::index((fx - grid.bounds().left) / grid.pitch_x()).min(nx - 1);
-                    dirty_grid[ix] = true;
-                }
-            }
-        };
-        let mut dirty_grid = vec![false; nx];
-        let mut rescan_grid = vec![false; nx];
-        mark_grid(&resolve, &mut dirty_grid);
-        mark_grid(&rescan, &mut rescan_grid);
-        let ranges = slab_ranges(&self.columns, &self.dissection, rules);
-        let old_slack = self.slack.clone();
-        let mut dirty_grid_columns = 0usize;
-        for (ix, is_dirty) in dirty_grid.iter().enumerate() {
-            if !is_dirty {
-                continue;
-            }
-            dirty_grid_columns += 1;
-            let slab = build_slab_problems(
-                &self.lines,
-                &self.columns[ranges[ix].clone()],
-                &self.dissection,
-                &design.tech,
-                rules,
-                ix,
-            );
-            for (iy, p) in slab.into_iter().enumerate() {
-                self.problems[iy * nx + ix] = p;
-            }
-            if !rescan_grid[ix] {
-                continue;
-            }
-            // Def-III slack is a per-column sum binned into tiles, and a
-            // slab's columns only ever bin into its own grid column, so
-            // feeding just this slab patches exactly its tiles' slack
-            // (integer sums — bit-identical to the full recompute).
-            let slab_caps =
-                def_three_capacities(&self.columns[ranges[ix].clone()], &self.dissection, rules);
-            for iy in 0..grid.ny() {
-                self.slack[iy * nx + ix] = units::saturating_count(slab_caps[iy * nx + ix]);
-            }
-        }
-
-        // Density and budget are global, but budgeting is a pure function
-        // of the density map and the slack vector: an edit that changed
-        // line values without moving drawn area or slot counts (a timing
-        // or sink-weight update, say) leaves both inputs bit-identical,
-        // and then the cached budget IS what a fresh build would compute.
-        // When no segment moved at all, both inputs are untouched by
-        // construction and even the equality check is skipped.
-        let budget_reused = if geometry_changed {
-            self.density_scratch.recompute(design, config.layer);
-            let reused = self.density_scratch == self.density_map && self.slack == old_slack;
-            if !reused {
-                std::mem::swap(&mut self.density_map, &mut self.density_scratch);
-                self.density_before = self.density_map.analyze();
-                let feature_area = rules.feature_area();
-                self.budget = if config.lp_budget {
-                    lp_budget(
-                        &self.density_map,
-                        &self.slack,
-                        feature_area,
-                        config.max_density,
-                    )?
-                } else {
-                    montecarlo_budget(
-                        &self.density_map,
-                        &self.slack,
-                        feature_area,
-                        config.max_density,
-                    )?
-                };
-                self.budget_total = self.budget.total();
-            }
-            reused
-        } else {
-            true
-        };
-
-        // A changed budget may change any tile's allotment; otherwise
-        // only the rebuilt grid columns' tiles lost their problems.
-        let dirt = if budget_reused {
-            let mut tiles = Vec::with_capacity(dirty_grid_columns * grid.ny());
-            for iy in 0..grid.ny() {
-                for (ix, is_dirty) in dirty_grid.iter().enumerate() {
-                    if *is_dirty {
-                        tiles.push(iy * nx + ix);
-                    }
-                }
-            }
-            RebuildDirt::Tiles(tiles)
-        } else {
-            RebuildDirt::All
-        };
-
-        Ok(IncrOutcome::Done {
-            stats: RebuildStats {
-                full: false,
-                changed_nets,
-                dirty_site_columns,
-                dirty_grid_columns,
-                budget_reused,
-            },
-            dirt,
-        })
-    }
-
-    /// The design in the working frame (transposed when the target layer
-    /// routes vertically).
-    pub fn frame_design(&self) -> &Design {
-        &self.frame_design
+        Ok(ctx)
     }
 
     /// The per-tile problems (row-major).
     pub fn problems(&self) -> &[TileProblem] {
         &self.problems
-    }
-
-    /// The global slack columns.
-    pub fn columns(&self) -> &[crate::SlackColumn] {
-        &self.columns
-    }
-
-    /// The extracted active lines.
-    pub fn lines(&self) -> &[crate::ActiveLine] {
-        &self.lines
     }
 
     /// Total budgeted features.
@@ -1010,33 +649,282 @@ impl<'d> FlowContext<'d> {
 }
 
 impl FlowContext<'static> {
-    /// [`FlowContext::rebuild`] for detached
-    /// ([`FlowContext::into_owned`]) contexts: the mutated `design` may
-    /// live arbitrarily briefly — the context clones it into its owned
-    /// frame instead of borrowing. The incremental machinery (and its
-    /// results) are exactly those of [`FlowContext::rebuild`]; a clone
-    /// (~60µs on T2) replaces the borrow, which is what lets a long-lived
-    /// context cache serve the edit→re-fill loop.
+    /// Incrementally rebuilds a detached ([`FlowContext::into_owned`])
+    /// context for a mutated `design`, reusing every cached artifact whose
+    /// inputs did not change. The context clones `design` into its owned
+    /// frame (~60µs on T2), so the mutated design may live arbitrarily
+    /// briefly — which is what lets a long-lived context cache serve the
+    /// edit→re-fill loop.
+    ///
+    /// The cache key is exact, not a hash: nets are diffed value-for-value
+    /// against the design the context was built from. Every changed net's
+    /// lines are extracted before any is spliced in. If a net's segments
+    /// moved, the site columns its old and new buffer-expanded lines cover
+    /// are re-swept through the arena scan. Only the tile-grid columns
+    /// containing a changed site column get their [`TileProblem`]s rebuilt
+    /// ([`build_slab_problems`]), and those tiles' def-III slack is read
+    /// off the rebuilt problems' capacities. Value-only edits (a sink or
+    /// timing change) skip the sweep entirely, since columns depend only
+    /// on rects. The density map and budget are recomputed only when a
+    /// segment moved AND the recomputed map or slack actually differ;
+    /// otherwise the cached budget is reused (budgeting is a pure function
+    /// of the two). All clean columns and problems are kept bit-for-bit.
+    ///
+    /// Falls back to a full [`FlowContext::build_pool`] on `pool` —
+    /// reported via [`RebuildStats::full`] — when the change is not
+    /// localizable: a different config, die, rules, tech, layer table,
+    /// obstruction set or net count, a transposed working frame, or a
+    /// changed net whose line count on the target layer differs (line
+    /// indices would shift under every clean column).
+    ///
+    /// Alongside the stats it reports which tiles' previously computed
+    /// solve results the rebuild invalidated ([`RebuildDirt`]) — the
+    /// contract a per-tile result cache layered above the context (the
+    /// serving layer) relies on.
     ///
     /// # Errors
     ///
-    /// See [`FlowContext::rebuild`].
+    /// See [`FlowError`]. On error the context is left in its previous
+    /// state: the incremental path commits nothing until its last fallible
+    /// step has passed, and the full path replaces the context only with
+    /// a finished build.
     pub fn rebuild_owned(
         &mut self,
         design: &Design,
         config: &FlowConfig,
         pool: &WorkerPool,
     ) -> Result<(RebuildStats, RebuildDirt), FlowError> {
-        match self.rebuild_incr(design, config)? {
-            IncrOutcome::NeedsFull => {
-                *self = FlowContext::build_pool(design, config, pool)?.into_owned();
-                Ok((RebuildStats::FULL, RebuildDirt::All))
+        let full = |ctx: &mut Self| -> Result<(RebuildStats, RebuildDirt), FlowError> {
+            *ctx = FlowContext::build_pool(design, config, pool)?.into_owned();
+            Ok((RebuildStats::FULL, RebuildDirt::All))
+        };
+        let old: &Design = &self.frame_design;
+        // The slab rebuild below is a definition-III construction
+        // (weaker definitions re-scan per tile anyway).
+        if *config != self.config
+            || config.def != SlackColumnDef::Three
+            || self.transposed
+            || routes_vertically(design, config.layer)
+            || design.die != old.die
+            || design.rules != old.rules
+            || design.tech != old.tech
+            || design.layers != old.layers
+            || design.obstructions != old.obstructions
+            || design.nets.len() != old.nets.len()
+        {
+            return full(self);
+        }
+
+        // Diff nets value-for-value and extract every changed one before
+        // splicing any, so an extraction error leaves the context as it
+        // was. Each entry of `changed` holds the net's range in `lines`,
+        // its fresh lines' range in `fresh`, and whether its segments
+        // moved.
+        let mut changed = Vec::new();
+        let mut fresh: Vec<ActiveLine> = Vec::new();
+        let mut extract_scratch = ExtractScratch::default();
+        for (ni, (new_net, old_net)) in design.nets.iter().zip(&old.nets).enumerate() {
+            if new_net == old_net {
+                continue;
             }
-            IncrOutcome::Done { stats, dirt } => {
-                self.frame_design = Cow::Owned(design.clone());
-                Ok((stats, dirt))
+            let start = fresh.len();
+            extract_net_lines_with(
+                design,
+                config.layer,
+                NetId(ni),
+                &mut extract_scratch,
+                &mut fresh,
+            )?;
+            let range = self.net_line_ranges[ni].clone();
+            if fresh.len() - start != range.len() {
+                // Line indices after this net would shift; every clean
+                // column's below/above reference would dangle.
+                return full(self);
+            }
+            let geometry = new_net.segments != old_net.segments;
+            changed.push((range, start..fresh.len(), geometry));
+        }
+        let geometry_changed = changed.iter().any(|&(_, _, geometry)| geometry);
+
+        let die = design.die;
+        let rules = design.rules;
+        let pitch = rules.site_pitch();
+        let n_sites = site_column_count(die, rules);
+        // Two dirt granularities. `resolve`: site columns whose tiles'
+        // problems must be rebuilt (any line change — weights feed the
+        // cost tables). `rescan`: site columns whose slack columns must be
+        // re-swept (geometry moved — columns depend only on rects, so a
+        // value-only edit like a sink-weight bump leaves them untouched,
+        // and with them the slack vector and the density map).
+        let mut resolve = vec![false; n_sites];
+        let mut rescan = vec![false; n_sites];
+        // Marks the site columns a line's buffer-expanded rect covers —
+        // exactly the columns whose sweep sees the line as an event.
+        let mark = |rect: Rect, dirty: &mut Vec<bool>| {
+            let expanded = Rect::new(
+                rect.left - rules.buffer,
+                rect.bottom,
+                rect.right + rules.buffer,
+                rect.top,
+            );
+            let clipped = expanded.intersection(&die);
+            if clipped.is_empty() || n_sites == 0 {
+                return;
+            }
+            let lo = units::index(((clipped.left - die.left) / pitch).max(0));
+            let hi = units::index((clipped.right - 1 - die.left) / pitch).min(n_sites - 1);
+            for s in dirty.iter_mut().take(hi + 1).skip(lo) {
+                *s = true;
+            }
+        };
+
+        // Swap the fresh lines in; `fresh` then holds the old ones, which
+        // mark the sites the net left, and a second swap restores them.
+        let swap_lines = |lines: &mut [ActiveLine], fresh: &mut [ActiveLine]| {
+            for (range, span, _) in &changed {
+                lines[range.clone()].swap_with_slice(&mut fresh[span.clone()]);
+            }
+        };
+        swap_lines(&mut self.lines, &mut fresh);
+        for (range, span, geometry) in &changed {
+            for l in self.lines[range.clone()].iter().chain(&fresh[span.clone()]) {
+                mark(l.rect, &mut resolve);
+                if *geometry {
+                    mark(l.rect, &mut rescan);
+                }
             }
         }
+        let dirty_site_columns = rescan.iter().filter(|&&d| d).count();
+
+        // Splice the column list: clean site runs keep their columns
+        // (a flat copy — `SlackColumn` is `Copy`), dirty runs are re-swept.
+        // Value-only edits rescan nothing: columns depend only on rects.
+        let new_columns = (dirty_site_columns > 0).then(|| {
+            let mut new_columns = Vec::with_capacity(self.columns.len());
+            let mut scratch = ScanScratch::default();
+            let mut site = 0usize;
+            let mut cursor = 0usize;
+            while site < n_sites {
+                let run_start = site;
+                let run_dirty = rescan[site];
+                while site < n_sites && rescan[site] == run_dirty {
+                    site += 1;
+                }
+                let run_cursor = cursor;
+                while cursor < self.columns.len() && self.columns[cursor].site_x < site {
+                    cursor += 1;
+                }
+                if run_dirty {
+                    scan_site_columns(
+                        &self.lines,
+                        die,
+                        rules,
+                        run_start..site,
+                        &mut scratch,
+                        &mut new_columns,
+                    );
+                } else {
+                    new_columns.extend_from_slice(&self.columns[run_cursor..cursor]);
+                }
+            }
+            new_columns
+        });
+        let columns = new_columns.as_deref().unwrap_or(&self.columns);
+
+        // Rebuild the problems of every tile-grid column containing a
+        // changed site. Their tiles' def-III slack is the problems'
+        // capacity: a tile's slot count from its slab's columns, the same
+        // sum `def_three_capacities` bins.
+        let grid = self.dissection.tiles();
+        let nx = grid.nx();
+        let mut dirty_grid = vec![false; nx];
+        for s in (0..n_sites).filter(|&s| resolve[s]) {
+            let fx = die.left + units::coord(s) * pitch + (pitch - rules.feature_size) / 2;
+            if fx >= grid.bounds().left && fx < grid.bounds().right {
+                let ix = units::index((fx - grid.bounds().left) / grid.pitch_x()).min(nx - 1);
+                dirty_grid[ix] = true;
+            }
+        }
+        let ranges = slab_ranges(columns, &self.dissection, rules);
+        let mut slack = self.slack.clone();
+        let mut slabs = Vec::new();
+        for ix in (0..nx).filter(|&ix| dirty_grid[ix]) {
+            let slab = build_slab_problems(
+                &self.lines,
+                &columns[ranges[ix].clone()],
+                &self.dissection,
+                &design.tech,
+                rules,
+                ix,
+            );
+            for (iy, p) in slab.iter().enumerate() {
+                slack[iy * nx + ix] = units::saturating_count(p.capacity());
+            }
+            slabs.push((ix, slab));
+        }
+
+        // Density and budget are global, but budgeting is a pure function
+        // of the density map and the slack vector: an edit that changed
+        // line values without moving drawn area or slot counts (a timing
+        // or sink-weight update, say) leaves both inputs bit-identical,
+        // and then the cached budget IS what a fresh build would compute.
+        // When no segment moved at all, both inputs are untouched by
+        // construction and even the equality check is skipped. A failed
+        // budget swaps the old lines back, the only state touched so far.
+        let mut budget = None;
+        if geometry_changed {
+            self.density_scratch.recompute(design, config.layer);
+            if self.density_scratch != self.density_map || slack != self.slack {
+                let fresh_budget =
+                    fill_budget(&self.density_scratch, &slack, rules.feature_area(), config)
+                        .inspect_err(|_| swap_lines(&mut self.lines, &mut fresh))?;
+                budget = Some(fresh_budget);
+            }
+        }
+        let budget_reused = budget.is_none();
+
+        // Commit.
+        if let Some(budget) = budget {
+            std::mem::swap(&mut self.density_map, &mut self.density_scratch);
+            self.density_before = self.density_map.analyze();
+            self.budget_total = budget.total();
+            self.budget = budget;
+        }
+        if let Some(new_columns) = new_columns {
+            self.columns = new_columns;
+        }
+        let dirty_grid_columns = slabs.len();
+        for (ix, slab) in slabs {
+            for (iy, p) in slab.into_iter().enumerate() {
+                self.problems[iy * nx + ix] = p;
+            }
+        }
+        self.slack = slack;
+        self.frame_design = Cow::Owned(design.clone());
+
+        // A changed budget may change any tile's allotment; otherwise
+        // only the rebuilt grid columns' tiles lost their problems.
+        let dirt = if budget_reused {
+            let mut tiles = Vec::with_capacity(dirty_grid_columns * grid.ny());
+            for iy in 0..grid.ny() {
+                for (ix, is_dirty) in dirty_grid.iter().enumerate() {
+                    if *is_dirty {
+                        tiles.push(iy * nx + ix);
+                    }
+                }
+            }
+            RebuildDirt::Tiles(tiles)
+        } else {
+            RebuildDirt::All
+        };
+        let stats = RebuildStats {
+            full: false,
+            changed_nets: changed.len(),
+            dirty_site_columns,
+            dirty_grid_columns,
+            budget_reused,
+        };
+        Ok((stats, dirt))
     }
 }
 
@@ -1084,8 +972,8 @@ pub fn run_flow(
 /// build + run internally.
 ///
 /// Returns the built context alongside the outcome so further methods can
-/// be run (or the context [rebuilt](FlowContext::rebuild)) without paying
-/// the setup again.
+/// be run (or the context, once [detached](FlowContext::into_owned),
+/// [rebuilt](FlowContext::rebuild_owned)) without paying the setup again.
 ///
 /// # Errors
 ///
@@ -1115,9 +1003,9 @@ struct StreamSlab {
     nanos: Vec<AtomicU64>,
 }
 
-/// The body of [`run_flow_streamed`]; `parallel` selects the
-/// producer/consumer gate over the fused serial loop (tests pass
-/// `pool.lanes() > 1` to drive the gate on any host).
+/// The body of [`run_flow_streamed`]; `parallel` selects `pool`'s
+/// producer/consumer gate over a 1-lane pool's fused serial loop (tests
+/// pass `pool.lanes() > 1` to drive the gate on any host).
 fn run_flow_streamed_impl<'d>(
     design: &'d Design,
     config: &FlowConfig,
@@ -1131,18 +1019,18 @@ fn run_flow_streamed_impl<'d>(
         return Ok((ctx, outcome));
     }
 
-    let p = prelude(design, config)?;
-    let grid = p.dissection.tiles();
+    let mut ctx = prelude(design, config)?;
+    let grid = ctx.dissection.tiles();
     let (nx, ny) = (grid.nx(), grid.ny());
-    let ranges = slab_ranges(&p.columns, &p.dissection, p.frame_design.rules);
+    let ranges = slab_ranges(&ctx.columns, &ctx.dissection, ctx.frame_design.rules);
 
     let build_slab = |ix: usize| -> StreamSlab {
         let problems = build_slab_problems(
-            &p.lines,
-            &p.columns[ranges[ix].clone()],
-            &p.dissection,
-            &p.frame_design.tech,
-            p.frame_design.rules,
+            &ctx.lines,
+            &ctx.columns[ranges[ix].clone()],
+            &ctx.dissection,
+            &ctx.frame_design.tech,
+            ctx.frame_design.rules,
             ix,
         );
         let columns = problems.iter().map(|t| t.columns.len()).sum();
@@ -1158,7 +1046,7 @@ fn run_flow_streamed_impl<'d>(
         let mut offset = 0;
         for (iy, (problem, nanos)) in slab.problems.iter().zip(&slab.nanos).enumerate() {
             let (counts, elapsed) =
-                solve_one_tile(problem, &p.budget, config, method).map_err(|e| (iy, e))?;
+                solve_one_tile(problem, &ctx.budget, config, method).map_err(|e| (iy, e))?;
             let slots = &slab.counts[offset..offset + counts.len()];
             offset += counts.len();
             for (slot, count) in slots.iter().zip(counts) {
@@ -1172,20 +1060,14 @@ fn run_flow_streamed_impl<'d>(
         Ok(())
     };
 
-    let (slabs, results) = if parallel {
-        pool.stream_map(nx, build_slab, solve_slab)
+    let serial;
+    let lanes = if parallel {
+        pool
     } else {
-        // Fused serial loop: produce slab `ix`, then consume it — the same
-        // per-tile order with no gate traffic.
-        let mut slabs = Vec::with_capacity(nx);
-        let mut results = Vec::with_capacity(nx);
-        for ix in 0..nx {
-            let slab = build_slab(ix);
-            results.push(solve_slab(ix, &slab));
-            slabs.push(slab);
-        }
-        (slabs, results)
+        serial = WorkerPool::new(1);
+        &serial
     };
+    let (slabs, results) = lanes.stream_map(nx, build_slab, solve_slab);
     // The first failing tile in row-major order is the one a serial run
     // reports.
     let failure = results
@@ -1223,22 +1105,7 @@ fn run_flow_streamed_impl<'d>(
         }
     }
 
-    let ctx = FlowContext {
-        frame_design: p.frame_design,
-        transposed: p.transposed,
-        config: config.clone(),
-        dissection: p.dissection,
-        lines: p.lines,
-        net_line_ranges: p.net_line_ranges,
-        columns: p.columns,
-        problems,
-        slack: p.slack,
-        budget: p.budget,
-        budget_total: p.budget_total,
-        density_before: p.density_before,
-        density_scratch: DensityMap::zeros(p.density_map.dissection()),
-        density_map: p.density_map,
-    };
+    ctx.problems = problems;
     let eval_pool = if parallel { Some(pool) } else { None };
     let outcome = ctx.assemble(method.name(), per_tile, eval_pool)?;
     Ok((ctx, outcome))
@@ -1564,53 +1431,123 @@ mod tests {
         assert_outcomes_identical(&serial, &streamed, "def II fallback");
     }
 
-    /// Thicken one segment of one net — a localized geometry change that
-    /// keeps the net's line count on the layer.
-    fn mutate_one_segment(d: &Design) -> Design {
+    /// The horizontal fill-layer segments of `d` as `(net, segment)`
+    /// pairs, in net order.
+    fn fill_layer_segments(d: &Design) -> Vec<(usize, usize)> {
+        let mut at = Vec::new();
+        for (ni, n) in d.nets.iter().enumerate() {
+            for (si, s) in n.segments.iter().enumerate() {
+                if s.layer == LayerId(0) && s.start.y == s.end.y {
+                    at.push((ni, si));
+                }
+            }
+        }
+        at
+    }
+
+    /// `d` with each listed segment's width changed by `delta` — a
+    /// localized geometry change that keeps every net's line count on
+    /// the layer.
+    fn resize_segments(d: &Design, at: &[(usize, usize)], delta: Coord) -> Design {
         let mut d2 = d.clone();
-        let layer = LayerId(0);
-        let (ni, si) = d2
-            .nets
-            .iter()
-            .enumerate()
-            .find_map(|(ni, n)| {
-                n.segments
-                    .iter()
-                    .position(|s| s.layer == layer && s.start.y == s.end.y)
-                    .map(|si| (ni, si))
-            })
-            .expect("a horizontal segment on the fill layer");
-        d2.nets[ni].segments[si].width += 100;
+        for &(ni, si) in at {
+            d2.nets[ni].segments[si].width += delta;
+        }
         d2
+    }
+
+    /// Field-for-field equality of a rebuilt context with a fresh build,
+    /// and of their ILP-II outcomes.
+    fn assert_contexts_identical(
+        ctx: &FlowContext,
+        fresh: &FlowContext,
+        cfg: &FlowConfig,
+        tag: &str,
+    ) {
+        assert_eq!(*ctx.frame_design, *fresh.frame_design, "{tag}");
+        assert_eq!(ctx.lines, fresh.lines, "{tag}");
+        assert_eq!(ctx.net_line_ranges, fresh.net_line_ranges, "{tag}");
+        assert_eq!(ctx.columns, fresh.columns, "{tag}");
+        assert_eq!(ctx.problems, fresh.problems, "{tag}");
+        assert_eq!(ctx.slack, fresh.slack, "{tag}");
+        assert_eq!(ctx.budget, fresh.budget, "{tag}");
+        assert_eq!(ctx.budget_total, fresh.budget_total, "{tag}");
+        assert_eq!(ctx.density_map, fresh.density_map, "{tag}");
+        assert_eq!(ctx.density_before, fresh.density_before, "{tag}");
+        let a = ctx.run(cfg, &IlpTwo).expect("rebuilt run");
+        let b = fresh.run(cfg, &IlpTwo).expect("fresh run");
+        assert_outcomes_identical(&a, &b, tag);
     }
 
     #[test]
     fn rebuild_after_one_segment_mutation_matches_fresh_build() {
+        let pool = WorkerPool::new(1);
+        for seed in 0..6 {
+            let d = synthesize(&SynthConfig::small_test(seed));
+            let segments = fill_layer_segments(&d);
+            for r in [2usize, 4] {
+                let cfg = FlowConfig::new(8_000, r).expect("valid config");
+                let pitch = cfg.window / units::coord(r);
+                let grid_columns = |(ni, si): (usize, usize)| {
+                    let rect = d.nets[ni].segments[si].rect();
+                    (rect.left - d.die.left) / pitch..=(rect.right - d.die.left) / pitch
+                };
+                // Two segments of different nets whose grid columns share
+                // none.
+                let (first, second) = segments
+                    .iter()
+                    .flat_map(|&a| segments.iter().map(move |&b| (a, b)))
+                    .find(|&(a, b)| {
+                        let (ca, cb) = (grid_columns(a), grid_columns(b));
+                        a.0 != b.0 && (cb.end() < ca.start() || ca.end() < cb.start())
+                    })
+                    .expect("segments of two nets in disjoint grid columns");
+                let both = [first, second];
+                let edits = [
+                    ("widen", &both[..1], 100),
+                    ("narrow", &both[..1], -100),
+                    ("widen two nets", &both[..], 100),
+                ];
+                for (name, at, delta) in edits {
+                    let tag = format!("seed {seed} r {r} {name}");
+                    let d2 = resize_segments(&d, at, delta);
+                    let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
+                    let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
+                    assert!(!stats.full, "{tag}: a segment change must stay incremental");
+                    assert_eq!(stats.changed_nets, at.len(), "{tag}");
+                    assert!(stats.dirty_site_columns > 0, "{tag}");
+                    assert!(stats.dirty_grid_columns >= at.len(), "{tag}");
+                    let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
+                    assert_contexts_identical(&ctx, &fresh, &cfg, &tag);
+                }
+            }
+        }
+    }
+
+    /// A rebuild whose extraction fails on a later net must leave the
+    /// context as it was, even though an earlier changed net extracted
+    /// fine.
+    #[test]
+    fn failed_rebuild_leaves_the_context_as_it_was() {
         let d = design();
         let cfg = config();
         let pool = WorkerPool::new(1);
-        let d2 = mutate_one_segment(&d);
+        let segments = fill_layer_segments(&d);
+        let first = segments[0];
+        let later = segments
+            .iter()
+            .map(|&(ni, _)| ni)
+            .find(|&ni| ni > first.0)
+            .expect("a later net with a fill-layer segment");
+        let mut d2 = resize_segments(&d, &[first], 100);
+        d2.nets[later]
+            .sinks
+            .push(pilfill_geom::Point::new(-12_345, -12_345));
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let (stats, _) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
-        assert!(!stats.full, "a one-segment change must stay incremental");
-        assert_eq!(stats.changed_nets, 1);
-        assert!(stats.dirty_site_columns > 0);
-        assert!(stats.dirty_grid_columns > 0);
-
-        let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
-        assert_eq!(ctx.lines, fresh.lines);
-        assert_eq!(ctx.columns, fresh.columns);
-        assert_eq!(ctx.problems, fresh.problems);
-        assert_eq!(ctx.slack, fresh.slack);
-        assert_eq!(ctx.budget, fresh.budget);
-        assert_eq!(ctx.budget_total, fresh.budget_total);
-        assert_eq!(ctx.density_before, fresh.density_before);
-
-        // And the run outcome is bit-identical as well.
-        let a = ctx.run(&cfg, &IlpTwo).expect("rebuilt run");
-        let b = fresh.run(&cfg, &IlpTwo).expect("fresh run");
-        assert_outcomes_identical(&a, &b, "rebuild vs fresh");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
+        assert!(ctx.rebuild_owned(&d2, &cfg, &pool).is_err());
+        let fresh = FlowContext::build(&d, &cfg).expect("fresh");
+        assert_contexts_identical(&ctx, &fresh, &cfg, "after a failed rebuild");
     }
 
     /// A value-only edit — duplicating a sink bumps downstream weights
@@ -1625,8 +1562,8 @@ mod tests {
         let sink = d2.nets[0].sinks[0];
         d2.nets[0].sinks.push(sink);
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
-        let (stats, _) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
+        let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full, "a sink edit must stay incremental");
         assert_eq!(stats.changed_nets, 1);
         assert_eq!(
@@ -1643,16 +1580,7 @@ mod tests {
         );
 
         let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
-        assert_eq!(ctx.lines, fresh.lines);
-        assert_eq!(ctx.columns, fresh.columns);
-        assert_eq!(ctx.problems, fresh.problems);
-        assert_eq!(ctx.slack, fresh.slack);
-        assert_eq!(ctx.budget, fresh.budget);
-        assert_eq!(ctx.budget_total, fresh.budget_total);
-        assert_eq!(ctx.density_before, fresh.density_before);
-        let a = ctx.run(&cfg, &IlpTwo).expect("rebuilt run");
-        let b = fresh.run(&cfg, &IlpTwo).expect("fresh run");
-        assert_outcomes_identical(&a, &b, "sink-weight rebuild vs fresh");
+        assert_contexts_identical(&ctx, &fresh, &cfg, "sink-weight rebuild vs fresh");
     }
 
     #[test]
@@ -1660,9 +1588,9 @@ mod tests {
         let d = design();
         let cfg = config();
         let pool = WorkerPool::new(1);
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let before_problems = ctx.problems.clone();
-        let (stats, dirt) = ctx.rebuild(&d, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d, &cfg, &pool).expect("rebuild");
         assert_eq!(
             stats,
             RebuildStats {
@@ -1684,21 +1612,20 @@ mod tests {
         let pool = WorkerPool::new(1);
 
         // Config change -> full.
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut cfg2 = cfg.clone();
         cfg2.weighted = true;
-        assert!(ctx.rebuild(&d, &cfg2, &pool).expect("rebuild").0.full);
+        assert!(ctx.rebuild_owned(&d, &cfg2, &pool).expect("rebuild").0.full);
 
         // Net-count change -> full.
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut d2 = d.clone();
         d2.nets.pop();
-        let (stats, dirt) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(stats.full);
         assert_eq!(dirt, RebuildDirt::All);
         let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
-        assert_eq!(ctx.problems, fresh.problems);
-        assert_eq!(ctx.budget, fresh.budget);
+        assert_contexts_identical(&ctx, &fresh, &cfg, "full fallback");
     }
 
     #[test]
@@ -1726,38 +1653,6 @@ mod tests {
         drop(d); // the owned context must not depend on the design
         let b = owned.run(&cfg, &IlpTwo).expect("owned run");
         assert_outcomes_identical(&a, &b, "into_owned");
-    }
-
-    #[test]
-    fn rebuild_owned_matches_borrowed_rebuild() {
-        let d = design();
-        let cfg = config();
-        let pool = WorkerPool::new(1);
-        let d2 = mutate_one_segment(&d);
-
-        let mut borrowed = FlowContext::build(&d, &cfg).expect("ctx");
-        let mut owned = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
-        let (stats_b, dirt_b) = borrowed.rebuild(&d2, &cfg, &pool).expect("rebuild");
-        let (stats_o, dirt_o) = owned
-            .rebuild_owned(&d2, &cfg, &pool)
-            .expect("rebuild owned");
-        assert_eq!(stats_b, stats_o);
-        assert_eq!(dirt_b, dirt_o);
-        assert!(!stats_o.full);
-        let a = borrowed.run(&cfg, &IlpTwo).expect("run");
-        let b = owned.run(&cfg, &IlpTwo).expect("run");
-        assert_outcomes_identical(&a, &b, "rebuild_owned vs rebuild");
-
-        // Structural fallback works on the owned path too.
-        let mut d3 = d2.clone();
-        d3.nets.pop();
-        let (stats, dirt) = owned.rebuild_owned(&d3, &cfg, &pool).expect("full");
-        assert!(stats.full);
-        assert_eq!(dirt, RebuildDirt::All);
-        let fresh = FlowContext::build(&d3, &cfg).expect("fresh");
-        let a = owned.run(&cfg, &IlpTwo).expect("run");
-        let b = fresh.run(&cfg, &IlpTwo).expect("run");
-        assert_outcomes_identical(&a, &b, "owned full fallback");
     }
 
     #[test]
@@ -1798,12 +1693,12 @@ mod tests {
         let sink = d2.nets[ni].sinks[0];
         d2.nets[ni].sinks.push(sink);
 
-        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
         let mut cached: Vec<Vec<u32>> = Vec::new();
         for i in 0..ctx.problems().len() {
             cached.push(ctx.solve_tile(&cfg, &IlpTwo, i).expect("tile").0);
         }
-        let (stats, dirt) = ctx.rebuild(&d2, &cfg, &pool).expect("rebuild");
+        let (stats, dirt) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full);
         assert!(stats.budget_reused);
         let RebuildDirt::Tiles(dirty) = &dirt else {

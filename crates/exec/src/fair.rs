@@ -27,12 +27,11 @@
 //!   flight; later submitters get [`FairError::Busy`] immediately instead
 //!   of queueing without bound, which is the backpressure signal the
 //!   serving layer turns into a `Busy` reply frame.
-//! - **Cooperative abort.** A request submitted with an abort flag
-//!   ([`FairPool::run_abortable`], or the `abort` argument of
-//!   [`FairPool::run_slots`]) is cancelled between batches once the flag
-//!   is raised — the gate-abort protocol the streamed flow already uses —
-//!   so a disconnected client releases its remaining turns instead of
-//!   wedging the pool.
+//! - **Cooperative abort.** A request submitted with an abort flag (the
+//!   `abort` argument of [`FairPool::run_slots`]) is cancelled between
+//!   batches once the flag is raised — the gate-abort protocol the
+//!   streamed flow already uses — so a disconnected client releases its
+//!   remaining turns instead of wedging the pool.
 //!
 //! Determinism is unaffected by any of this: the scheduler only decides
 //! *when* index ranges run, never what they compute, and every index
@@ -328,17 +327,6 @@ impl FairPool {
     /// completes. Panics raised by `f` are re-raised here.
     pub fn run(&self, n: usize, f: impl Fn(usize) + Sync) -> Result<FairRun, FairError> {
         self.submit_indexed(n, &f, None)
-    }
-
-    /// Like [`FairPool::run`], but the request is cancelled between
-    /// batches once `abort` is raised, returning [`FairError::Aborted`].
-    pub fn run_abortable(
-        &self,
-        n: usize,
-        f: impl Fn(usize) + Sync,
-        abort: &AtomicBool,
-    ) -> Result<FairRun, FairError> {
-        self.submit_indexed(n, &f, Some(abort))
     }
 
     /// Runs `f(i, &mut out[i])` exactly once for every slot of `out`,
@@ -710,13 +698,14 @@ mod tests {
         let fair = FairPool::with_options(FairOptions::new(1).quota(4));
         let abort = AtomicBool::new(false);
         let hits = AtomicUsize::new(0);
-        let got = fair.run_abortable(
-            100,
-            |_| {
+        let mut out = vec![(); 100];
+        let got = fair.run_slots(
+            &mut out,
+            |_, _| {
                 hits.fetch_add(1, Ordering::Relaxed);
                 abort.store(true, Ordering::Relaxed);
             },
-            &abort,
+            Some(&abort),
         );
         assert_eq!(got, Err(FairError::Aborted));
         // The first batch may finish, but no later batch starts.

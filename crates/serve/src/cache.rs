@@ -9,7 +9,7 @@
 //! The context cache is keyed by *(design name, config)*, not by design
 //! hash: an edited design keeps its name, and landing on the base
 //! design's entry is exactly what routes the request through
-//! [`FlowContext::rebuild`] instead of a cold build. The entry records
+//! [`FlowContext::rebuild_owned`] instead of a cold build. The entry records
 //! the hash of the design it currently reflects, so the engine can tell
 //! "same design — replay" from "edited design — rebuild".
 //!

@@ -7,9 +7,9 @@
 //!
 //! - a **design store + [`FlowContext`] LRU** keyed so that repeated
 //!   and *edited* designs hit the incremental
-//!   [`rebuild`](pilfill_core::FlowContext::rebuild) path instead of a
-//!   cold build — the ECO-loop shape the paper's flow actually deploys
-//!   in;
+//!   [`rebuild_owned`](pilfill_core::FlowContext::rebuild_owned) path
+//!   instead of a cold build — the ECO-loop shape the paper's flow
+//!   actually deploys in;
 //! - **fair scheduling** ([`pilfill_exec::FairPool`]): tile batches
 //!   from concurrent requests interleave round-robin on one shared
 //!   worker pool, with admission control surfacing as `Busy` replies

@@ -87,8 +87,9 @@ RUSTFLAGS="--cfg pilfill_check" CARGO_TARGET_DIR=target/check \
   cargo test -q -p pilfill-exec --test model_pool
 
 # Serve smoke: the daemon answers a cold upload, a warm by-hash repeat
-# (byte-for-byte identical outcome blob), and a one-net edit riding the
-# cached context through the rebuild path, then shuts down cleanly. The
+# (byte-for-byte identical outcome blob), and one-net edits riding the
+# cached context through the rebuild path, then shuts down cleanly; a
+# second daemon builds the last edit cold and must reply the same blob. The
 # cold/warm pair runs for Greedy and for ILP-II (closed-form tile solves
 # plus the branch-and-bound fallback); ILP-II uses another `r`, so its
 # context is built cold. A real gate — determinism of the serving layer
@@ -118,10 +119,29 @@ cold_warm greedy --r 2 --method greedy
 cold_warm ilp2 --r 4 --method ilp2
 out=$(request --r 2 --method greedy --edit dup-sink:0)
 echo "$out" | grep -q "status rebuild-" || { echo "expected a rebuild: $out"; exit 1; }
-./target/release/pilfill request --connect "unix:$serve_sock" --shutdown |
-  grep -q "shutdown acknowledged" || { echo "shutdown not acknowledged"; exit 1; }
-wait "$serve_pid"
-[ ! -e "$serve_sock" ] || { echo "socket file not unlinked on shutdown"; exit 1; }
+# A widen edit on the same context must stay incremental; its reply is
+# checked against a cold build of the same edit below.
+out=$(request --r 2 --method greedy --edit widen:0,0,40 --dump "$serve_dir/incr.blob")
+echo "$out" | grep -q "status rebuild-incr" || { echo "expected an incremental rebuild: $out"; exit 1; }
+shutdown_daemon() {
+  ./target/release/pilfill request --connect "unix:$serve_sock" --shutdown |
+    grep -q "shutdown acknowledged" || { echo "shutdown not acknowledged"; exit 1; }
+  wait "$serve_pid"
+  [ ! -e "$serve_sock" ] || { echo "socket file not unlinked on shutdown"; exit 1; }
+}
+shutdown_daemon
+# Rebuild against a cold build: a fresh daemon holds the base only under
+# r = 4, so the same r = 2 edit is built cold and must reply the
+# incremental rebuild's blob byte for byte.
+./target/release/pilfill serve --listen "unix:$serve_sock" --threads 2 &
+serve_pid=$!
+out=$(request --r 4 --method greedy)
+echo "$out" | grep -q "status cold" || { echo "expected a cold upload: $out"; exit 1; }
+out=$(request --r 2 --method greedy --edit widen:0,0,40 --dump "$serve_dir/cold-edit.blob")
+echo "$out" | grep -q "status cold" || { echo "expected a cold build of the edit: $out"; exit 1; }
+cmp "$serve_dir/incr.blob" "$serve_dir/cold-edit.blob" ||
+  { echo "the incremental rebuild must reply what a cold build does"; exit 1; }
+shutdown_daemon
 trap - EXIT
 rm -rf "$serve_dir"
 
