@@ -1,4 +1,4 @@
-use crate::{LayoutError, Net};
+use crate::{LayoutError, Net, TreeWalk};
 use pilfill_geom::{Coord, Dir, Rect};
 
 /// Index of a layer in a [`Design`].
@@ -266,6 +266,10 @@ impl Design {
     /// Checks the whole design: parameters, layer references, segment
     /// geometry, die containment and net topologies.
     ///
+    /// Segment rectangles are computed with checked arithmetic, so a
+    /// segment whose drawn edge overflows `i64` is [`LayoutError::OutsideDie`].
+    /// All nets share one [`TreeWalk`].
+    ///
     /// # Errors
     ///
     /// Returns the first [`LayoutError`] found.
@@ -285,6 +289,7 @@ impl Design {
                 });
             }
         }
+        let mut walk = TreeWalk::default();
         for net in &self.nets {
             for s in &net.segments {
                 if s.layer.0 >= self.layers.len() {
@@ -300,13 +305,14 @@ impl Design {
                         net: net.name.clone(),
                     });
                 }
-                if !self.die.contains_rect(&s.rect()) {
+                let inside = s.checked_rect().is_some_and(|r| self.die.contains_rect(&r));
+                if !inside {
                     return Err(LayoutError::OutsideDie {
                         net: net.name.clone(),
                     });
                 }
             }
-            net.topology()?;
+            net.walk_tree(&mut walk)?;
         }
         Ok(())
     }

@@ -20,12 +20,21 @@ use crate::{Design, FillRules, Layer, LayoutError, Net, Segment, Tech};
 use pilfill_geom::{Coord, Point, Rect};
 use std::fmt::Write as _;
 
+#[cfg(test)]
+mod mutants;
+#[cfg(test)]
+mod reference;
+
 impl Design {
     /// Serializes the design to the text format.
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "PILFILL 1");
-        let _ = writeln!(out, "DESIGN {}", self.name);
+        // An unnamed design (the reader's default when no `DESIGN` line
+        // came) writes no `DESIGN` line: a bare `DESIGN` is rejected.
+        if !self.name.is_empty() {
+            let _ = writeln!(out, "DESIGN {}", self.name);
+        }
         let _ = writeln!(
             out,
             "DIE {} {} {} {}",
@@ -85,52 +94,57 @@ impl Design {
     }
 }
 
+/// Streams the text line by line: each `next` refills one reused token
+/// buffer, so reading a line allocates nothing once the buffer has grown
+/// to the widest line.
 struct Parser<'a> {
-    lines: Vec<(usize, Vec<&'a str>)>,
-    pos: usize,
+    lines: std::iter::Enumerate<std::str::Lines<'a>>,
+    toks: Vec<&'a str>,
+}
+
+fn err(line: usize, message: impl Into<String>) -> LayoutError {
+    LayoutError::Parse {
+        line,
+        message: message.into(),
+    }
+}
+
+fn parse_coord(line: usize, tok: &str) -> Result<Coord, LayoutError> {
+    tok.parse()
+        .map_err(|_| err(line, format!("expected integer, got `{tok}`")))
+}
+
+fn parse_f64(line: usize, tok: &str) -> Result<f64, LayoutError> {
+    tok.parse()
+        .map_err(|_| err(line, format!("expected number, got `{tok}`")))
 }
 
 impl<'a> Parser<'a> {
     fn new(text: &'a str) -> Self {
-        let lines = text
-            .lines()
-            .enumerate()
-            .map(|(i, l)| {
-                let content = l.split('#').next().unwrap_or("");
-                (i + 1, content.split_whitespace().collect::<Vec<_>>())
-            })
-            .filter(|(_, toks)| !toks.is_empty())
-            .collect();
-        Self { lines, pos: 0 }
-    }
-
-    fn err(&self, line: usize, message: impl Into<String>) -> LayoutError {
-        LayoutError::Parse {
-            line,
-            message: message.into(),
+        Self {
+            lines: text.lines().enumerate(),
+            toks: Vec::new(),
         }
     }
 
-    fn next(&mut self) -> Option<(usize, Vec<&'a str>)> {
-        let item = self.lines.get(self.pos)?;
-        self.pos += 1;
-        Some((item.0, item.1.clone()))
-    }
-
-    fn parse_coord(&self, line: usize, tok: &str) -> Result<Coord, LayoutError> {
-        tok.parse()
-            .map_err(|_| self.err(line, format!("expected integer, got `{tok}`")))
-    }
-
-    fn parse_f64(&self, line: usize, tok: &str) -> Result<f64, LayoutError> {
-        tok.parse()
-            .map_err(|_| self.err(line, format!("expected number, got `{tok}`")))
+    /// Advances to the next line with a token outside its `#` comment,
+    /// leaves the tokens in `self.toks` and returns the 1-based line number.
+    fn next(&mut self) -> Option<usize> {
+        for (i, l) in self.lines.by_ref() {
+            let content = l.split('#').next().unwrap_or("");
+            self.toks.clear();
+            self.toks.extend(content.split_whitespace());
+            if !self.toks.is_empty() {
+                return Some(i + 1);
+            }
+        }
+        None
     }
 
     fn parse(mut self) -> Result<Design, LayoutError> {
-        let (line, toks) = self.next().ok_or_else(|| self.err(1, "empty input"))?;
-        if toks != ["PILFILL", "1"] {
-            return Err(self.err(line, "expected header `PILFILL 1`"));
+        let line = self.next().ok_or_else(|| err(1, "empty input"))?;
+        if self.toks != ["PILFILL", "1"] {
+            return Err(err(line, "expected header `PILFILL 1`"));
         }
 
         let mut name = String::new();
@@ -143,52 +157,53 @@ impl<'a> Parser<'a> {
         let mut current: Option<Net> = None;
         let mut ended = false;
 
-        while let Some((line, toks)) = self.next() {
+        while let Some(line) = self.next() {
+            let toks = &self.toks;
             match toks[0] {
                 "DESIGN" => {
                     name = toks
                         .get(1)
-                        .ok_or_else(|| self.err(line, "DESIGN needs a name"))?
+                        .ok_or_else(|| err(line, "DESIGN needs a name"))?
                         .to_string();
                 }
                 "DIE" => {
                     if toks.len() != 5 {
-                        return Err(self.err(line, "DIE needs 4 coordinates"));
+                        return Err(err(line, "DIE needs 4 coordinates"));
                     }
                     die = Some(Rect::new(
-                        self.parse_coord(line, toks[1])?,
-                        self.parse_coord(line, toks[2])?,
-                        self.parse_coord(line, toks[3])?,
-                        self.parse_coord(line, toks[4])?,
+                        parse_coord(line, toks[1])?,
+                        parse_coord(line, toks[2])?,
+                        parse_coord(line, toks[3])?,
+                        parse_coord(line, toks[4])?,
                     ));
                 }
                 "TECH" => {
                     if toks.len() != 4 {
-                        return Err(self.err(line, "TECH needs 3 values"));
+                        return Err(err(line, "TECH needs 3 values"));
                     }
                     tech = Tech {
-                        sheet_res_ohm_sq: self.parse_f64(line, toks[1])?,
-                        eps_r: self.parse_f64(line, toks[2])?,
-                        thickness: self.parse_coord(line, toks[3])?,
+                        sheet_res_ohm_sq: parse_f64(line, toks[1])?,
+                        eps_r: parse_f64(line, toks[2])?,
+                        thickness: parse_coord(line, toks[3])?,
                     };
                 }
                 "RULES" => {
                     if toks.len() != 4 {
-                        return Err(self.err(line, "RULES needs 3 values"));
+                        return Err(err(line, "RULES needs 3 values"));
                     }
                     rules = FillRules {
-                        feature_size: self.parse_coord(line, toks[1])?,
-                        gap: self.parse_coord(line, toks[2])?,
-                        buffer: self.parse_coord(line, toks[3])?,
+                        feature_size: parse_coord(line, toks[1])?,
+                        gap: parse_coord(line, toks[2])?,
+                        buffer: parse_coord(line, toks[3])?,
                     };
                 }
                 "LAYER" => {
                     if toks.len() != 3 {
-                        return Err(self.err(line, "LAYER needs a name and direction"));
+                        return Err(err(line, "LAYER needs a name and direction"));
                     }
                     let dir = toks[2]
                         .parse()
-                        .map_err(|_| self.err(line, "LAYER direction must be h or v"))?;
+                        .map_err(|_| err(line, "LAYER direction must be h or v"))?;
                     layers.push(Layer {
                         name: toks[1].to_string(),
                         dir,
@@ -196,7 +211,7 @@ impl<'a> Parser<'a> {
                 }
                 "OBS" => {
                     if toks.len() != 6 {
-                        return Err(self.err(line, "OBS needs a layer and 4 coordinates"));
+                        return Err(err(line, "OBS needs a layer and 4 coordinates"));
                     }
                     let layer = layers
                         .iter()
@@ -206,25 +221,25 @@ impl<'a> Parser<'a> {
                     obstructions.push(crate::Obstruction {
                         layer,
                         rect: Rect::new(
-                            self.parse_coord(line, toks[2])?,
-                            self.parse_coord(line, toks[3])?,
-                            self.parse_coord(line, toks[4])?,
-                            self.parse_coord(line, toks[5])?,
+                            parse_coord(line, toks[2])?,
+                            parse_coord(line, toks[3])?,
+                            parse_coord(line, toks[4])?,
+                            parse_coord(line, toks[5])?,
                         ),
                     });
                 }
                 "NET" => {
                     if current.is_some() {
-                        return Err(self.err(line, "nested NET (missing ENDNET?)"));
+                        return Err(err(line, "nested NET (missing ENDNET?)"));
                     }
                     if toks.len() != 5 || toks[2] != "SOURCE" {
-                        return Err(self.err(line, "expected `NET <name> SOURCE <x> <y>`"));
+                        return Err(err(line, "expected `NET <name> SOURCE <x> <y>`"));
                     }
                     current = Some(Net {
                         name: toks[1].to_string(),
                         source: Point::new(
-                            self.parse_coord(line, toks[3])?,
-                            self.parse_coord(line, toks[4])?,
+                            parse_coord(line, toks[3])?,
+                            parse_coord(line, toks[4])?,
                         ),
                         sinks: Vec::new(),
                         segments: Vec::new(),
@@ -233,11 +248,12 @@ impl<'a> Parser<'a> {
                 "SEG" => {
                     let net = current
                         .as_mut()
-                        .ok_or_else(|| self.err(line, "SEG outside NET"))?;
+                        .ok_or_else(|| err(line, "SEG outside NET"))?;
                     if toks.len() != 7 {
-                        return Err(
-                            self.err(line, "expected `SEG <layer> <x0> <y0> <x1> <y1> <width>`")
-                        );
+                        return Err(err(
+                            line,
+                            "expected `SEG <layer> <x0> <y0> <x1> <y1> <width>`",
+                        ));
                     }
                     let layer = layers
                         .iter()
@@ -246,33 +262,27 @@ impl<'a> Parser<'a> {
                         .ok_or_else(|| LayoutError::UnknownLayer(toks[1].to_string()))?;
                     net.segments.push(Segment {
                         layer,
-                        start: Point::new(
-                            self.parse_coord(line, toks[2])?,
-                            self.parse_coord(line, toks[3])?,
-                        ),
-                        end: Point::new(
-                            self.parse_coord(line, toks[4])?,
-                            self.parse_coord(line, toks[5])?,
-                        ),
-                        width: self.parse_coord(line, toks[6])?,
+                        start: Point::new(parse_coord(line, toks[2])?, parse_coord(line, toks[3])?),
+                        end: Point::new(parse_coord(line, toks[4])?, parse_coord(line, toks[5])?),
+                        width: parse_coord(line, toks[6])?,
                     });
                 }
                 "SINK" => {
                     let net = current
                         .as_mut()
-                        .ok_or_else(|| self.err(line, "SINK outside NET"))?;
+                        .ok_or_else(|| err(line, "SINK outside NET"))?;
                     if toks.len() != 3 {
-                        return Err(self.err(line, "expected `SINK <x> <y>`"));
+                        return Err(err(line, "expected `SINK <x> <y>`"));
                     }
                     net.sinks.push(Point::new(
-                        self.parse_coord(line, toks[1])?,
-                        self.parse_coord(line, toks[2])?,
+                        parse_coord(line, toks[1])?,
+                        parse_coord(line, toks[2])?,
                     ));
                 }
                 "ENDNET" => {
                     let net = current
                         .take()
-                        .ok_or_else(|| self.err(line, "ENDNET without NET"))?;
+                        .ok_or_else(|| err(line, "ENDNET without NET"))?;
                     nets.push(net);
                 }
                 "ENDDESIGN" => {
@@ -280,18 +290,18 @@ impl<'a> Parser<'a> {
                     break;
                 }
                 other => {
-                    return Err(self.err(line, format!("unknown directive `{other}`")));
+                    return Err(err(line, format!("unknown directive `{other}`")));
                 }
             }
         }
 
         if current.is_some() {
-            return Err(self.err(0, "unterminated NET at end of input"));
+            return Err(err(0, "unterminated NET at end of input"));
         }
         if !ended {
-            return Err(self.err(0, "missing ENDDESIGN"));
+            return Err(err(0, "missing ENDDESIGN"));
         }
-        let die = die.ok_or_else(|| self.err(0, "missing DIE"))?;
+        let die = die.ok_or_else(|| err(0, "missing DIE"))?;
 
         let design = Design {
             name,
@@ -346,11 +356,80 @@ mod tests {
         let d = sample();
         let mut text = String::from("# generated file\n\n");
         text.push_str(&d.to_text());
-        let with_inline = text.replace("DIE", "DIE # die comes here\n DIE");
-        // The inline-comment variant intentionally breaks; use the clean one.
-        let _ = with_inline;
         let d2 = Design::from_text(&text).expect("parse with leading comments");
-        assert_eq!(d.name, d2.name);
+        assert_eq!(d, d2);
+        // An inline comment after a directive's values is stripped ...
+        let trailing = text.replace("DIE 0 0 50000 50000", "DIE 0 0 50000 50000 # die here");
+        assert_eq!(Design::from_text(&trailing), Ok(d.clone()));
+        // ... and one before them swallows them: the `DIE` on line 5 keeps
+        // no coordinates.
+        assert_eq!(
+            Design::from_text(&text.replace("DIE 0", "DIE # 0")),
+            Err(LayoutError::Parse {
+                line: 5,
+                message: "DIE needs 4 coordinates".into()
+            })
+        );
+        // A commented-out directive is gone, and line numbers still count
+        // the comment lines: line 6 is the `DIE` line here.
+        let broken = text.replace("DIE 0", "# DIE 0\nDIE zero");
+        assert_eq!(
+            Design::from_text(&broken),
+            Err(LayoutError::Parse {
+                line: 6,
+                message: "expected integer, got `zero`".into()
+            })
+        );
+    }
+
+    #[test]
+    fn unicode_whitespace_and_crlf_separate_tokens() {
+        let d = sample();
+        let text = d.to_text().replace(' ', "\u{3000}").replace('\n', "\r\n");
+        assert_eq!(Design::from_text(&text), Ok(d.clone()));
+        let text = d.to_text().replacen(' ', "\u{a0}", 3);
+        assert_eq!(Design::from_text(&text), Ok(d));
+    }
+
+    #[test]
+    fn unnamed_design_round_trips() {
+        let text = "PILFILL 1\nDIE 0 0 100 100\nENDDESIGN\n";
+        let d = Design::from_text(text).expect("parse");
+        assert_eq!(d.name, "");
+        assert_eq!(
+            d.to_text(),
+            text.replace(
+                "ENDDESIGN",
+                "TECH 0.07 3.9 500\nRULES 300 150 150\nENDDESIGN"
+            )
+        );
+        assert_eq!(Design::from_text(&d.to_text()), Ok(d));
+    }
+
+    #[test]
+    fn i64_boundary_segment_is_outside_die() {
+        // The drawn rect of this segment reaches past `i64::MAX`: it must
+        // be rejected, not wrapped into an empty rect that the die
+        // "contains" (or overflow a debug build).
+        let text = "PILFILL 1\nDIE 0 0 1000 1000\nLAYER m3 h\n\
+                    NET n SOURCE 10 9223372036854775807\n\
+                    SEG m3 10 9223372036854775807 500 9223372036854775807 400\n\
+                    ENDNET\nENDDESIGN\n";
+        assert_eq!(
+            Design::from_text(text),
+            Err(LayoutError::OutsideDie { net: "n".into() })
+        );
+        // The same at the bottom edge, inside a die spanning all of i64.
+        let text = "PILFILL 1\n\
+                    DIE -9223372036854775808 -9223372036854775808 9223372036854775807 9223372036854775807\n\
+                    LAYER m2 v\n\
+                    NET n SOURCE -9223372036854775807 0\n\
+                    SEG m2 -9223372036854775807 0 -9223372036854775807 500 400\n\
+                    ENDNET\nENDDESIGN\n";
+        assert_eq!(
+            Design::from_text(text),
+            Err(LayoutError::OutsideDie { net: "n".into() })
+        );
     }
 
     #[test]
@@ -399,9 +478,15 @@ mod tests {
     #[test]
     fn unterminated_net_rejected() {
         let text = "PILFILL 1\nDIE 0 0 10 10\nNET n SOURCE 0 0\nENDDESIGN\n";
-        // ENDDESIGN breaks the loop with a NET still open -> error... the
-        // loop breaks first, so the check fires after the loop.
-        assert!(Design::from_text(text).is_err());
+        // `ENDDESIGN` ends the read with the `NET` still open; the open net
+        // is reported after the read, with no line number.
+        assert_eq!(
+            Design::from_text(text),
+            Err(LayoutError::Parse {
+                line: 0,
+                message: "unterminated NET at end of input".into()
+            })
+        );
     }
 
     #[test]

@@ -39,4 +39,4 @@ pub mod synth;
 pub use builder::DesignBuilder;
 pub use design::{Design, FillRules, Layer, LayerId, Obstruction, Tech};
 pub use error::LayoutError;
-pub use net::{Net, NetId, NetTopology, Segment, SegmentId, SignalDir};
+pub use net::{Net, NetId, NetTopology, Segment, SegmentId, SignalDir, TreeWalk};

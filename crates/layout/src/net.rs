@@ -82,6 +82,26 @@ impl Segment {
             }
         }
     }
+
+    /// [`Segment::rect`] with checked arithmetic: `None` when an edge
+    /// overflows [`Coord`], as it can for parsed coordinates near the
+    /// `i64` boundary.
+    pub(crate) fn checked_rect(&self) -> Option<Rect> {
+        let hw = self.width / 2;
+        let rest = self.width - hw;
+        Some(match self.dir() {
+            Dir::Horizontal => {
+                let (x0, x1) = min_max(self.start.x, self.end.x);
+                let y = self.start.y;
+                Rect::new(x0, y.checked_sub(hw)?, x1, y.checked_add(rest)?)
+            }
+            Dir::Vertical => {
+                let (y0, y1) = min_max(self.start.y, self.end.y);
+                let x = self.start.x;
+                Rect::new(x.checked_sub(hw)?, y0, x.checked_add(rest)?, y1)
+            }
+        })
+    }
 }
 
 fn min_max(a: Coord, b: Coord) -> (Coord, Coord) {
@@ -121,6 +141,110 @@ impl Net {
     /// sink is not a segment endpoint (or the source itself).
     pub fn topology(&self) -> Result<NetTopology, LayoutError> {
         NetTopology::build(self)
+    }
+
+    /// Checks the net's tree topology into a caller-owned [`TreeWalk`],
+    /// leaving the walk's parent links and parents-first order in it.
+    ///
+    /// Accepts and rejects exactly what [`Net::topology`] does, with the
+    /// same error, but reuses `walk`'s buffers: a warm walk allocates
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`LayoutError::DisconnectedNet`] if the segments do not form a tree
+    /// rooted at the source; otherwise [`LayoutError::DanglingSink`] if a
+    /// sink is not a segment endpoint (or the source itself).
+    pub fn walk_tree(&self, walk: &mut TreeWalk) -> Result<(), LayoutError> {
+        let n = self.segments.len();
+        walk.children.clear();
+        walk.children
+            .extend(self.segments.iter().enumerate().map(|(i, s)| (s.start, i)));
+        walk.children.sort_unstable();
+
+        // Stack DFS from the source following start -> end, node for node
+        // the traversal of `NetTopology::build`: one pop visits all
+        // children of a node and pushes their ends in child order, so a
+        // cycle trips the visited check at the same segment.
+        walk.parent.clear();
+        walk.parent.resize(n, NO_PARENT);
+        walk.visited.clear();
+        walk.visited.resize(n, false);
+        walk.order.clear();
+        walk.stack.clear();
+        walk.stack.push((self.source, NO_PARENT));
+        while let Some((node, from_seg)) = walk.stack.pop() {
+            let run = walk.children.partition_point(|&(p, _)| p < node);
+            for &(p, k) in &walk.children[run..] {
+                if p != node {
+                    break;
+                }
+                if walk.visited[k] {
+                    return Err(LayoutError::DisconnectedNet {
+                        net: self.name.clone(),
+                    });
+                }
+                walk.visited[k] = true;
+                walk.parent[k] = from_seg;
+                walk.order.push(k);
+                walk.stack.push((self.segments[k].end, k));
+            }
+        }
+        if walk.order.len() != n {
+            return Err(LayoutError::DisconnectedNet {
+                net: self.name.clone(),
+            });
+        }
+
+        // Sinks must be segment endpoints or the source.
+        for sink in &self.sinks {
+            let anchored = *sink == self.source
+                || self
+                    .segments
+                    .iter()
+                    .any(|s| s.start == *sink || s.end == *sink);
+            if !anchored {
+                return Err(LayoutError::DanglingSink {
+                    net: self.name.clone(),
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Sentinel parent of a segment that hangs directly off the source.
+const NO_PARENT: usize = usize::MAX;
+
+/// Reusable arena for [`Net::walk_tree`]: a sorted children index, the
+/// parent/visited/order traversal state and the traversal stack, all flat
+/// buffers kept across nets.
+#[derive(Debug, Default, Clone)]
+pub struct TreeWalk {
+    /// `(segment.start, segment index)`, sorted: each node's children form
+    /// one contiguous run in ascending segment index, the insertion order
+    /// of [`NetTopology`]'s per-node lists.
+    children: Vec<(Point, usize)>,
+    /// Parent segment of each segment ([`NO_PARENT`] at the source).
+    parent: Vec<usize>,
+    /// Visit flags (a second visit is a cycle).
+    visited: Vec<bool>,
+    /// Discovery order, parents before children.
+    order: Vec<usize>,
+    /// DFS stack of `(node, segment arrived through)`.
+    stack: Vec<(Point, usize)>,
+}
+
+impl TreeWalk {
+    /// The segment feeding `segment`'s `start`, or `None` when it starts at
+    /// the source. Meaningful after a successful [`Net::walk_tree`].
+    pub fn parent(&self, segment: usize) -> Option<usize> {
+        Some(self.parent[segment]).filter(|&p| p != NO_PARENT)
+    }
+
+    /// The walked net's segments, parents before children.
+    pub fn order(&self) -> &[usize] {
+        &self.order
     }
 }
 

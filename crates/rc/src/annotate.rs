@@ -2,22 +2,18 @@
 //! downstream-sink weights — the `R_l` and `W_l` inputs of the MDFC
 //! formulations (paper Sections 4 and 5.2).
 //!
-//! The hot path ([`annotate_net_into`]) runs the tree traversal over a
-//! caller-owned [`AnnotateScratch`] arena: a sorted flat children index
-//! replaces the per-net hash map, upstream resistances are computed with
-//! the one-step recurrence `up[k] = up[parent] + res[parent]` instead of
-//! materialized source-path chains, and every buffer is reused across
-//! nets. The output is bit-identical to the retained
-//! [`Net::topology`]-based implementation (a test-only oracle) — the
-//! recurrence replays the reference's left-fold addition order
-//! exactly, and the traversal mirrors [`Net::topology`] node for node so
-//! the error cases agree too.
+//! The hot path ([`annotate_net_into`]) reuses a caller-owned
+//! [`AnnotateScratch`]: the tree is checked by [`Net::walk_tree`] (the
+//! layout crate's one arena traversal, shared with `Design::validate`),
+//! upstream resistances are computed with the one-step recurrence
+//! `up[k] = up[parent] + res[parent]` instead of materialized source-path
+//! chains, and every buffer is reused across nets. The output is
+//! bit-identical to the retained [`Net::topology`]-based implementation (a
+//! test-only oracle): the recurrence replays the reference's left-fold
+//! addition order exactly, and the walk accepts and rejects what
+//! [`Net::topology`] does, with the same errors.
 
-use pilfill_geom::Point;
-use pilfill_layout::{Design, LayoutError, Net, Tech};
-
-/// Sentinel parent index for segments hanging directly off the source.
-const NO_PARENT: usize = usize::MAX;
+use pilfill_layout::{Design, LayoutError, Net, Tech, TreeWalk};
 
 /// Timing attributes of one routed segment.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,25 +35,13 @@ pub struct NetTiming {
     pub segments: Vec<SegmentTiming>,
 }
 
-/// Reusable arena for [`annotate_net_into`]: the sorted children index,
-/// the parent/visited/order traversal state and the per-segment
-/// resistance buffers all live in flat, reused allocations, so annotating
-/// a warm net performs no heap allocation.
+/// Reusable arena for [`annotate_net_into`]: the tree walk and the
+/// per-segment resistance buffers all live in flat, reused allocations,
+/// so annotating a warm net performs no heap allocation.
 #[derive(Debug, Default, Clone)]
 pub struct AnnotateScratch {
-    /// `(segment.start, segment index)`, sorted — the flat replacement
-    /// for the reference's `HashMap<Point, Vec<usize>>` children map.
-    /// Sorting by `(Point, index)` keeps each node's children in
-    /// ascending segment index, the reference's iteration order.
-    children: Vec<(Point, usize)>,
-    /// Parent segment of each segment ([`NO_PARENT`] at the source).
-    parent: Vec<usize>,
-    /// Traversal visit flags (a second visit is a cycle).
-    visited: Vec<bool>,
-    /// Depth-first discovery order, parents before children.
-    order: Vec<usize>,
-    /// DFS stack of `(node, segment arrived through)`.
-    stack: Vec<(Point, usize)>,
+    /// Parent links and parents-first order of the net's tree.
+    walk: TreeWalk,
     /// Full-segment resistances.
     seg_res: Vec<f64>,
     /// Source-to-`start` resistances, via the one-step recurrence.
@@ -84,63 +68,7 @@ pub fn annotate_net_into(
 ) -> Result<(), LayoutError> {
     out.clear();
     let n = net.segments.len();
-    let disconnected = || LayoutError::DisconnectedNet {
-        net: net.name.clone(),
-    };
-
-    // Children index: a contiguous sorted run per node, children in
-    // ascending segment index (the insertion order of the reference's
-    // per-node `Vec`).
-    scratch.children.clear();
-    scratch
-        .children
-        .extend(net.segments.iter().enumerate().map(|(i, s)| (s.start, i)));
-    scratch.children.sort_unstable();
-
-    // Stack DFS from the source following start -> end, mirroring the
-    // reference traversal: one pop visits all children of a node, pushing
-    // their ends in child order, so pops happen in the same sequence and
-    // a cycle trips the visited check at the same segment.
-    scratch.parent.clear();
-    scratch.parent.resize(n, NO_PARENT);
-    scratch.visited.clear();
-    scratch.visited.resize(n, false);
-    scratch.order.clear();
-    scratch.stack.clear();
-    scratch.stack.push((net.source, NO_PARENT));
-    while let Some((node, from_seg)) = scratch.stack.pop() {
-        let run = scratch.children.partition_point(|&(p, _)| p < node);
-        for ci in run..scratch.children.len() {
-            let (p, k) = scratch.children[ci];
-            if p != node {
-                break;
-            }
-            if scratch.visited[k] {
-                return Err(disconnected());
-            }
-            scratch.visited[k] = true;
-            scratch.parent[k] = from_seg;
-            scratch.order.push(k);
-            scratch.stack.push((net.segments[k].end, k));
-        }
-    }
-    if scratch.visited.iter().any(|&v| !v) {
-        return Err(disconnected());
-    }
-
-    // Sinks must be segment endpoints or the source.
-    for sink in &net.sinks {
-        let anchored = *sink == net.source
-            || net
-                .segments
-                .iter()
-                .any(|s| s.start == *sink || s.end == *sink);
-        if !anchored {
-            return Err(LayoutError::DanglingSink {
-                net: net.name.clone(),
-            });
-        }
-    }
+    net.walk_tree(&mut scratch.walk)?;
 
     // Upstream resistance by the one-step recurrence over the
     // parents-first order. `up[k] = up[p] + res[p]` replays the
@@ -155,9 +83,8 @@ pub fn annotate_net_into(
     );
     scratch.upstream.clear();
     scratch.upstream.resize(n, 0.0);
-    for &k in &scratch.order {
-        let p = scratch.parent[k];
-        if p != NO_PARENT {
+    for &k in scratch.walk.order() {
+        if let Some(p) = scratch.walk.parent(k) {
             scratch.upstream[k] = scratch.upstream[p] + scratch.seg_res[p];
         }
     }
@@ -177,11 +104,10 @@ pub fn annotate_net_into(
         if let Some(mut cur) = net.segments.iter().position(|s| s.end == *sink) {
             loop {
                 out[cur].weight += 1;
-                let p = scratch.parent[cur];
-                if p == NO_PARENT {
-                    break;
+                match scratch.walk.parent(cur) {
+                    Some(p) => cur = p,
+                    None => break,
                 }
-                cur = p;
             }
         }
     }

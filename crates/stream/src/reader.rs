@@ -274,6 +274,41 @@ mod tests {
     }
 
     #[test]
+    fn every_segment_obstruction_and_fill_reads_back_in_order() {
+        let d = synthesize(&SynthConfig {
+            num_macros: 2,
+            ..SynthConfig::small_test(6)
+        });
+        assert!(!d.obstructions.is_empty());
+        let fill: Vec<FillFeature> = (0..25)
+            .map(|i| FillFeature {
+                x: 1_000 + 450 * i,
+                y: 2_000 + 450 * (i % 3),
+            })
+            .collect();
+        let layer = |l: LayerId| i16::try_from(l.0).expect("small layer index");
+        let mut want: Vec<(i16, i16, pilfill_geom::Rect)> = Vec::new();
+        for net in &d.nets {
+            want.extend(net.segments.iter().map(|s| (layer(s.layer), 0, s.rect())));
+        }
+        want.extend(d.obstructions.iter().map(|o| (layer(o.layer), 0, o.rect)));
+        let size = d.rules.feature_size;
+        want.extend(fill.iter().map(|f| (0, FILL_DATATYPE, f.rect(size))));
+
+        let lib = read_gds(&write_gds(&d, &fill)).expect("read back");
+        let got: Vec<(i16, i16, pilfill_geom::Rect)> = lib
+            .boundaries
+            .iter()
+            .map(|b| {
+                assert!(b.is_rect());
+                (b.layer, b.datatype, b.bbox())
+            })
+            .collect();
+        assert_eq!(got, want);
+        assert_eq!(lib.fill_features(), fill);
+    }
+
+    #[test]
     fn truncated_stream_fails_cleanly() {
         let d = synthesize(&SynthConfig::small_test(8));
         let bytes = write_gds(&d, &[]);

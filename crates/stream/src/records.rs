@@ -112,23 +112,26 @@ impl std::fmt::Display for GdsError {
 
 impl std::error::Error for GdsError {}
 
-/// Appends one record to `out`.
-pub fn put_record(out: &mut Vec<u8>, rt: RecordType, dt: DataType, payload: &[u8]) {
+/// The 4-byte header of a record with a `payload_len`-byte payload.
+pub fn record_header(rt: RecordType, dt: DataType, payload_len: usize) -> [u8; 4] {
     debug_assert!(
-        payload.len().is_multiple_of(2),
+        payload_len.is_multiple_of(2),
         "GDSII payloads are even-length"
     );
-    let len = 4 + payload.len();
+    let len = 4 + payload_len;
     debug_assert!(
         len <= usize::from(u16::MAX),
         "GDSII record payload too large ({len} bytes)"
     );
-    out.extend_from_slice(&u16::try_from(len).unwrap_or(u16::MAX).to_be_bytes());
+    let [hi, lo] = u16::try_from(len).unwrap_or(u16::MAX).to_be_bytes();
     // `RecordType`/`DataType` are `#[repr(u8)]`; the cast is the only way to
     // read the discriminant and cannot narrow. pilfill: allow(as-cast)
-    out.push(rt as u8);
-    // pilfill: allow(as-cast)
-    out.push(dt as u8);
+    [hi, lo, rt as u8, dt as u8]
+}
+
+/// Appends one record to `out`.
+pub fn put_record(out: &mut Vec<u8>, rt: RecordType, dt: DataType, payload: &[u8]) {
+    out.extend_from_slice(&record_header(rt, dt, payload.len()));
     out.extend_from_slice(payload);
 }
 

@@ -1,7 +1,12 @@
 //! GDSII writer: serializes a design's drawn metal and its fill features.
+//!
+//! The output is sized once: [`write_gds`] reserves its exact length up
+//! front (64 bytes per boundary element plus the library frame), so
+//! writing allocates one buffer and never grows it. Each boundary element
+//! is framed in a stack buffer and appended with one copy.
 
 use crate::encode_real8;
-use crate::records::{put_record, DataType, RecordType};
+use crate::records::{put_record, record_header, DataType, RecordType};
 use pilfill_core::FillFeature;
 use pilfill_geom::Rect;
 use pilfill_layout::Design;
@@ -9,20 +14,33 @@ use pilfill_layout::Design;
 /// Datatype used for fill features (drawn metal uses datatype 0).
 pub const FILL_DATATYPE: i16 = 1;
 
+/// Bytes of one boundary element: `BOUNDARY` (4), `LAYER` (6), `DATATYPE`
+/// (6), a five-point `XY` (4 + 40) and `ENDEL` (4).
+const BOUNDARY_BYTES: usize = 64;
+
+/// Bytes of the library frame around the boundaries, less the library
+/// name's payload: `HEADER` (6), `BGNLIB` (28), the `LIBNAME` header (4),
+/// `UNITS` (20), `BGNSTR` (28), `STRNAME` (8), `ENDSTR` (4), `ENDLIB` (4).
+const FRAME_BYTES: usize = 102;
+
+/// The even-padded length of an ASCII payload.
+fn ascii_len(s: &str) -> usize {
+    s.len() + s.len() % 2
+}
+
 fn put_i16(out: &mut Vec<u8>, rt: RecordType, values: &[i16]) {
-    let mut payload = Vec::with_capacity(values.len() * 2);
+    out.extend_from_slice(&record_header(rt, DataType::Int16, 2 * values.len()));
     for v in values {
-        payload.extend_from_slice(&v.to_be_bytes());
+        out.extend_from_slice(&v.to_be_bytes());
     }
-    put_record(out, rt, DataType::Int16, &payload);
 }
 
 fn put_ascii(out: &mut Vec<u8>, rt: RecordType, s: &str) {
-    let mut payload = s.as_bytes().to_vec();
-    if !payload.len().is_multiple_of(2) {
-        payload.push(0);
+    out.extend_from_slice(&record_header(rt, DataType::Ascii, ascii_len(s)));
+    out.extend_from_slice(s.as_bytes());
+    if !s.len().is_multiple_of(2) {
+        out.push(0);
     }
-    put_record(out, rt, DataType::Ascii, &payload);
 }
 
 /// Narrows a die coordinate to the 32-bit range GDSII XY records mandate.
@@ -37,10 +55,20 @@ fn gds_coord(c: i64) -> i32 {
     c.clamp(i64::from(i32::MIN), i64::from(i32::MAX)) as i32 // pilfill: allow(as-cast)
 }
 
+/// Appends one boundary element. Its five records are framed in a stack
+/// buffer and appended with one copy.
 fn put_boundary(out: &mut Vec<u8>, layer: i16, datatype: i16, rect: Rect) {
-    put_record(out, RecordType::Boundary, DataType::NoData, &[]);
-    put_i16(out, RecordType::Layer, &[layer]);
-    put_i16(out, RecordType::Datatype, &[datatype]);
+    let mut element = [0u8; BOUNDARY_BYTES];
+    let mut at = 0;
+    let mut put = |bytes: &[u8]| {
+        element[at..at + bytes.len()].copy_from_slice(bytes);
+        at += bytes.len();
+    };
+    put(&record_header(RecordType::Boundary, DataType::NoData, 0));
+    put(&record_header(RecordType::Layer, DataType::Int16, 2));
+    put(&layer.to_be_bytes());
+    put(&record_header(RecordType::Datatype, DataType::Int16, 2));
+    put(&datatype.to_be_bytes());
     // Closed 5-point rectangle, counter-clockwise.
     let pts: [(i64, i64); 5] = [
         (rect.left, rect.bottom),
@@ -49,13 +77,18 @@ fn put_boundary(out: &mut Vec<u8>, layer: i16, datatype: i16, rect: Rect) {
         (rect.left, rect.top),
         (rect.left, rect.bottom),
     ];
-    let mut payload = Vec::with_capacity(40);
+    put(&record_header(
+        RecordType::Xy,
+        DataType::Int32,
+        8 * pts.len(),
+    ));
     for (x, y) in pts {
-        payload.extend_from_slice(&gds_coord(x).to_be_bytes());
-        payload.extend_from_slice(&gds_coord(y).to_be_bytes());
+        put(&gds_coord(x).to_be_bytes());
+        put(&gds_coord(y).to_be_bytes());
     }
-    put_record(out, RecordType::Xy, DataType::Int32, &payload);
-    put_record(out, RecordType::EndEl, DataType::NoData, &[]);
+    put(&record_header(RecordType::EndEl, DataType::NoData, 0));
+    debug_assert_eq!(at, BOUNDARY_BYTES, "boundary element size");
+    out.extend_from_slice(&element);
 }
 
 /// Serializes `design` plus `fill` into a single-structure GDSII library.
@@ -64,7 +97,11 @@ fn put_boundary(out: &mut Vec<u8>, layer: i16, datatype: i16, rect: Rect) {
 /// features on the first layer (index 0) with datatype [`FILL_DATATYPE`].
 /// Units are 1 dbu = 1 nm.
 pub fn write_gds(design: &Design, fill: &[FillFeature]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1024 + 44 * fill.len());
+    let boundaries = design.nets.iter().map(|n| n.segments.len()).sum::<usize>()
+        + design.obstructions.len()
+        + fill.len();
+    let mut out =
+        Vec::with_capacity(FRAME_BYTES + ascii_len(&design.name) + BOUNDARY_BYTES * boundaries);
     put_i16(&mut out, RecordType::Header, &[600]);
     // Fixed timestamps keep output deterministic (tools ignore them).
     put_i16(
@@ -73,12 +110,9 @@ pub fn write_gds(design: &Design, fill: &[FillFeature]) -> Vec<u8> {
         &[2003, 6, 1, 0, 0, 0, 2003, 6, 1, 0, 0, 0],
     );
     put_ascii(&mut out, RecordType::LibName, &design.name);
-    {
-        let mut payload = Vec::with_capacity(16);
-        payload.extend_from_slice(&encode_real8(1e-3)); // user units per dbu
-        payload.extend_from_slice(&encode_real8(1e-9)); // meters per dbu
-        put_record(&mut out, RecordType::Units, DataType::Real8, &payload);
-    }
+    out.extend_from_slice(&record_header(RecordType::Units, DataType::Real8, 16));
+    out.extend_from_slice(&encode_real8(1e-3)); // user units per dbu
+    out.extend_from_slice(&encode_real8(1e-9)); // meters per dbu
     put_i16(
         &mut out,
         RecordType::BgnStr,
@@ -103,6 +137,7 @@ pub fn write_gds(design: &Design, fill: &[FillFeature]) -> Vec<u8> {
 
     put_record(&mut out, RecordType::EndStr, DataType::NoData, &[]);
     put_record(&mut out, RecordType::EndLib, DataType::NoData, &[]);
+    debug_assert_eq!(out.len(), out.capacity(), "GDSII output size");
     out
 }
 
@@ -130,6 +165,27 @@ mod tests {
             ],
         );
         assert!(some.len() > none.len());
+    }
+
+    #[test]
+    fn output_is_sized_exactly_once() {
+        // Odd and even library names pad differently.
+        for name in ["odd", "even"] {
+            let mut d = synthesize(&SynthConfig {
+                num_macros: 2,
+                ..SynthConfig::small_test(5)
+            });
+            d.name = name.into();
+            assert!(!d.obstructions.is_empty());
+            let fill: Vec<FillFeature> = (0..37)
+                .map(|i| FillFeature {
+                    x: 450 * i,
+                    y: 900 + 450 * (i % 5),
+                })
+                .collect();
+            let bytes = write_gds(&d, &fill);
+            assert_eq!(bytes.capacity(), bytes.len(), "{name}");
+        }
     }
 
     #[test]
