@@ -3,6 +3,7 @@
 //! the paper's Tables 1 and 2.
 
 use crate::methods::{FillMethod, MethodError};
+use crate::tile::interleave_slabs;
 use crate::{
     build_slab_problems, build_tile_problems_pool, def_three_capacities, evaluate_placement,
     extract_net_lines_with, extract_obstruction_lines, scan_site_columns, scan_slack_columns_into,
@@ -20,7 +21,7 @@ use pilfill_prng::rngs::StdRng;
 use pilfill_prng::SeedableRng;
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one flow run.
@@ -152,15 +153,6 @@ pub struct FlowOutcome {
     pub tiles: usize,
 }
 
-/// `true` when `pool` can genuinely run more than one lane at once: it has
-/// several lanes and the host has several CPUs. The single place that
-/// decides the single-CPU fallback — on one CPU the lanes cannot overlap
-/// and would only add claim/wake overhead, so every pooled entry point
-/// takes its serial path instead.
-fn pool_is_parallel(pool: &WorkerPool) -> bool {
-    pool.lanes() > 1 && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
-}
-
 /// `true` when `layer` routes vertically, so the flow works on the
 /// transposed design.
 fn routes_vertically(design: &Design, layer: LayerId) -> bool {
@@ -185,73 +177,29 @@ fn fill_budget(
     }
 }
 
-/// The method-independent flow state up to (and including) the fill
-/// budget, shared by [`FlowContext::build_pool`] and the streamed runner:
-/// frame transposition, dissection, per-net line extraction, the arena
-/// scan, definition-III slack capacities, density map and budget. The
-/// returned context's `problems` are empty: each caller builds them (the
-/// streamed pipeline fuses their construction with solving).
-fn prelude<'d>(design: &'d Design, config: &FlowConfig) -> Result<FlowContext<'d>, FlowError> {
-    // Work in a frame where the target layer routes horizontally.
-    let transposed = routes_vertically(design, config.layer);
-    let frame_design: Cow<'d, Design> = if transposed {
-        Cow::Owned(design.transposed())
-    } else {
-        Cow::Borrowed(design)
-    };
-    let design: &Design = &frame_design;
-    let dissection = FixedDissection::new(design.die, config.window, config.r)?;
-
-    // Per-net extraction, recording each net's line range so the rebuild
-    // cache can later re-extract changed nets in place.
-    let mut lines = Vec::new();
-    let mut net_line_ranges = Vec::with_capacity(design.nets.len());
-    let mut extract_scratch = ExtractScratch::default();
-    for ni in 0..design.nets.len() {
-        let start = lines.len();
-        extract_net_lines_with(
-            design,
-            config.layer,
-            NetId(ni),
-            &mut extract_scratch,
-            &mut lines,
-        )?;
-        net_line_ranges.push(start..lines.len());
-    }
-    extract_obstruction_lines(design, config.layer, &mut lines);
-
-    let mut scratch = ScanScratch::default();
-    let mut columns = Vec::new();
-    scan_slack_columns_into(&lines, design.die, design.rules, &mut scratch, &mut columns);
-
+/// The budget stage of a build: definition-III slack capacities from the
+/// scanned `columns`, the density map, its analysis and the fill budget.
+/// It depends on the layout only through the scan, and the tile problems
+/// do not depend on it at all, so [`FlowContext::build_pool`] runs it on
+/// a lane while the caller builds the tiles.
+fn budget_stage(
+    design: &Design,
+    columns: &[SlackColumn],
+    dissection: &FixedDissection,
+    config: &FlowConfig,
+) -> Result<(Vec<u32>, DensityMap, DensityAnalysis, FillBudget), BudgetError> {
     // Per-tile capacity for budgeting always uses definition III (the
     // physical truth); the method may then be run under a weaker
     // definition and take a shortfall. The capacities come straight from
     // the global scan — no capacitance tables are built for budgeting.
-    let slack: Vec<u32> = def_three_capacities(&columns, &dissection, design.rules)
+    let slack: Vec<u32> = def_three_capacities(columns, dissection, design.rules)
         .into_iter()
         .map(units::saturating_count)
         .collect();
-
-    let density_map = DensityMap::compute(design, config.layer, &dissection);
+    let density_map = DensityMap::compute(design, config.layer, dissection);
     let budget = fill_budget(&density_map, &slack, design.rules.feature_area(), config)?;
-
-    Ok(FlowContext {
-        frame_design,
-        transposed,
-        config: config.clone(),
-        dissection,
-        lines,
-        net_line_ranges,
-        columns,
-        problems: Vec::new(),
-        slack,
-        budget_total: budget.total(),
-        budget,
-        density_before: density_map.analyze(),
-        density_scratch: DensityMap::zeros(density_map.dissection()),
-        density_map,
-    })
+    let analysis = density_map.analyze();
+    Ok((slack, density_map, analysis, budget))
 }
 
 /// Which tiles' previously computed solve results a
@@ -306,8 +254,7 @@ impl RebuildStats {
 
 /// Solves one tile: budget lookup, capacity clamp, per-tile seeded RNG,
 /// method dispatch — the single definition behind [`FlowContext::run`],
-/// the pooled runner, the streamed pipeline, and
-/// [`FlowContext::solve_tile`].
+/// the pooled runner and [`FlowContext::solve_tile`].
 fn solve_one_tile(
     problem: &TileProblem,
     budget: &FillBudget,
@@ -373,10 +320,16 @@ impl<'d> FlowContext<'d> {
         Self::build_pool(design, config, &WorkerPool::new(1))
     }
 
-    /// Like [`FlowContext::build`], but prepares the per-tile problems on
-    /// the caller's [`WorkerPool`] (per-tile slack scans for definitions
-    /// I/II, sharded global-column distribution for definition III). The
-    /// result is identical for every pool size.
+    /// Like [`FlowContext::build`], but on the caller's [`WorkerPool`].
+    /// The result is identical for every pool size.
+    ///
+    /// After the scan (frame, dissection, extraction, arena scan), a
+    /// definition-III build runs the budget stage (capacities, density
+    /// map, fill budget) on a lane while the calling thread builds every
+    /// tile-grid column's slab of [`TileProblem`]s: no tile problem
+    /// depends on the budget. The caller allocates everything that
+    /// outlives the build. Definitions I/II budget first, then scan their
+    /// tiles on the lanes.
     ///
     /// On a single-CPU host a multi-lane pool cannot overlap any work, so
     /// the build transparently falls back to the serial path (the lanes
@@ -384,35 +337,123 @@ impl<'d> FlowContext<'d> {
     ///
     /// # Errors
     ///
-    /// See [`FlowError`].
+    /// See [`FlowError`]. A budget error is returned as the serial build
+    /// returns it, at every lane count.
     pub fn build_pool(
         design: &'d Design,
         config: &FlowConfig,
         pool: &WorkerPool,
     ) -> Result<Self, FlowError> {
-        if pool.lanes() > 1 && !pool_is_parallel(pool) {
+        if pool.lanes() > 1 && !pool.is_parallel() {
             return Self::build_pool_impl(design, config, &WorkerPool::new(1));
         }
         Self::build_pool_impl(design, config, pool)
     }
 
+    /// The body of [`FlowContext::build_pool`], without the single-CPU
+    /// fallback (tests call it to drive the lanes on any host).
     fn build_pool_impl(
         design: &'d Design,
         config: &FlowConfig,
         pool: &WorkerPool,
     ) -> Result<Self, FlowError> {
-        let mut ctx = prelude(design, config)?;
-        let frame: &Design = &ctx.frame_design;
-        ctx.problems = build_tile_problems_pool(
-            &ctx.lines,
-            &ctx.columns,
-            &ctx.dissection,
-            &frame.tech,
-            frame.rules,
-            config.def,
-            pool,
-        );
-        Ok(ctx)
+        // Work in a frame where the target layer routes horizontally.
+        let transposed = routes_vertically(design, config.layer);
+        let frame_design: Cow<'d, Design> = if transposed {
+            Cow::Owned(design.transposed())
+        } else {
+            Cow::Borrowed(design)
+        };
+        let frame: &Design = &frame_design;
+        let dissection = FixedDissection::new(frame.die, config.window, config.r)?;
+
+        // Per-net extraction, recording each net's line range so the
+        // rebuild cache can later re-extract changed nets in place.
+        let mut lines = Vec::new();
+        let mut net_line_ranges = Vec::with_capacity(frame.nets.len());
+        let mut extract_scratch = ExtractScratch::default();
+        for ni in 0..frame.nets.len() {
+            let start = lines.len();
+            extract_net_lines_with(
+                frame,
+                config.layer,
+                NetId(ni),
+                &mut extract_scratch,
+                &mut lines,
+            )?;
+            net_line_ranges.push(start..lines.len());
+        }
+        extract_obstruction_lines(frame, config.layer, &mut lines);
+
+        let mut scratch = ScanScratch::default();
+        let mut columns = Vec::new();
+        scan_slack_columns_into(&lines, frame.die, frame.rules, &mut scratch, &mut columns);
+        let density_scratch = DensityMap::zeros(&dissection);
+
+        let (problems, budgeted) = if config.def == SlackColumnDef::Three {
+            // Item 0 is the budget stage, run by whichever lane claims it
+            // (on a 1-lane pool: first, before any slab); items 1..=nx are
+            // the slabs, which the producer builds on this thread, so the
+            // slabs are the caller's allocations. Once the budget has
+            // failed the build's result is that error, and the producer
+            // skips the remaining slabs.
+            let ranges = slab_ranges(&columns, &dissection, frame.rules);
+            let failed = AtomicBool::new(false);
+            let (slabs, mut stages) = pool.stream_map(
+                ranges.len() + 1,
+                |k| match k.checked_sub(1) {
+                    Some(ix) if !failed.load(Ordering::Relaxed) => build_slab_problems(
+                        &lines,
+                        &columns[ranges[ix].clone()],
+                        &dissection,
+                        &frame.tech,
+                        frame.rules,
+                        ix,
+                    ),
+                    _ => Vec::new(),
+                },
+                |k, _| {
+                    (k == 0).then(|| {
+                        budget_stage(frame, &columns, &dissection, config)
+                            .inspect_err(|_| failed.store(true, Ordering::Relaxed))
+                    })
+                },
+            );
+            // Item 0 always runs the budget stage. pilfill: allow(unwrap)
+            let budgeted = stages.swap_remove(0).expect("item 0 is the budget stage");
+            let ny = dissection.tiles().ny();
+            (interleave_slabs(slabs.into_iter().skip(1), ny), budgeted)
+        } else {
+            let budgeted = budget_stage(frame, &columns, &dissection, config)?;
+            let problems = build_tile_problems_pool(
+                &lines,
+                &columns,
+                &dissection,
+                &frame.tech,
+                frame.rules,
+                config.def,
+                pool,
+            );
+            (problems, Ok(budgeted))
+        };
+        let (slack, density_map, density_before, budget) = budgeted?;
+
+        Ok(FlowContext {
+            frame_design,
+            transposed,
+            config: config.clone(),
+            dissection,
+            lines,
+            net_line_ranges,
+            columns,
+            problems,
+            slack,
+            budget_total: budget.total(),
+            budget,
+            density_before,
+            density_scratch,
+            density_map,
+        })
     }
 
     /// The per-tile problems (row-major).
@@ -451,7 +492,7 @@ impl<'d> FlowContext<'d> {
         method: &(dyn FillMethod + Sync),
         pool: &WorkerPool,
     ) -> Result<FlowOutcome, FlowError> {
-        if !pool_is_parallel(pool) {
+        if !pool.is_parallel() {
             return self.run(config, method);
         }
         self.run_pool_impl(config, method, pool)
@@ -470,25 +511,39 @@ impl<'d> FlowContext<'d> {
             return self.run(config, method);
         }
 
-        // Each tile owns one pre-partitioned result slot: no locks, no
-        // contention, and every slot is written exactly once.
-        type TileResult = Result<(Vec<u32>, Duration), MethodError>;
-        let mut results: Vec<Option<TileResult>> = Vec::new();
-        results.resize_with(n, || None);
-        pool.for_each_slot(&mut results, |i, slot| {
-            *slot = Some(solve_one_tile(
-                &self.problems[i],
-                &self.budget,
-                config,
-                method,
-            ));
+        // Caller-owned result slots: tile `i`'s counts land in span
+        // `spans[i]..spans[i + 1]` of one flat buffer, and its solve
+        // time or error in its own slot. A lane drops the method's `Vec`
+        // as soon as it has copied the counts, so nothing a lane
+        // allocates outlives the tile it solves: results that lived on
+        // the lanes until the job ended kept glibc's per-thread arenas
+        // from trimming and inflated peak RSS.
+        let mut spans = Vec::with_capacity(n + 1);
+        spans.push(0);
+        for p in &self.problems {
+            spans.push(spans[spans.len() - 1] + p.columns.len());
+        }
+        let counts: Vec<AtomicU32> = (0..spans[n]).map(|_| AtomicU32::new(0)).collect();
+        let mut solved: Vec<Result<Duration, MethodError>> = Vec::new();
+        solved.resize_with(n, || Ok(Duration::ZERO));
+        pool.for_each_slot(&mut solved, |i, slot| {
+            *slot = solve_one_tile(&self.problems[i], &self.budget, config, method).map(
+                |(tile, elapsed)| {
+                    for (c, m) in counts[spans[i]..spans[i + 1]].iter().zip(tile) {
+                        c.store(m, Ordering::Relaxed);
+                    }
+                    elapsed
+                },
+            );
         });
 
+        // The job has ended (the pool joined every lane), so the slots
+        // hold every lane's stores. The first failing tile in row-major
+        // order is the one a serial run reports.
+        let counts: Vec<u32> = counts.into_iter().map(AtomicU32::into_inner).collect();
         let mut per_tile = Vec::with_capacity(n);
-        for (i, slot) in results.into_iter().enumerate() {
-            // The pool claims every index exactly once: each slot is written.
-            let (counts, elapsed) = slot.expect("every tile visited")?; // pilfill: allow(unwrap)
-            per_tile.push((i, counts, elapsed));
+        for (i, elapsed) in solved.into_iter().enumerate() {
+            per_tile.push((i, &counts[spans[i]..spans[i + 1]], elapsed?));
         }
         self.assemble(method.name(), per_tile, Some(pool))
     }
@@ -948,28 +1003,18 @@ pub fn run_flow(
     FlowContext::build(design, config)?.run(config, method)
 }
 
-/// The streamed fill pipeline: context build and tile solving fused into
-/// one pass.
+/// The streamed fill run: [`FlowContext::build_pool`] and
+/// [`FlowContext::run_pool`] on one pool, the path `pilfill fill` takes.
 ///
-/// After the shared prelude (extraction, arena scan, slack, density,
-/// budget — the budget is a barrier: no tile can be solved before every
-/// tile's slack is known), the tile-problem construction is *streamed*:
-/// a producer walks the tile-grid columns left to right, expanding each
-/// grid column's slab of global slack columns into its [`TileProblem`]s
-/// ([`build_slab_problems`]), and publishes each finished slab to the
-/// pool's lanes, which solve its tiles immediately while the producer
-/// moves on to the next slab. Wall-clock approaches
-/// `max(build, solve)` instead of `build + solve`.
-///
-/// Results are folded in row-major tile order, so the outcome — features,
-/// density, and every f64 accumulation in the delay impact — is
+/// The build overlaps the fill budget with the tile construction (a lane
+/// runs the budget stage while the calling thread builds every slab of
+/// tile problems), and the run solves the tiles on every lane into
+/// caller-owned slots and shards the delay evaluation. The outcome —
+/// features, density, and every f64 accumulation in the delay impact — is
 /// bit-identical to [`FlowContext::build`] + [`FlowContext::run`] at any
-/// lane count (the per-tile RNG seeds depend only on the tile cell). On a
-/// single-CPU host (or a 1-lane pool) the producer and consumer run fused
-/// in one serial loop over the same order.
-///
-/// Definitions I/II have no slab decomposition; they fall back to
-/// build + run internally.
+/// lane count (the per-tile RNG seeds depend only on the tile cell, and
+/// tile results are folded in row-major order). On a single-CPU host (or
+/// a 1-lane pool) both halves take their serial paths.
 ///
 /// Returns the built context alongside the outcome so further methods can
 /// be run (or the context, once [detached](FlowContext::into_owned),
@@ -984,130 +1029,22 @@ pub fn run_flow_streamed<'d>(
     method: &(dyn FillMethod + Sync),
     pool: &WorkerPool,
 ) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    run_flow_streamed_impl(design, config, method, pool, pool_is_parallel(pool))
+    if pool.lanes() > 1 && !pool.is_parallel() {
+        return run_flow_streamed_impl(design, config, method, &WorkerPool::new(1));
+    }
+    run_flow_streamed_impl(design, config, method, pool)
 }
 
-/// One tile-grid column of the streamed pipeline: its tile problems and
-/// the slots their solves write into.
-///
-/// The producer allocates the slots along with the problems, and a lane
-/// copies each tile's counts in and drops the method's `Vec` at once, so
-/// nothing a worker lane allocates outlives the tile it solves. Results
-/// that lived on the lanes until the job ended kept glibc's per-thread
-/// arenas from trimming and inflated peak RSS.
-struct StreamSlab {
-    problems: Vec<TileProblem>,
-    /// Every tile's per-column counts, tile after tile.
-    counts: Vec<AtomicU32>,
-    /// Every tile's solve time in nanoseconds.
-    nanos: Vec<AtomicU64>,
-}
-
-/// The body of [`run_flow_streamed`]; `parallel` selects `pool`'s
-/// producer/consumer gate over a 1-lane pool's fused serial loop (tests
-/// pass `pool.lanes() > 1` to drive the gate on any host).
+/// The body of [`run_flow_streamed`], without the single-CPU fallback
+/// (tests call it to drive the lanes on any host).
 fn run_flow_streamed_impl<'d>(
     design: &'d Design,
     config: &FlowConfig,
     method: &(dyn FillMethod + Sync),
     pool: &WorkerPool,
-    parallel: bool,
 ) -> Result<(FlowContext<'d>, FlowOutcome), FlowError> {
-    if config.def != SlackColumnDef::Three {
-        let ctx = FlowContext::build_pool(design, config, pool)?;
-        let outcome = ctx.run_pool(config, method, pool)?;
-        return Ok((ctx, outcome));
-    }
-
-    let mut ctx = prelude(design, config)?;
-    let grid = ctx.dissection.tiles();
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let ranges = slab_ranges(&ctx.columns, &ctx.dissection, ctx.frame_design.rules);
-
-    let build_slab = |ix: usize| -> StreamSlab {
-        let problems = build_slab_problems(
-            &ctx.lines,
-            &ctx.columns[ranges[ix].clone()],
-            &ctx.dissection,
-            &ctx.frame_design.tech,
-            ctx.frame_design.rules,
-            ix,
-        );
-        let columns = problems.iter().map(|t| t.columns.len()).sum();
-        StreamSlab {
-            counts: (0..columns).map(|_| AtomicU32::new(0)).collect(),
-            nanos: (0..problems.len()).map(|_| AtomicU64::new(0)).collect(),
-            problems,
-        }
-    };
-    // Solves a slab's tiles into its slots, stopping at the first failure
-    // (later tiles of the slab come after it in row-major order too).
-    let solve_slab = |_ix: usize, slab: &StreamSlab| -> Result<(), (usize, MethodError)> {
-        let mut offset = 0;
-        for (iy, (problem, nanos)) in slab.problems.iter().zip(&slab.nanos).enumerate() {
-            let (counts, elapsed) =
-                solve_one_tile(problem, &ctx.budget, config, method).map_err(|e| (iy, e))?;
-            let slots = &slab.counts[offset..offset + counts.len()];
-            offset += counts.len();
-            for (slot, count) in slots.iter().zip(counts) {
-                slot.store(count, Ordering::Relaxed);
-            }
-            nanos.store(
-                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
-        }
-        Ok(())
-    };
-
-    let serial;
-    let lanes = if parallel {
-        pool
-    } else {
-        serial = WorkerPool::new(1);
-        &serial
-    };
-    let (slabs, results) = lanes.stream_map(nx, build_slab, solve_slab);
-    // The first failing tile in row-major order is the one a serial run
-    // reports.
-    let failure = results
-        .into_iter()
-        .enumerate()
-        .filter_map(|(ix, r)| r.err().map(|(iy, e)| ((iy, ix), e)))
-        .min_by_key(|&(at, _)| at);
-    if let Some((_, e)) = failure {
-        return Err(e.into());
-    }
-
-    // Fold slabs (column-major) into the row-major tile order; the fixed
-    // fold order is what makes the outcome bit-identical to the serial
-    // build + run at any lane count. The job has ended (the pool joined
-    // every lane), so the slots hold every lane's stores.
-    let mut slab_iters = Vec::with_capacity(nx);
-    let mut slab_counts: Vec<Vec<u32>> = Vec::with_capacity(nx);
-    for slab in slabs {
-        slab_iters.push(slab.problems.into_iter().zip(slab.nanos));
-        slab_counts.push(slab.counts.into_iter().map(AtomicU32::into_inner).collect());
-    }
-    let mut offsets = vec![0usize; nx];
-    let mut problems = Vec::with_capacity(nx * ny);
-    let mut per_tile = Vec::with_capacity(nx * ny);
-    for iy in 0..ny {
-        for ix in 0..nx {
-            // Every slab holds exactly `ny` tiles (build_slab_problems).
-            // pilfill: allow(unwrap)
-            let (problem, nanos) = slab_iters[ix].next().expect("slab tile count");
-            let span = offsets[ix]..offsets[ix] + problem.columns.len();
-            offsets[ix] = span.end;
-            let elapsed = Duration::from_nanos(nanos.into_inner());
-            per_tile.push((iy * nx + ix, &slab_counts[ix][span], elapsed));
-            problems.push(problem);
-        }
-    }
-
-    ctx.problems = problems;
-    let eval_pool = if parallel { Some(pool) } else { None };
-    let outcome = ctx.assemble(method.name(), per_tile, eval_pool)?;
+    let ctx = FlowContext::build_pool_impl(design, config, pool)?;
+    let outcome = ctx.run_pool_impl(config, method, pool)?;
     Ok((ctx, outcome))
 }
 
@@ -1313,26 +1250,71 @@ mod tests {
         );
     }
 
+    /// The pooled build (budget stage on a lane, slabs on the caller) and
+    /// the streamed run (that build plus the pooled run) against the
+    /// serial build + run: every definition, both frames (the vertical
+    /// layer works on the transposed design), both budgets, 1/2/4/8
+    /// lanes.
     #[test]
-    fn parallel_build_matches_sequential_for_every_def() {
+    fn pooled_build_and_streamed_run_match_serial_for_every_def_frame_and_lane_count() {
         let d = design();
         for def in [
             SlackColumnDef::One,
             SlackColumnDef::Two,
             SlackColumnDef::Three,
         ] {
-            let mut cfg = config();
-            cfg.def = def;
-            let seq = FlowContext::build(&d, &cfg).expect("seq build");
-            for threads in [2usize, 4, 8] {
-                let par = FlowContext::build_pool_impl(&d, &cfg, &WorkerPool::new(threads))
-                    .expect("par build");
-                assert_eq!(seq.problems, par.problems, "{def} @ {threads} threads");
-                assert_eq!(seq.budget_total, par.budget_total);
-                let a = seq.run(&cfg, &GreedyFill).expect("run seq ctx");
-                let b = par.run(&cfg, &GreedyFill).expect("run par ctx");
-                assert_eq!(a.features, b.features);
-                assert_eq!(a.impact, b.impact);
+            for layer in [LayerId(0), LayerId(1)] {
+                for lp_budget in [false, true] {
+                    let mut cfg = config();
+                    cfg.def = def;
+                    cfg.layer = layer;
+                    cfg.lp_budget = lp_budget;
+                    let serial = FlowContext::build(&d, &cfg).expect("serial build");
+                    assert_eq!(serial.transposed, layer == LayerId(1));
+                    let want = serial.run(&cfg, &IlpTwo).expect("serial run");
+                    for lanes in [1usize, 2, 4, 8] {
+                        let tag = format!("{def} layer {layer:?} lp {lp_budget} @ {lanes} lanes");
+                        let pool = WorkerPool::new(lanes);
+                        let built =
+                            FlowContext::build_pool_impl(&d, &cfg, &pool).expect("pooled build");
+                        assert_context_state_identical(&built, &serial, &tag);
+                        let (ctx, got) =
+                            run_flow_streamed_impl(&d, &cfg, &IlpTwo, &pool).expect("streamed");
+                        assert_context_state_identical(&ctx, &serial, &tag);
+                        assert_outcomes_identical(&want, &got, &tag);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A budget that rejects its parameters fails the build with the
+    /// serial build's error at every lane count, on every path, even
+    /// though the slabs are built while the budget runs.
+    #[test]
+    fn budget_error_is_the_same_at_every_lane_count() {
+        let d = design();
+        for def in [SlackColumnDef::One, SlackColumnDef::Three] {
+            for lp_budget in [false, true] {
+                let mut cfg = config();
+                cfg.def = def;
+                cfg.lp_budget = lp_budget;
+                cfg.max_density = 1.5;
+                let want = FlowContext::build(&d, &cfg).expect_err("out-of-range bound");
+                assert!(
+                    matches!(want, FlowError::Budget(BudgetError::InvalidParameter(_))),
+                    "{want:?}"
+                );
+                for lanes in [1usize, 2, 4, 8] {
+                    let tag = format!("{def} lp {lp_budget} @ {lanes} lanes");
+                    let pool = WorkerPool::new(lanes);
+                    let built = FlowContext::build_pool_impl(&d, &cfg, &pool);
+                    assert_eq!(built.expect_err("pooled build"), want, "{tag}");
+                    let streamed = run_flow_streamed_impl(&d, &cfg, &IlpTwo, &pool);
+                    assert_eq!(streamed.expect_err("streamed"), want, "{tag}");
+                    let public = run_flow_streamed(&d, &cfg, &IlpTwo, &pool);
+                    assert_eq!(public.expect_err("public"), want, "{tag}");
+                }
             }
         }
     }
@@ -1407,7 +1389,7 @@ mod tests {
             for lanes in [1usize, 2, 4, 8] {
                 let pool = WorkerPool::new(lanes);
                 let (sctx, streamed) =
-                    run_flow_streamed_impl(&d, &cfg, method, &pool, lanes > 1).expect("streamed");
+                    run_flow_streamed_impl(&d, &cfg, method, &pool).expect("streamed");
                 let tag = format!("{} @ {lanes} lanes", method.name());
                 assert_outcomes_identical(&serial, &streamed, &tag);
                 assert_eq!(sctx.problems, ctx.problems, "{tag}");
@@ -1464,7 +1446,18 @@ mod tests {
         cfg: &FlowConfig,
         tag: &str,
     ) {
+        assert_context_state_identical(ctx, fresh, tag);
+        let a = ctx.run(cfg, &IlpTwo).expect("rebuilt run");
+        let b = fresh.run(cfg, &IlpTwo).expect("fresh run");
+        assert_outcomes_identical(&a, &b, tag);
+    }
+
+    /// Field-for-field equality of two contexts.
+    fn assert_context_state_identical(ctx: &FlowContext, fresh: &FlowContext, tag: &str) {
+        assert_eq!(ctx.transposed, fresh.transposed, "{tag}");
+        assert_eq!(ctx.config, fresh.config, "{tag}");
         assert_eq!(*ctx.frame_design, *fresh.frame_design, "{tag}");
+        assert_eq!(ctx.dissection, fresh.dissection, "{tag}");
         assert_eq!(ctx.lines, fresh.lines, "{tag}");
         assert_eq!(ctx.net_line_ranges, fresh.net_line_ranges, "{tag}");
         assert_eq!(ctx.columns, fresh.columns, "{tag}");
@@ -1474,9 +1467,6 @@ mod tests {
         assert_eq!(ctx.budget_total, fresh.budget_total, "{tag}");
         assert_eq!(ctx.density_map, fresh.density_map, "{tag}");
         assert_eq!(ctx.density_before, fresh.density_before, "{tag}");
-        let a = ctx.run(cfg, &IlpTwo).expect("rebuilt run");
-        let b = fresh.run(cfg, &IlpTwo).expect("fresh run");
-        assert_outcomes_identical(&a, &b, tag);
     }
 
     #[test]

@@ -347,8 +347,8 @@ pub fn slab_ranges(
 /// `(ix, 0..ny)`, indexed by row — from that column's slab of the global
 /// scan (see [`slab_ranges`]). The full build is made of these slab
 /// builds, so a slab's tiles are bit-identical to the same tiles of
-/// [`build_tile_problems`]; this is also the unit of work of the streamed
-/// pipeline and the rebuild cache.
+/// [`build_tile_problems`]; this is also the unit of work of the pooled
+/// build (`FlowContext::build_pool`) and the rebuild cache.
 pub fn build_slab_problems(
     lines: &[ActiveLine],
     slab: &[SlackColumn],
@@ -394,6 +394,23 @@ fn slab_problems(
             let tc = make_tile_column(lines, col, slots, rules, model);
             problems[iy].columns.push(tc);
         });
+    }
+    problems
+}
+
+/// Interleaves grid-column slabs (slab `ix` holds tiles `(ix, 0..ny)`,
+/// indexed by row, as [`build_slab_problems`] returns them) into the
+/// row-major tile order `iy * nx + ix`.
+pub(crate) fn interleave_slabs(
+    slabs: impl IntoIterator<Item = Vec<TileProblem>>,
+    ny: usize,
+) -> Vec<TileProblem> {
+    let mut slabs: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
+    let mut problems = Vec::with_capacity(slabs.len() * ny);
+    for _ in 0..ny {
+        for slab in &mut slabs {
+            problems.extend(slab.next());
+        }
     }
     problems
 }
@@ -480,14 +497,7 @@ pub fn build_tile_problems_pool(
             let slab = &global_columns[ranges[ix].clone()];
             slab_problems(lines, slab, &grid, rules, &model, ix)
         });
-        let mut slabs: Vec<_> = slabs.into_iter().map(Vec::into_iter).collect();
-        let mut problems = Vec::with_capacity(grid.len());
-        for _ in 0..grid.ny() {
-            for slab in &mut slabs {
-                problems.extend(slab.next());
-            }
-        }
-        return problems;
+        return interleave_slabs(slabs, grid.ny());
     }
 
     // Per-tile scan: lines are clipped to the tile, so columns bounded by

@@ -482,7 +482,7 @@ fn spacing_violations(
 mod tests {
     use super::*;
     use pilfill_geom::{Dir, Point};
-    use pilfill_layout::DesignBuilder;
+    use pilfill_layout::{DesignBuilder, Layer, Net, Obstruction, Segment};
     use pilfill_prng::rngs::StdRng;
     use pilfill_prng::{Rng, SeedableRng};
     use std::collections::HashMap;
@@ -827,31 +827,48 @@ mod tests {
     /// Ten thousand die-spanning wires on an `i64`-wide die, corner
     /// obstructions and features spread to the `i64` extremes: no panic,
     /// the grid stays within `4·(K + F)` cells and slots, and the report
-    /// matches the reference.
+    /// matches the reference. [`Design::validate`] rejects a die this
+    /// wide, but `check_fill` takes any `Design`, so the design is put
+    /// together without it.
     #[test]
     fn hostile_input_keeps_index_bounded() {
         let die = Rect::new(i64::MIN, i64::MIN, i64::MAX, i64::MAX);
         let mut rng = StdRng::seed_from_u64(0xD2C_0002);
-        let mut b = DesignBuilder::new("hostile", die)
-            .layer("m3", Dir::Horizontal)
-            .obstruction(
-                "m3",
+        let m3 = LayerId(0);
+        let mut d = Design {
+            name: "hostile".into(),
+            die,
+            tech: Default::default(),
+            rules: Default::default(),
+            layers: vec![Layer {
+                name: "m3".into(),
+                dir: Dir::Horizontal,
+            }],
+            nets: Vec::new(),
+            obstructions: [
                 Rect::new(i64::MIN, i64::MIN, i64::MIN + 1_000, i64::MIN + 1_000),
-            )
-            .obstruction(
-                "m3",
                 Rect::new(i64::MAX - 1_000, i64::MAX - 1_000, i64::MAX, i64::MAX),
-            );
+            ]
+            .map(|rect| Obstruction { layer: m3, rect })
+            .to_vec(),
+        };
+        assert!(d.validate().is_err(), "the die's width overflows i64");
         let mut wire_ys = Vec::new();
         for n in 0..10_000 {
             let y = rng.gen_range(i64::MIN / 2..i64::MAX / 2);
             wire_ys.push(y);
-            b = b
-                .net(format!("n{n}"), Point::new(i64::MIN, y))
-                .segment("m3", Point::new(i64::MIN, y), Point::new(i64::MAX, y), 280)
-                .sink(Point::new(i64::MAX, y));
+            d.nets.push(Net {
+                name: format!("n{n}"),
+                source: Point::new(i64::MIN, y),
+                sinks: vec![Point::new(i64::MAX, y)],
+                segments: vec![Segment {
+                    layer: m3,
+                    start: Point::new(i64::MIN, y),
+                    end: Point::new(i64::MAX, y),
+                    width: 280,
+                }],
+            });
         }
-        let d = b.build().expect("valid");
 
         let mut features = Vec::new();
         for _ in 0..2_000 {

@@ -4,12 +4,14 @@
 //!
 //! - A tile that ILP-I or ILP-II decides in closed form allocates a few
 //!   fixed buffers, never a solver model, however many columns it has.
-//! - After [`run_flow_streamed`] returns on two lanes, the blocks a worker
-//!   lane allocated and that outlived the tile it solved (still live, or
-//!   freed later by the submitting thread) number at most a few per slab:
-//!   the producer owns the result slots, so a lane's allocations are a
-//!   tile solve's own temporaries. On a single-CPU host the streamed run
-//!   takes its serial path and no lane allocates at all.
+//! - After [`FlowContext::build_pool`] or [`run_flow_streamed`] returns on
+//!   two lanes, the blocks a worker lane allocated and that outlived the
+//!   work it did (still live, or freed later by the submitting thread)
+//!   number at most a few per slab: the submitting thread builds the
+//!   slabs and owns the result slots, so a lane keeps only the budget
+//!   stage's results and otherwise allocates a tile solve's own
+//!   temporaries. On a single-CPU host both take their serial paths and
+//!   no lane allocates at all.
 //!
 //! Everything runs inside one `#[test]`, so no concurrently running test
 //! allocates on another thread while a window is open.
@@ -150,6 +152,20 @@ fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
     (out, SUBMITTER_ALLOCS.load(Ordering::Relaxed) - before)
 }
 
+/// Runs `f` with lane tagging armed and returns its result with the
+/// blocks a worker lane allocated during `f` that are still live or were
+/// freed by the submitting thread.
+fn lane_escapes<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let freed_before = LANE_FREED_BY_SUBMITTER.load(Ordering::Relaxed);
+    let live_before = LANE_LIVE.load(Ordering::Relaxed);
+    ARMED.store(true, Ordering::Relaxed);
+    let out = f();
+    ARMED.store(false, Ordering::Relaxed);
+    let escaped = (LANE_LIVE.load(Ordering::Relaxed) - live_before)
+        + (LANE_FREED_BY_SUBMITTER.load(Ordering::Relaxed) - freed_before);
+    (out, escaped)
+}
+
 /// The most blocks a closed-form ILP-I solve allocates: the cost order and
 /// the counts.
 const ILP1_CLOSED_FORM_BLOCKS: u64 = 2;
@@ -218,24 +234,29 @@ fn closed_form_solves_and_streamed_lanes_allocate_only_transiently() {
         2 * tiles
     );
 
-    // Streamed lanes. One grid column of tiles is one slab.
+    // Pooled lanes. One grid column of tiles is one slab.
     let slabs = ctx
         .problems()
         .iter()
         .map(|p| p.cell.0 as u64 + 1)
         .max()
         .expect("tiles");
+    let tiles = ctx.problems().len();
     drop(ctx);
     let pool = WorkerPool::new(2);
+    let (built, escaped) =
+        lane_escapes(|| FlowContext::build_pool(&design, &config, &pool).expect("pooled build"));
+    assert_eq!(built.problems().len(), tiles);
+    assert!(
+        escaped <= slabs + 8,
+        "build_pool: {escaped} blocks allocated on a worker lane outlived the build \
+         ({slabs} slabs, {tiles} tiles)"
+    );
+    drop(built);
     for method in [&IlpTwo as &(dyn FillMethod + Sync), &IlpOne] {
-        let freed_before = LANE_FREED_BY_SUBMITTER.load(Ordering::Relaxed);
-        let live_before = LANE_LIVE.load(Ordering::Relaxed);
-        ARMED.store(true, Ordering::Relaxed);
-        let (ctx, outcome) =
-            run_flow_streamed(&design, &config, method, &pool).expect("streamed run");
-        ARMED.store(false, Ordering::Relaxed);
-        let escaped = (LANE_LIVE.load(Ordering::Relaxed) - live_before)
-            + (LANE_FREED_BY_SUBMITTER.load(Ordering::Relaxed) - freed_before);
+        let ((ctx, outcome), escaped) = lane_escapes(|| {
+            run_flow_streamed(&design, &config, method, &pool).expect("streamed run")
+        });
         assert!(outcome.placed_features > 0);
         assert!(
             escaped <= slabs + 8,

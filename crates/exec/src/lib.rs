@@ -33,9 +33,35 @@ pub use fair::{BatchRecord, FairError, FairOptions, FairPool, FairRun};
 
 use crate::sync::thread::JoinHandle;
 use crate::sync::{AtomicBool, AtomicUsize, Condvar, Mutex, MutexGuard};
+use std::cell::Cell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+thread_local! {
+    /// Set while this thread runs items of a pool job. A submission from
+    /// inside an item must run inline: the job it is nested in may
+    /// already be closed (its submitter waits for this lane to leave), so
+    /// "a job is live" does not detect it, and opening a new job would
+    /// wait for this very lane.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as running job items until dropped, restoring
+/// the previous mark (nested inline jobs keep it set).
+struct InJob(bool);
+
+impl InJob {
+    fn enter() -> Self {
+        InJob(IN_JOB.replace(true))
+    }
+}
+
+impl Drop for InJob {
+    fn drop(&mut self) {
+        IN_JOB.set(self.0);
+    }
+}
 
 /// Batches per lane the adaptive claiming aims for: each lane claims about
 /// `remaining / (lanes * CLAIM_RATIO)` indices per grab, so early grabs are
@@ -67,6 +93,9 @@ pub struct WorkerPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
     lanes: usize,
+    /// Whether the lanes can run at once (see [`WorkerPool::is_parallel`]),
+    /// decided when the pool is created.
+    parallel: bool,
 }
 
 #[derive(Debug)]
@@ -193,10 +222,14 @@ impl WorkerPool {
                 handles.push(h);
             }
         }
+        // Asked once per multi-lane pool: the host query reads cgroup
+        // files, and 1-lane pools (one per context build) never need it.
+        let parallel = lanes > 1 && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1;
         Self {
             shared,
             handles,
             lanes,
+            parallel,
         }
     }
 
@@ -205,6 +238,15 @@ impl WorkerPool {
     /// whether the pooled path is worth its coordination cost.
     pub fn lanes(&self) -> usize {
         self.lanes
+    }
+
+    /// `true` when the lanes can genuinely run at once: the pool has
+    /// several lanes and the host several CPUs. On one CPU the lanes
+    /// cannot overlap and would only add claim/wake overhead, so callers
+    /// take their serial path instead. The host is queried once, when the
+    /// pool is created.
+    pub fn is_parallel(&self) -> bool {
+        self.parallel
     }
 
     /// Runs `f(i)` exactly once for every `i` in `0..n`, on all lanes.
@@ -420,8 +462,12 @@ impl WorkerPool {
     }
 
     /// Publishes `core` as the live job and wakes the workers. Returns
-    /// `false` without publishing if another job is live (reentrancy).
+    /// `false` without publishing if another job is live or the calling
+    /// thread is running an item of one (reentrancy).
     fn try_open_job(&self, core: &JobCore<'_>) -> bool {
+        if IN_JOB.get() {
+            return false;
+        }
         let mut st = lock(&self.shared.state);
         if st.job.is_some() {
             return false;
@@ -548,6 +594,7 @@ fn claim_loop(core: &JobCore<'_>) {
             }
         }
         let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _in_job = InJob::enter();
             for i in begin..end {
                 (core.f)(i);
             }
@@ -682,6 +729,7 @@ mod tests {
     fn single_lane_pool_is_a_plain_loop() {
         let pool = WorkerPool::new(1);
         assert_eq!(pool.lanes(), 1);
+        assert!(!pool.is_parallel(), "one lane never runs in parallel");
         let got = pool.map(10, |i| i * 3);
         assert_eq!(got, (0..10).map(|i| i * 3).collect::<Vec<_>>());
     }
@@ -721,6 +769,67 @@ mod tests {
             });
         });
         assert_eq!(total.load(Ordering::Relaxed), 4 * (1 + 2 + 3));
+    }
+
+    #[test]
+    fn multi_lane_pools_record_the_host_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for lanes in [2usize, 4] {
+            assert_eq!(
+                WorkerPool::new(lanes).is_parallel(),
+                host > 1,
+                "{lanes} lanes"
+            );
+        }
+    }
+
+    #[test]
+    fn submission_from_an_item_that_outlives_its_closed_job_runs_inline() {
+        // The submitter's item waits until a worker has claimed the other
+        // item, then returns, and the submitter closes the job while the
+        // worker's item still sleeps. The worker's nested submission then
+        // finds no live job and must still run inline: a new job would
+        // wait for the worker itself to leave.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let pool = WorkerPool::new(2);
+            let submitter = std::thread::current().id();
+            for _ in 0..10 {
+                let total = AtomicU64::new(0);
+                let worker_started = AtomicBool::new(false);
+                pool.run(2, |_| {
+                    if std::thread::current().id() == submitter {
+                        let deadline =
+                            std::time::Instant::now() + std::time::Duration::from_secs(5);
+                        while !worker_started.load(Ordering::Acquire)
+                            && std::time::Instant::now() < deadline
+                        {
+                            std::thread::sleep(std::time::Duration::from_micros(100));
+                        }
+                    } else {
+                        worker_started.store(true, Ordering::Release);
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                    }
+                    pool.run(3, |j| {
+                        total.fetch_add(j as u64 + 1, Ordering::Relaxed);
+                    });
+                });
+                assert_eq!(total.load(Ordering::Relaxed), 2 * (1 + 2 + 3));
+            }
+            let _ = tx.send(());
+        });
+        // A deadlocked scenario never reports back; one that panicked
+        // drops the sender, and joining it re-raises the panic here.
+        match rx.recv_timeout(std::time::Duration::from_secs(30)) {
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a nested submission deadlocked the pool")
+            }
+            Ok(()) | Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                if let Err(payload) = scenario.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        }
     }
 
     #[test]

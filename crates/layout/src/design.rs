@@ -266,8 +266,10 @@ impl Design {
     /// Checks the whole design: parameters, layer references, segment
     /// geometry, die containment and net topologies.
     ///
-    /// Segment rectangles are computed with checked arithmetic, so a
-    /// segment whose drawn edge overflows `i64` is [`LayoutError::OutsideDie`].
+    /// A die whose width or height overflows `i64` is
+    /// [`LayoutError::InvalidParameter`]. Segment rectangles are computed
+    /// with checked arithmetic, so a segment whose drawn edge overflows
+    /// `i64` is [`LayoutError::OutsideDie`].
     /// All nets share one [`TreeWalk`].
     ///
     /// # Errors
@@ -278,6 +280,12 @@ impl Design {
         self.rules.validate()?;
         if self.die.is_empty() {
             return Err(LayoutError::InvalidParameter("die area is empty".into()));
+        }
+        let die = self.die;
+        if die.right.checked_sub(die.left).is_none() || die.top.checked_sub(die.bottom).is_none() {
+            return Err(LayoutError::InvalidParameter(
+                "die width or height overflows i64".into(),
+            ));
         }
         for o in &self.obstructions {
             if o.layer.0 >= self.layers.len() {

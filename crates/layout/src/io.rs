@@ -419,9 +419,10 @@ mod tests {
             Design::from_text(text),
             Err(LayoutError::OutsideDie { net: "n".into() })
         );
-        // The same at the bottom edge, inside a die spanning all of i64.
+        // The same at the left edge, inside a die reaching down to
+        // `i64::MIN` (its width is exactly `i64::MAX`).
         let text = "PILFILL 1\n\
-                    DIE -9223372036854775808 -9223372036854775808 9223372036854775807 9223372036854775807\n\
+                    DIE -9223372036854775808 0 -1 1000\n\
                     LAYER m2 v\n\
                     NET n SOURCE -9223372036854775807 0\n\
                     SEG m2 -9223372036854775807 0 -9223372036854775807 500 400\n\
@@ -430,6 +431,40 @@ mod tests {
             Design::from_text(text),
             Err(LayoutError::OutsideDie { net: "n".into() })
         );
+    }
+
+    #[test]
+    fn die_whose_width_overflows_i64_is_rejected() {
+        // Each side fits an i64 but the span between them does not: the
+        // die must be rejected, not measured with a wrapped width.
+        let text = "PILFILL 1\n\
+                    DIE -9223372036854775808 -9223372036854775808 9223372036854775807 9223372036854775807\n\
+                    LAYER m3 h\n\
+                    NET n SOURCE 0 0\n\
+                    SEG m3 0 0 1000 0 200\n\
+                    SINK 1000 0\n\
+                    ENDNET\nENDDESIGN\n";
+        assert_eq!(
+            Design::from_text(text),
+            Err(LayoutError::InvalidParameter(
+                "die width or height overflows i64".into()
+            ))
+        );
+        // One axis overflowing is enough.
+        let tall = text.replace(
+            "DIE -9223372036854775808 -9223372036854775808 9223372036854775807 9223372036854775807",
+            "DIE -5000 -9223372036854775808 5000 1",
+        );
+        assert!(matches!(
+            Design::from_text(&tall),
+            Err(LayoutError::InvalidParameter(_))
+        ));
+        // A die exactly `i64::MAX` wide is still accepted.
+        let widest = text.replace(
+            "DIE -9223372036854775808 -9223372036854775808 9223372036854775807 9223372036854775807",
+            "DIE -1 -5000 9223372036854775806 5000",
+        );
+        assert!(Design::from_text(&widest).is_ok());
     }
 
     #[test]

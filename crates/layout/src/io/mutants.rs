@@ -18,7 +18,8 @@
 //!   bytes again.
 //!
 //! A second suite checks [`Net::walk_tree`] against [`Net::topology`] on
-//! mutated nets, verdicts and traversal both.
+//! mutated nets, verdicts and traversal both, and its per-sink segment
+//! lookup against a linear scan.
 
 use super::reference;
 use crate::synth::{synthesize, SynthConfig};
@@ -282,18 +283,25 @@ fn mutate(text: &str, m: Mutation, rng: &mut StdRng) -> String {
         }
         Mutation::BoundarySegment => {
             // Push a segment's track coordinate onto the i64 boundary, where
-            // its drawn edge overflows; half the time also stretch the die
-            // over all of i64 so only the overflow check can reject it.
+            // its drawn edge overflows. Half the time also stretch the die:
+            // over the whole half of i64 on that edge's side (as wide as a
+            // valid die may be), so only the overflow check can reject the
+            // segment, or over all of i64, which the die check rejects.
+            let edges = [i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1];
+            let edge = edges[rng.gen_range(0..edges.len())];
             if rng.gen_bool(0.5) {
                 if let Some(d) = pick_line(rng, &lines, |t| t == "DIE") {
-                    lines[d] = format!("DIE {} {} {} {}", i64::MIN, i64::MIN, i64::MAX, i64::MAX);
+                    let (lo, hi) = match (rng.gen_bool(0.5), edge > 0) {
+                        (true, true) => (0, i64::MAX),
+                        (true, false) => (i64::MIN, -1),
+                        (false, _) => (i64::MIN, i64::MAX),
+                    };
+                    lines[d] = format!("DIE {lo} {lo} {hi} {hi}");
                 }
             }
             if let Some(i) = pick_line(rng, &lines, |t| t == "SEG") {
                 let mut toks = tokens(&lines[i]);
                 if toks.len() == 7 {
-                    let edges = [i64::MAX, i64::MAX - 1, i64::MIN, i64::MIN + 1];
-                    let edge = edges[rng.gen_range(0..edges.len())];
                     // Horizontal segments share y (tokens 3 and 5), vertical
                     // ones share x (tokens 2 and 4).
                     let (a, b) = if toks[3] == toks[5] { (3, 5) } else { (2, 4) };
@@ -514,6 +522,14 @@ fn tree_walk_matches_topology_on_mutated_nets() {
                     want.as_ref().map(|_| ()).map_err(Clone::clone),
                     "{label}"
                 );
+                if got.is_ok() {
+                    // Each sink's segment is the first match of a linear
+                    // scan over the segment ends.
+                    for (j, sink) in net.sinks.iter().enumerate() {
+                        let first = net.segments.iter().position(|s| s.end == *sink);
+                        assert_eq!(walk.sink_segment(j), first, "{label} sink {j}");
+                    }
+                }
                 if let Ok(topo) = want {
                     ok += 1;
                     let order: Vec<usize> = topo.order.iter().map(|s| s.0).collect();

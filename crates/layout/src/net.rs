@@ -196,14 +196,30 @@ impl Net {
             });
         }
 
-        // Sinks must be segment endpoints or the source.
-        for sink in &self.sinks {
-            let anchored = *sink == self.source
-                || self
-                    .segments
-                    .iter()
-                    .any(|s| s.start == *sink || s.end == *sink);
-            if !anchored {
+        // Sinks must be segment endpoints or the source. Every segment was
+        // reached from its `start`, and the walk pops only the source and
+        // segment ends, so each start is the source or some segment's end:
+        // a sink is anchored exactly when it is the source or a segment
+        // ends at it. One pass over the segments in index order, each
+        // binary-searching the sorted sinks, finds every sink's first
+        // such segment; a run of equal sinks is filled once.
+        walk.sinks.clear();
+        walk.sinks
+            .extend(self.sinks.iter().enumerate().map(|(j, &p)| (p, j)));
+        walk.sinks.sort_unstable();
+        walk.sink_segment.clear();
+        walk.sink_segment.resize(self.sinks.len(), None);
+        for (i, s) in self.segments.iter().enumerate() {
+            let run = walk.sinks.partition_point(|&(p, _)| p < s.end);
+            for &(p, j) in &walk.sinks[run..] {
+                if p != s.end || walk.sink_segment[j].is_some() {
+                    break;
+                }
+                walk.sink_segment[j] = Some(i);
+            }
+        }
+        for (sink, segment) in self.sinks.iter().zip(&walk.sink_segment) {
+            if *sink != self.source && segment.is_none() {
                 return Err(LayoutError::DanglingSink {
                     net: self.name.clone(),
                 });
@@ -233,6 +249,10 @@ pub struct TreeWalk {
     order: Vec<usize>,
     /// DFS stack of `(node, segment arrived through)`.
     stack: Vec<(Point, usize)>,
+    /// `(sink, sink index)`, sorted: equal sinks form one run.
+    sinks: Vec<(Point, usize)>,
+    /// The first segment ending at each sink, in sink order.
+    sink_segment: Vec<Option<usize>>,
 }
 
 impl TreeWalk {
@@ -245,6 +265,14 @@ impl TreeWalk {
     /// The walked net's segments, parents before children.
     pub fn order(&self) -> &[usize] {
         &self.order
+    }
+
+    /// The lowest-indexed segment whose `end` is the walked net's sink
+    /// number `sink` — the first match of a linear `position` over the
+    /// segments — or `None` for a sink on the source. Meaningful after a
+    /// successful [`Net::walk_tree`].
+    pub fn sink_segment(&self, sink: usize) -> Option<usize> {
+        self.sink_segment[sink]
     }
 }
 

@@ -97,18 +97,20 @@ pub fn annotate_net_into(
             weight: 0,
         });
     }
-    // Downstream sink counts: walk up the parent links from the segment
-    // ending at each sink (a sink on the source has no downstream
-    // segment), exactly the reference's walk.
-    for sink in &net.sinks {
-        if let Some(mut cur) = net.segments.iter().position(|s| s.end == *sink) {
-            loop {
-                out[cur].weight += 1;
-                match scratch.walk.parent(cur) {
-                    Some(p) => cur = p,
-                    None => break,
-                }
-            }
+    // Downstream sink counts. Each sink counts once at the first segment
+    // ending at it (a sink on the source has no downstream segment), then
+    // one children-before-parents pass adds every segment's count into
+    // its parent's: the count of sinks whose source path crosses the
+    // segment, exactly as walking each sink's path up would give (the
+    // counts are integers).
+    for j in 0..net.sinks.len() {
+        if let Some(seg) = scratch.walk.sink_segment(j) {
+            out[seg].weight += 1;
+        }
+    }
+    for &k in scratch.walk.order().iter().rev() {
+        if let Some(p) = scratch.walk.parent(k) {
+            out[p].weight += out[k].weight;
         }
     }
     Ok(())
@@ -196,6 +198,97 @@ mod tests {
             };
         }
         Ok(NetTiming { segments: out })
+    }
+
+    /// The per-sink path walk the weights used to be computed with, kept
+    /// as the oracle of the one-pass accumulation: from the first segment
+    /// ending at each sink, add one to every segment up to the source.
+    fn weights_by_path_walk(net: &Net) -> Vec<u32> {
+        let mut walk = TreeWalk::default();
+        net.walk_tree(&mut walk).expect("a valid tree");
+        let mut weights = vec![0u32; net.segments.len()];
+        for sink in &net.sinks {
+            if let Some(mut cur) = net.segments.iter().position(|s| s.end == *sink) {
+                loop {
+                    weights[cur] += 1;
+                    match walk.parent(cur) {
+                        Some(p) => cur = p,
+                        None => break,
+                    }
+                }
+            }
+        }
+        weights
+    }
+
+    #[test]
+    fn weights_match_the_per_sink_path_walk_on_seeded_and_mutated_nets() {
+        use pilfill_prng::{Rng, SeedableRng};
+        let mut rng = pilfill_prng::rngs::StdRng::seed_from_u64(0x5EED_3A11);
+        let mut scratch = AnnotateScratch::default();
+        let mut segments = Vec::new();
+        let mut checked = 0usize;
+        for seed in [1u64, 7, 9, 21, 42] {
+            let d = synthesize(&SynthConfig::small_test(seed));
+            for base in &d.nets {
+                for round in 0..4 {
+                    let mut net = base.clone();
+                    // Round 0 is the net as synthesized; later rounds add
+                    // sinks on random endpoints (duplicates included) and
+                    // swap segments, which moves the first segment ending
+                    // at a shared point.
+                    for _ in 0..round * 2 {
+                        let n = net.segments.len();
+                        let s = net.segments[rng.gen_range(0..n)];
+                        match rng.gen_range(0..3u32) {
+                            0 => net.sinks.push(s.end),
+                            1 => net.sinks.push(s.start),
+                            _ => net.segments.swap(rng.gen_range(0..n), rng.gen_range(0..n)),
+                        }
+                    }
+                    if annotate_net_into(&net, &d.tech, &mut scratch, &mut segments).is_err() {
+                        continue;
+                    }
+                    let got: Vec<u32> = segments.iter().map(|t| t.weight).collect();
+                    let label = format!("seed {seed} net {} round {round}", net.name);
+                    assert_eq!(got, weights_by_path_walk(&net), "{label}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "{checked} nets checked");
+    }
+
+    /// A hostile upload: one chain net of 20k segments with 20k sinks at
+    /// its far end. Validation and annotation must stay near-linear; a
+    /// scan of every segment per sink or a walk up the chain per sink is
+    /// 4e8 steps here and takes seconds.
+    #[test]
+    fn long_chain_net_with_many_sinks_validates_and_annotates_quickly() {
+        const N: i64 = 20_000;
+        let seg = |i: i64| Segment {
+            layer: LayerId(0),
+            start: Point::new(i * 10, 0),
+            end: Point::new((i + 1) * 10, 0),
+            width: 4,
+        };
+        let net = Net {
+            name: "chain".into(),
+            source: Point::new(0, 0),
+            sinks: vec![Point::new(N * 10, 0); N as usize],
+            segments: (0..N).map(seg).collect(),
+        };
+        let tech = Tech::default_180nm();
+        let t0 = std::time::Instant::now();
+        net.walk_tree(&mut TreeWalk::default())
+            .expect("a chain is a tree");
+        let timing = annotate_net(&net, &tech).expect("annotate");
+        let elapsed = t0.elapsed();
+        assert!(timing.segments.iter().all(|s| s.weight == N as u32));
+        assert!(
+            elapsed < std::time::Duration::from_millis(500),
+            "20k-segment chain took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! `host:port` address.
 
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::time::Duration;
@@ -141,7 +141,7 @@ impl Write for Stream {
     }
 }
 
-/// A bound, non-blocking listener, TCP or unix.
+/// A bound, blocking listener, TCP or unix.
 #[derive(Debug)]
 pub(crate) enum Listener {
     Tcp(TcpListener),
@@ -150,23 +150,17 @@ pub(crate) enum Listener {
 }
 
 impl Listener {
-    /// Binds by spec and switches to non-blocking accepts. A stale unix
-    /// socket file left by a dead server is removed first.
+    /// Binds by spec. A stale unix socket file left by a dead server is
+    /// removed first.
     pub(crate) fn bind(spec: &str) -> std::io::Result<Listener> {
         match parse_spec(spec) {
-            Spec::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
+            Spec::Tcp(addr) => Ok(Listener::Tcp(TcpListener::bind(addr)?)),
             #[cfg(unix)]
             Spec::Unix(path) => {
                 if std::fs::metadata(path).is_ok() && Stream::connect(path).is_err() {
                     std::fs::remove_file(path)?;
                 }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l, path.to_string()))
+                Ok(Listener::Unix(UnixListener::bind(path)?, path.to_string()))
             }
             #[cfg(not(unix))]
             Spec::Unix(_) => Err(std::io::Error::new(
@@ -187,7 +181,8 @@ impl Listener {
         }
     }
 
-    /// Accepts one pending connection; `WouldBlock` when none is queued.
+    /// Accepts one connection, blocking until one arrives ([`wake`]
+    /// makes one).
     pub(crate) fn accept(&self) -> std::io::Result<Stream> {
         match self {
             Listener::Tcp(l) => {
@@ -212,9 +207,50 @@ impl Listener {
     }
 }
 
+/// Wakes a listener blocked in [`Listener::accept`] on `spec` (the
+/// listener's own [`Listener::addr`]) by connecting to it and hanging up.
+/// Failures are ignored: a listener that cannot be reached is not
+/// accepting either.
+pub(crate) fn wake(spec: &str) {
+    match parse_spec(spec) {
+        Spec::Tcp(addr) => {
+            if let Ok(addr) = addr.parse::<SocketAddr>() {
+                let _ = TcpStream::connect_timeout(&wake_target(addr), Duration::from_secs(1));
+            }
+        }
+        #[cfg(unix)]
+        Spec::Unix(path) => {
+            let _ = UnixStream::connect(path);
+        }
+        #[cfg(not(unix))]
+        Spec::Unix(_) => {}
+    }
+}
+
+/// The address that reaches a TCP listener bound to `addr`: a listener on
+/// the unspecified address (`0.0.0.0`, `::`) is reached through loopback.
+fn wake_target(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    addr
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wake_targets_loopback_for_unspecified_addresses() {
+        let at = |s: &str| wake_target(s.parse().expect("socket address")).to_string();
+        assert_eq!(at("0.0.0.0:7777"), "127.0.0.1:7777");
+        assert_eq!(at("[::]:7777"), "[::1]:7777");
+        assert_eq!(at("127.0.0.1:7777"), "127.0.0.1:7777");
+        assert_eq!(at("192.0.2.5:80"), "192.0.2.5:80");
+    }
 
     #[test]
     fn specs_parse() {
@@ -235,17 +271,7 @@ mod tests {
     fn tcp_streams_set_nodelay() {
         let listener = Listener::bind("127.0.0.1:0").expect("bind");
         let client = Stream::connect(&listener.addr()).expect("connect");
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let server = loop {
-            match listener.accept() {
-                Ok(s) => break s,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    assert!(std::time::Instant::now() < deadline, "no connection");
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(e) => panic!("accept: {e}"),
-            }
-        };
+        let server = listener.accept().expect("accept");
         for s in [&client, &server] {
             match s {
                 Stream::Tcp(s) => assert!(s.nodelay().expect("nodelay")),

@@ -518,22 +518,27 @@ impl Server {
     /// Serves until a shutdown request arrives, then joins every
     /// connection thread and removes the unix socket file (if any).
     ///
+    /// The loop blocks in `accept`, so a connection is picked up as soon
+    /// as it arrives; the connection that takes a shutdown request wakes
+    /// the loop with a connection of its own.
+    ///
     /// # Errors
     ///
-    /// Propagates accept-loop I/O failures other than `WouldBlock`.
+    /// Propagates accept-loop I/O failures other than an interrupted call.
     pub fn run(self) -> std::io::Result<()> {
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
+        let addr: Arc<str> = Arc::from(self.addr.as_str());
         let result = loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                break Ok(());
-            }
-            // Reap finished connection threads every pass: a long-lived
-            // daemon churning through short-lived connections must not
-            // accumulate handles (and their thread resources) until
-            // shutdown.
-            conns.retain(|conn| !conn.is_finished());
             match self.listener.accept() {
                 Ok(mut stream) => {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        break Ok(());
+                    }
+                    // Reap finished connection threads on every accept: a
+                    // long-lived daemon churning through short-lived
+                    // connections must not accumulate handles (and their
+                    // thread resources) until shutdown.
+                    conns.retain(|conn| !conn.is_finished());
                     if conns.len() >= self.max_conns {
                         // Same pushback contract as scheduler admission:
                         // an immediate Busy reply, then the connection is
@@ -544,12 +549,10 @@ impl Server {
                     }
                     let engine = Arc::clone(&self.engine);
                     let shutdown = Arc::clone(&self.shutdown);
+                    let addr = Arc::clone(&addr);
                     conns.push(std::thread::spawn(move || {
-                        serve_conn(stream, &engine, &shutdown);
+                        serve_conn(stream, &engine, &shutdown, &addr);
                     }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => break Err(e),
@@ -571,7 +574,10 @@ impl Server {
 /// polling cheap, short enough that shutdown is prompt.
 const CONN_READ_TIMEOUT: Duration = Duration::from_millis(100);
 
-fn serve_conn(mut stream: Stream, engine: &Engine, shutdown: &Arc<AtomicBool>) {
+/// Serves one connection until EOF, an abort or a shutdown; `addr` is the
+/// server's own address, connected to once to wake its accept loop after
+/// a shutdown request.
+fn serve_conn(mut stream: Stream, engine: &Engine, shutdown: &Arc<AtomicBool>, addr: &str) {
     let _ = stream.set_read_timeout(Some(CONN_READ_TIMEOUT));
     // The watcher peeks a clone of the socket while a request is being
     // handled; EOF there means the client is gone, and the abort flag
@@ -604,6 +610,7 @@ fn serve_conn(mut stream: Stream, engine: &Engine, shutdown: &Arc<AtomicBool>) {
         let reply = match decode_request(&payload) {
             Ok(Request::Shutdown) => {
                 shutdown.store(true, Ordering::Release);
+                crate::net::wake(addr);
                 Reply::ShutdownOk
             }
             Ok(req) => {

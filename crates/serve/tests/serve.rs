@@ -1,8 +1,9 @@
 //! End-to-end tests of the fill service: concurrent clients over unix
 //! and TCP sockets must receive outcome blobs bit-identical to the
 //! one-shot flow, at every lane count and under randomized request
-//! interleavings; the cache must stay correct under eviction; and a
-//! mid-request client disconnect must not wedge the shared pool.
+//! interleavings; the cache must stay correct under eviction; a
+//! mid-request client disconnect must not wedge the shared pool; and an
+//! idle server must stop promptly on a shutdown request.
 
 use pilfill_core::flow::run_flow;
 use pilfill_core::methods::{FillMethod, GreedyFill, IlpTwo};
@@ -608,4 +609,31 @@ fn unknown_design_and_garbage_frames_get_error_replies() {
     // The connection survives the error and still shuts down cleanly.
     assert!(client.shutdown().expect("shutdown"));
     server.join().expect("server thread").expect("server run");
+}
+
+/// The accept loop blocks in `accept` rather than polling, so an idle
+/// server must be woken by the shutdown itself: `run` returns well within
+/// a second of the `Shutdown` request, over unix and TCP alike.
+#[test]
+fn idle_server_returns_promptly_after_shutdown() {
+    for spec in [
+        format!("unix:{}", unix_sock_path("idle")),
+        "127.0.0.1:0".to_string(),
+    ] {
+        let (addr, server) = spawn_server(&spec, &ServeOptions::default());
+        let mut client = Client::connect_retry(&addr, Duration::from_secs(5)).expect("connect");
+        // Let the accept loop settle back into `accept` with no pending
+        // connection.
+        std::thread::sleep(Duration::from_millis(50));
+        let t0 = std::time::Instant::now();
+        assert!(client.shutdown().expect("shutdown"), "{spec}");
+        while !server.is_finished() {
+            assert!(
+                t0.elapsed() < Duration::from_secs(1),
+                "{spec}: run did not return within 1 s of the shutdown"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.join().expect("server thread").expect("server run");
+    }
 }
