@@ -11,7 +11,6 @@
 //! show ILP-I losing to the Normal baseline.
 
 use crate::{ActiveLine, FillFeature, SlackColumn};
-use pilfill_exec::WorkerPool;
 use pilfill_geom::Rect;
 use pilfill_layout::{FillRules, NetId, Tech};
 use pilfill_rc::CouplingModel;
@@ -65,98 +64,6 @@ impl DelayImpact {
         v.truncate(n);
         v
     }
-}
-
-/// One adjacent line's share of a column's contribution: the Elmore delay
-/// increment, its weighted variant, and the net it charges.
-#[derive(Debug, Clone, Copy)]
-struct LineHit {
-    dtau: f64,
-    weighted_dtau: f64,
-    net: Option<NetId>,
-}
-
-impl LineHit {
-    /// Filler for unused `hits` slots (never folded: `n_hits` bounds the
-    /// walk).
-    const ZERO: Self = Self {
-        dtau: 0.0,
-        weighted_dtau: 0.0,
-        net: None,
-    };
-}
-
-/// The pure, order-independent contribution of one occupied slack column,
-/// as a flat fixed-size record: the sharded evaluator's `pool.map` writes
-/// these into a dense array (one slot per occupied column) that the serial
-/// fold then streams in ascending column order, pinning down the f64
-/// addition sequence. A free column carries only `free`; a column whose
-/// defensive clamp zeroed the count carries nothing; a line-pair column
-/// sets `paired` and fills `dcap` plus `n_hits` adjacent-line delay shares
-/// (below first, then above — the serial iteration order).
-#[derive(Debug, Clone, Copy)]
-struct Contribution {
-    /// `true` for line-pair columns: `dcap` and `hits[..n_hits]` carry
-    /// data.
-    paired: bool,
-    /// Valid prefix length of `hits` (0..=2).
-    n_hits: u8,
-    /// Features in a column with no line pair: zero delay, counted free.
-    free: u64,
-    /// Exact incremental coupling capacitance of the column's line pair.
-    dcap: f64,
-    hits: [LineHit; 2],
-}
-
-impl Contribution {
-    /// A zero record: no free features, no line-pair data.
-    const EMPTY: Self = Self {
-        paired: false,
-        n_hits: 0,
-        free: 0,
-        dcap: 0.0,
-        hits: [LineHit::ZERO; 2],
-    };
-}
-
-/// Computes one column's [`Contribution`] for `m` located features.
-fn column_contribution(
-    col: &SlackColumn,
-    m: u32,
-    lines: &[ActiveLine],
-    model: &CouplingModel,
-    rules: FillRules,
-) -> Contribution {
-    let mut out = Contribution::EMPTY;
-    let Some(d) = col.distance() else {
-        out.free = u64::from(m);
-        return out;
-    };
-    // Defensive clamp: placements from per-tile scans may exceed the
-    // global slot count by a feature or two near tile cuts; never let
-    // the metal close the gap in the model.
-    let max_m = pilfill_geom::units::saturating_count(
-        u64::try_from((d - 1) / rules.feature_size).unwrap_or(0),
-    );
-    let m = m.min(max_m);
-    if m == 0 {
-        return out;
-    }
-    out.paired = true;
-    out.dcap = model.delta_cap_exact(m, d, rules.feature_size);
-    let x = col.feature_x(rules) + rules.feature_size / 2;
-    for idx in [col.below, col.above].into_iter().flatten() {
-        // u32 -> usize is widening on every supported target.
-        let line = &lines[idx as usize]; // pilfill: allow(as-cast)
-        let dtau = out.dcap * line.res_at(x);
-        out.hits[usize::from(out.n_hits)] = LineHit {
-            dtau,
-            weighted_dtau: f64::from(line.weight) * dtau,
-            net: line.net,
-        };
-        out.n_hits += 1;
-    }
-    out
 }
 
 /// Incremental feature locator over the global slack columns, sorted by
@@ -238,16 +145,8 @@ impl<'a> ColumnCursor<'a> {
 /// Evaluates `features` against the global slack columns.
 ///
 /// `num_nets` sizes the per-net vector; `bounds`/`rules` must match the
-/// scan that produced `columns`.
-///
-/// With a `pool`, the per-column contribution work is sharded across its
-/// lanes: each occupied column's contribution (capacitance, per-line
-/// delay shares) is a pure function of that column alone, computed into
-/// its own slot, and the accumulators are then folded serially in global
-/// column order — the exact f64 addition sequence of the serial
-/// evaluator. Without one, contributions stream straight into the fold.
-/// The result is bit-identical either way, for every lane count.
-#[allow(clippy::too_many_arguments)]
+/// scan that produced `columns`. Columns are scored in ascending order,
+/// so the f64 accumulation sequence is fixed by the column index.
 pub fn evaluate_placement(
     features: &[FillFeature],
     columns: &[SlackColumn],
@@ -256,7 +155,6 @@ pub fn evaluate_placement(
     tech: &Tech,
     rules: FillRules,
     num_nets: usize,
-    pool: Option<&WorkerPool>,
 ) -> DelayImpact {
     let model = CouplingModel::new(tech);
     let mut counts = vec![0u32; columns.len()];
@@ -269,57 +167,41 @@ pub fn evaluate_placement(
         }
     }
 
-    // The fold is serial in both modes and always runs in ascending
-    // column order, so the f64 accumulation sequence is fixed by the
-    // column index, never by scheduling.
     let mut total = 0.0;
     let mut weighted = 0.0;
     let mut total_cap = 0.0;
     let mut free = 0u64;
     let mut per_net = vec![0.0f64; num_nets];
     let mut per_net_cap = vec![0.0f64; num_nets];
-    {
-        let mut fold = |c: Contribution| {
-            free += c.free;
-            if !c.paired {
-                return;
-            }
-            total_cap += c.dcap;
-            for hit in &c.hits[..usize::from(c.n_hits)] {
-                total += hit.dtau;
-                weighted += hit.weighted_dtau;
-                if let Some(net) = hit.net {
-                    per_net[net.0] += hit.dtau;
-                    per_net_cap[net.0] += c.dcap;
-                }
-            }
+    for (col, &m) in columns.iter().zip(&counts).filter(|(_, &m)| m > 0) {
+        let Some(d) = col.distance() else {
+            // No line pair: zero delay, counted free.
+            free += u64::from(m);
+            continue;
         };
-        match pool {
-            Some(pool) => {
-                // Dense worklist of occupied columns, ascending; each pure
-                // contribution lands in its own disjoint slot before the
-                // ordered fold replays the serial addition sequence.
-                let occupied: Vec<usize> = counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m > 0)
-                    .map(|(i, _)| i)
-                    .collect();
-                let contributions = pool.map(occupied.len(), |k| {
-                    let ci = occupied[k];
-                    column_contribution(&columns[ci], counts[ci], lines, &model, rules)
-                });
-                contributions.into_iter().for_each(&mut fold);
+        // Defensive clamp: placements from per-tile scans may exceed the
+        // global slot count by a feature or two near tile cuts; never let
+        // the metal close the gap in the model.
+        let max_m = pilfill_geom::units::saturating_count(
+            u64::try_from((d - 1) / rules.feature_size).unwrap_or(0),
+        );
+        let m = m.min(max_m);
+        if m == 0 {
+            continue;
+        }
+        let dcap = model.delta_cap_exact(m, d, rules.feature_size);
+        total_cap += dcap;
+        let x = col.feature_x(rules) + rules.feature_size / 2;
+        for idx in [col.below, col.above].into_iter().flatten() {
+            // u32 -> usize is widening on every supported target.
+            let line = &lines[idx as usize]; // pilfill: allow(as-cast)
+            let dtau = dcap * line.res_at(x);
+            total += dtau;
+            weighted += f64::from(line.weight) * dtau;
+            if let Some(net) = line.net {
+                per_net[net.0] += dtau;
+                per_net_cap[net.0] += dcap;
             }
-            // Serial: stream each contribution straight into the fold, no
-            // worklist or slot vector.
-            None => counts
-                .iter()
-                .enumerate()
-                .filter(|(_, &m)| m > 0)
-                .for_each(|(ci, &m)| {
-                    fold(column_contribution(&columns[ci], m, lines, &model, rules))
-                }),
         }
     }
 
@@ -380,7 +262,6 @@ mod tests {
             &s.design.tech,
             s.design.rules,
             s.design.nets.len(),
-            None,
         )
     }
 
@@ -498,53 +379,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_evaluation_is_bit_identical_for_every_shard_count() {
-        use pilfill_layout::synth::{synthesize, SynthConfig};
-        // A dense placement on a seeded synthetic design: one feature in
-        // every slot of every column, so every contribution variant
-        // (paired, boundary-free) is exercised.
-        let d = synthesize(&SynthConfig::small_test(7));
-        let lines = extract_active_lines(&d, LayerId(0)).expect("lines");
-        let columns = scan_slack_columns(&lines, d.die, d.rules);
-        let features: Vec<FillFeature> = columns
-            .iter()
-            .flat_map(|c| {
-                c.slots.iter().map(|y| FillFeature {
-                    x: c.feature_x(d.rules),
-                    y,
-                })
-            })
-            .collect();
-        assert!(features.len() > 100, "dense placement expected");
-        let serial = evaluate_placement(
-            &features,
-            &columns,
-            &lines,
-            d.die,
-            &d.tech,
-            d.rules,
-            d.nets.len(),
-            None,
-        );
-        for shards in 1..=8 {
-            let pool = WorkerPool::new(shards);
-            let sharded = evaluate_placement(
-                &features,
-                &columns,
-                &lines,
-                d.die,
-                &d.tech,
-                d.rules,
-                d.nets.len(),
-                Some(&pool),
-            );
-            // Bit-identical, including every f64 accumulator: the fold
-            // order is the column order regardless of shard count.
-            assert_eq!(serial, sharded, "{shards} shards");
-        }
-    }
-
-    #[test]
     fn extreme_coordinates_are_unlocated_not_overflowed() {
         // A die with a negative origin: `i64::MAX - left` overflows, so the
         // far edges must be rejected before any subtraction.
@@ -584,7 +418,6 @@ mod tests {
             &s.design.tech,
             s.design.rules,
             s.design.nets.len(),
-            None,
         );
         assert_eq!(impact.unlocated_features, extremes.len() as u64);
         assert!(impact.total_cap > 0.0, "the in-die features still count");

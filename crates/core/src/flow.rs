@@ -21,7 +21,7 @@ use pilfill_prng::rngs::StdRng;
 use pilfill_prng::SeedableRng;
 use std::borrow::Cow;
 use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Configuration of one flow run.
@@ -252,25 +252,159 @@ impl RebuildStats {
     };
 }
 
-/// Solves one tile: budget lookup, capacity clamp, per-tile seeded RNG,
-/// method dispatch — the single definition behind [`FlowContext::run`],
-/// the pooled runner and [`FlowContext::solve_tile`].
+/// Per-tile solve results of one method against one context's tiles:
+/// every tile's per-column fill counts `m` in one flat buffer, tile `i`
+/// owning a span of `problems()[i].columns.len()` entries, plus a solved
+/// flag and a solve time per tile. An unsolved tile's span is all zero.
+///
+/// The flow's runs solve into a fresh store; a result cache keeps one
+/// across requests, [invalidates](TileCounts::invalidate) what a rebuild
+/// dirtied and solves only the unsolved tiles
+/// ([`TileCounts::unsolved_slots`], [`FlowContext::solve_slot`]). Because
+/// a tile's counts depend only on its problem, budget and seed,
+/// [`FlowContext::assemble`] on a complete store is bit-identical to
+/// [`FlowContext::run`] however the counts were gathered.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TileCounts {
+    counts: Vec<u32>,
+    /// Tile `i` owns `counts[spans[i]..spans[i + 1]]`.
+    spans: Vec<usize>,
+    /// Each tile's solve time; `None` while it is unsolved.
+    times: Vec<Option<Duration>>,
+}
+
+impl TileCounts {
+    /// An unsolved store spanned for `problems`.
+    pub fn new(problems: &[TileProblem]) -> Self {
+        let mut spans = Vec::with_capacity(problems.len() + 1);
+        spans.push(0);
+        for p in problems {
+            spans.push(spans[spans.len() - 1] + p.columns.len());
+        }
+        TileCounts {
+            counts: vec![0; spans[problems.len()]],
+            spans,
+            times: vec![None; problems.len()],
+        }
+    }
+
+    /// Tile `index`'s counts, one per tile column.
+    fn tile(&self, index: usize) -> &[u32] {
+        &self.counts[self.spans[index]..self.spans[index + 1]]
+    }
+
+    /// Records tile `index` as solved with `counts` in `time`; `counts`
+    /// must be exactly as long as the tile's span.
+    fn set(&mut self, index: usize, counts: &[u32], time: Duration) {
+        let span = &mut self.counts[self.spans[index]..self.spans[index + 1]];
+        assert_eq!(
+            counts.len(),
+            span.len(),
+            "tile {index}: one count per column"
+        );
+        span.copy_from_slice(counts);
+        self.times[index] = Some(time);
+    }
+
+    /// `true` when every tile's span is as long as its problem's columns.
+    fn fits(&self, problems: &[TileProblem]) -> bool {
+        self.times.len() == problems.len()
+            && problems
+                .iter()
+                .zip(self.spans.windows(2))
+                .all(|(p, w)| p.columns.len() == w[1] - w[0])
+    }
+
+    /// One slot per unsolved tile, in row-major order, each owning its
+    /// tile's span: the disjoint result slots a pool's lanes solve into.
+    pub fn unsolved_slots(&mut self) -> Vec<TileSlot<'_>> {
+        let mut slots = Vec::with_capacity(self.times.iter().filter(|t| t.is_none()).count());
+        let mut rest: &mut [u32] = &mut self.counts;
+        for ((index, time), w) in self.times.iter_mut().enumerate().zip(self.spans.windows(2)) {
+            let (counts, tail) = std::mem::take(&mut rest).split_at_mut(w[1] - w[0]);
+            rest = tail;
+            if time.is_none() {
+                slots.push(TileSlot {
+                    index,
+                    counts,
+                    time,
+                    error: None,
+                });
+            }
+        }
+        slots
+    }
+
+    /// Forgets the results a [`FlowContext::rebuild_owned`] invalidated,
+    /// given the rebuilt context's `problems`: [`RebuildDirt::All`]
+    /// replaces the store with an unsolved one, and
+    /// [`RebuildDirt::Tiles`] marks the named tiles unsolved, re-spanning
+    /// the store when a named tile's column count changed. Every other
+    /// tile keeps its counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a named tile is not a tile of the store, or if a tile
+    /// that `dirt` does not name changed its column count.
+    pub fn invalidate(&mut self, dirt: &RebuildDirt, problems: &[TileProblem]) {
+        let RebuildDirt::Tiles(dirty) = dirt else {
+            *self = TileCounts::new(problems);
+            return;
+        };
+        for &i in dirty {
+            self.counts[self.spans[i]..self.spans[i + 1]].fill(0);
+            self.times[i] = None;
+        }
+        if !self.fits(problems) {
+            let old = std::mem::replace(self, TileCounts::new(problems));
+            for (i, time) in old.times.iter().enumerate() {
+                if let Some(time) = *time {
+                    self.set(i, old.tile(i), time);
+                }
+            }
+        }
+    }
+}
+
+/// One unsolved tile's share of a [`TileCounts`]: its span of counts and
+/// its solved flag, written by [`FlowContext::solve_slot`].
+#[derive(Debug)]
+pub struct TileSlot<'a> {
+    index: usize,
+    counts: &'a mut [u32],
+    time: &'a mut Option<Duration>,
+    /// The solve's error; the tile then stays unsolved.
+    pub error: Option<MethodError>,
+}
+
+/// Solves one tile into `out` (its zeroed span): budget lookup, capacity
+/// clamp, per-tile seeded RNG, method dispatch — the single definition
+/// behind every run, [`FlowContext::solve_slot`] and
+/// [`FlowContext::solve_tile`]. A tile with nothing to place writes
+/// nothing. The method's `Vec` is dropped as soon as it is copied, so
+/// nothing a pool lane allocates outlives the tile it solves: results
+/// that lived on the lanes until the job ended kept glibc's per-thread
+/// arenas from trimming and inflated peak RSS.
 fn solve_one_tile(
     problem: &TileProblem,
     budget: &FillBudget,
     config: &FlowConfig,
     method: &dyn FillMethod,
-) -> Result<(Vec<u32>, Duration), MethodError> {
+    out: &mut [u32],
+) -> Result<Duration, MethodError> {
     let want = budget.features(problem.cell);
     let effective = units::saturating_count(u64::from(want).min(problem.capacity()));
     if effective == 0 {
-        return Ok((vec![0; problem.columns.len()], Duration::ZERO));
+        return Ok(Duration::ZERO);
     }
     let mut rng = StdRng::seed_from_u64(tile_seed(config.seed, problem.cell));
     let t0 = Instant::now();
-    method
-        .place(problem, effective, config.weighted, &mut rng)
-        .map(|counts| (counts, t0.elapsed()))
+    let counts = method.place(problem, effective, config.weighted, &mut rng)?;
+    let elapsed = t0.elapsed();
+    for (c, m) in out.iter_mut().zip(counts) {
+        *c = m;
+    }
+    Ok(elapsed)
 }
 
 /// Precomputed, method-independent flow state: everything up to (and
@@ -473,19 +607,19 @@ impl<'d> FlowContext<'d> {
 
     /// Runs one placement method against the prepared context on the
     /// caller's [`WorkerPool`]. Tiles are claimed dynamically (one 4.5ms
-    /// ILP-II tile no longer serializes a static chunk of followers) and
-    /// the delay evaluation is sharded by slack column; the result is
-    /// bit-identical to [`FlowContext::run`] for every pool size: per-tile
-    /// seeds depend only on the tile cell, and tile results are merged in
-    /// tile order.
+    /// ILP-II tile no longer serializes a static chunk of followers); the
+    /// result is bit-identical to [`FlowContext::run`] for every pool
+    /// size: per-tile seeds depend only on the tile cell, and tile results
+    /// are merged in tile order.
     ///
-    /// On a single-CPU host (or a 1-lane pool) this falls back to the
-    /// serial [`FlowContext::run`] — the lanes cannot overlap and would
-    /// only add claim/wake overhead.
+    /// On a single-CPU host (or a 1-lane pool) this is the serial
+    /// [`FlowContext::run`] — the lanes cannot overlap and would only add
+    /// claim/wake overhead.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Method`] if any tile solve fails.
+    /// Returns [`FlowError::Method`] if any tile solve fails: the first
+    /// failing tile in row-major order, as [`FlowContext::run`] reports.
     pub fn run_pool(
         &self,
         config: &FlowConfig,
@@ -498,80 +632,86 @@ impl<'d> FlowContext<'d> {
         self.run_pool_impl(config, method, pool)
     }
 
-    /// The multi-lane body of [`FlowContext::run_pool`], without the
-    /// single-CPU fallback (tests call it to drive the lanes on any host).
+    /// The body of [`FlowContext::run_pool`], without the single-CPU
+    /// fallback (tests call it to drive the lanes on any host).
     fn run_pool_impl(
         &self,
         config: &FlowConfig,
         method: &(dyn FillMethod + Sync),
         pool: &WorkerPool,
     ) -> Result<FlowOutcome, FlowError> {
-        let n = self.problems.len();
-        if pool.lanes() == 1 || n < 2 {
-            return self.run(config, method);
-        }
-
-        // Caller-owned result slots: tile `i`'s counts land in span
-        // `spans[i]..spans[i + 1]` of one flat buffer, and its solve
-        // time or error in its own slot. A lane drops the method's `Vec`
-        // as soon as it has copied the counts, so nothing a lane
-        // allocates outlives the tile it solves: results that lived on
-        // the lanes until the job ended kept glibc's per-thread arenas
-        // from trimming and inflated peak RSS.
-        let mut spans = Vec::with_capacity(n + 1);
-        spans.push(0);
-        for p in &self.problems {
-            spans.push(spans[spans.len() - 1] + p.columns.len());
-        }
-        let counts: Vec<AtomicU32> = (0..spans[n]).map(|_| AtomicU32::new(0)).collect();
-        let mut solved: Vec<Result<Duration, MethodError>> = Vec::new();
-        solved.resize_with(n, || Ok(Duration::ZERO));
-        pool.for_each_slot(&mut solved, |i, slot| {
-            *slot = solve_one_tile(&self.problems[i], &self.budget, config, method).map(
-                |(tile, elapsed)| {
-                    for (c, m) in counts[spans[i]..spans[i + 1]].iter().zip(tile) {
-                        c.store(m, Ordering::Relaxed);
-                    }
-                    elapsed
-                },
-            );
-        });
-
-        // The job has ended (the pool joined every lane), so the slots
-        // hold every lane's stores. The first failing tile in row-major
-        // order is the one a serial run reports.
-        let counts: Vec<u32> = counts.into_iter().map(AtomicU32::into_inner).collect();
-        let mut per_tile = Vec::with_capacity(n);
-        for (i, elapsed) in solved.into_iter().enumerate() {
-            per_tile.push((i, &counts[spans[i]..spans[i + 1]], elapsed?));
-        }
-        self.assemble(method.name(), per_tile, Some(pool))
+        self.run_with(method.name(), |slots| {
+            pool.for_each_slot(slots, |_, slot| self.solve_slot(config, method, slot));
+        })
     }
 
     /// Runs one placement method against the prepared context.
     ///
     /// # Errors
     ///
-    /// Returns [`FlowError::Method`] if a tile solve fails.
+    /// Returns [`FlowError::Method`] if a tile solve fails: the first
+    /// failing tile in row-major order.
     pub fn run(
         &self,
         config: &FlowConfig,
         method: &dyn FillMethod,
     ) -> Result<FlowOutcome, FlowError> {
-        let mut per_tile = Vec::with_capacity(self.problems.len());
-        for (i, problem) in self.problems.iter().enumerate() {
-            let (counts, elapsed) = solve_one_tile(problem, &self.budget, config, method)?;
-            per_tile.push((i, counts, elapsed));
-        }
-        self.assemble(method.name(), per_tile, None)
+        self.run_with(method.name(), |slots| {
+            for slot in slots {
+                self.solve_slot(config, method, slot);
+            }
+        })
     }
 
-    /// Solves the single tile at row-major index `index` — budget lookup,
-    /// capacity clamp, per-tile seeded RNG, method dispatch. Because the
-    /// per-tile seed depends only on the tile cell, solving any subset of
-    /// tiles in any order produces exactly the counts a full
+    /// The one solve body of every run: a fresh [`TileCounts`] whose
+    /// slots `solve` fills (on the calling thread, or on a pool whose
+    /// `method` is `Sync`), then [`FlowContext::assemble`]. The store and
+    /// its slots are the caller's allocations.
+    fn run_with(
+        &self,
+        method_name: &'static str,
+        solve: impl FnOnce(&mut [TileSlot<'_>]),
+    ) -> Result<FlowOutcome, FlowError> {
+        let mut store = TileCounts::new(&self.problems);
+        let mut slots = store.unsolved_slots();
+        solve(&mut slots);
+        if let Some(e) = slots.into_iter().find_map(|slot| slot.error) {
+            return Err(e.into());
+        }
+        Ok(self.assemble(method_name, &store))
+    }
+
+    /// Solves `slot`'s tile into its span and marks it solved, or records
+    /// the method's error in [`TileSlot::error`]. Because the per-tile
+    /// seed depends only on the tile cell, solving any subset of tiles in
+    /// any order, on any lane, produces exactly the counts a full
     /// [`FlowContext::run`] would — the building block for per-tile
     /// result caches that re-solve only what a rebuild dirtied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot's store was not spanned for this context's
+    /// problems.
+    pub fn solve_slot(
+        &self,
+        config: &FlowConfig,
+        method: &dyn FillMethod,
+        slot: &mut TileSlot<'_>,
+    ) {
+        let problem = &self.problems[slot.index];
+        assert_eq!(
+            slot.counts.len(),
+            problem.columns.len(),
+            "slot spans its tile"
+        );
+        match solve_one_tile(problem, &self.budget, config, method, slot.counts) {
+            Ok(time) => *slot.time = Some(time),
+            Err(e) => slot.error = Some(e),
+        }
+    }
+
+    /// Solves the single tile at row-major index `index` into a fresh
+    /// counts vector, as [`FlowContext::solve_slot`] does into a store.
     ///
     /// # Panics
     ///
@@ -586,14 +726,22 @@ impl<'d> FlowContext<'d> {
         method: &dyn FillMethod,
         index: usize,
     ) -> Result<(Vec<u32>, Duration), MethodError> {
-        solve_one_tile(&self.problems[index], &self.budget, config, method)
+        let problem = &self.problems[index];
+        let mut counts = vec![0; problem.columns.len()];
+        let time = solve_one_tile(problem, &self.budget, config, method, &mut counts)?;
+        Ok((counts, time))
     }
 
     /// Assembles a [`FlowOutcome`] from externally collected per-tile
-    /// counts — `(row-major tile index, per-column counts, solve time)`,
-    /// in tile-index order, one entry per tile. With counts produced by
+    /// counts — `(row-major tile index, per-column counts, solve time)` —
+    /// by copying them into a [`TileCounts`]. With counts produced by
     /// [`FlowContext::solve_tile`] (freshly or replayed from a cache) the
     /// outcome is bit-identical to [`FlowContext::run`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `per_tile` holds one entry per tile, in tile-index
+    /// order, each exactly as long as its tile's column list.
     ///
     /// # Errors
     ///
@@ -603,34 +751,43 @@ impl<'d> FlowContext<'d> {
         method_name: &'static str,
         per_tile: Vec<(usize, Vec<u32>, Duration)>,
     ) -> Result<FlowOutcome, FlowError> {
-        self.assemble(method_name, per_tile, None)
+        assert_eq!(per_tile.len(), self.problems.len(), "one entry per tile");
+        let mut store = TileCounts::new(&self.problems);
+        for (k, (index, counts, time)) in per_tile.into_iter().enumerate() {
+            assert_eq!(index, k, "entries in tile-index order");
+            store.set(index, &counts, time);
+        }
+        Ok(self.assemble(method_name, &store))
     }
 
-    /// Merges per-tile assignments into features, density and impact. With
-    /// a pool, the delay evaluation shards its per-column work across the
-    /// lanes (same result — the accumulator fold order is fixed).
-    fn assemble<C: AsRef<[u32]>>(
-        &self,
-        method_name: &'static str,
-        per_tile: Vec<(usize, C, Duration)>,
-        pool: Option<&WorkerPool>,
-    ) -> Result<FlowOutcome, FlowError> {
+    /// Merges a complete store's counts into features, density and
+    /// impact.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `store` is spanned for this context's problems and
+    /// every tile is solved.
+    pub fn assemble(&self, method_name: &'static str, store: &TileCounts) -> FlowOutcome {
+        assert!(
+            store.fits(&self.problems) && store.times.iter().all(Option::is_some),
+            "assemble needs a complete store spanned for this context"
+        );
         let design: &Design = &self.frame_design;
-        let mut features: Vec<FillFeature> = Vec::new();
-        let mut placed = 0u64;
+        let placed: u64 = store.counts.iter().map(|&m| u64::from(m)).sum();
+        let mut features: Vec<FillFeature> =
+            Vec::with_capacity(usize::try_from(placed).unwrap_or(0));
         let mut shortfall = 0u64;
         let mut density_after_map = self.density_map.clone();
         let feature_area = design.rules.feature_area();
         let mut solve_time = Duration::ZERO;
-        let mut area_deltas = Vec::with_capacity(per_tile.len());
+        let mut area_deltas = Vec::with_capacity(self.problems.len());
 
-        for (i, counts, elapsed) in per_tile {
-            let counts = counts.as_ref();
-            let problem = &self.problems[i];
+        for (i, problem) in self.problems.iter().enumerate() {
+            let counts = store.tile(i);
             let want = self.budget.features(problem.cell) as u64;
             let tile_placed: u64 = counts.iter().map(|&m| m as u64).sum();
             shortfall += want.saturating_sub(tile_placed);
-            solve_time += elapsed;
+            solve_time += store.times[i].unwrap_or_default();
             for (col, &m) in problem.columns.iter().zip(counts) {
                 for slot in col.slots.iter().take(units::index(i64::from(m))) {
                     features.push(FillFeature {
@@ -639,7 +796,6 @@ impl<'d> FlowContext<'d> {
                     });
                 }
             }
-            placed += tile_placed;
             area_deltas.push((problem.cell, tile_placed as i64 * feature_area));
         }
         // One batched update → a single prefix-sum rebuild instead of one
@@ -654,7 +810,6 @@ impl<'d> FlowContext<'d> {
             &design.tech,
             design.rules,
             design.nets.len(),
-            pool,
         );
 
         // Report features in the caller's frame.
@@ -664,7 +819,7 @@ impl<'d> FlowContext<'d> {
             }
         }
 
-        Ok(FlowOutcome {
+        FlowOutcome {
             method: method_name,
             impact,
             budget_total: self.budget_total,
@@ -675,7 +830,7 @@ impl<'d> FlowContext<'d> {
             features,
             solve_time,
             tiles: self.dissection.num_tiles(),
-        })
+        }
     }
 
     /// Detaches the context from the borrowed design, cloning the frame
@@ -1008,8 +1163,8 @@ pub fn run_flow(
 ///
 /// The build overlaps the fill budget with the tile construction (a lane
 /// runs the budget stage while the calling thread builds every slab of
-/// tile problems), and the run solves the tiles on every lane into
-/// caller-owned slots and shards the delay evaluation. The outcome —
+/// tile problems), and the run solves the tiles on every lane into the
+/// spans of a caller-owned [`TileCounts`]. The outcome —
 /// features, density, and every f64 accumulation in the delay impact — is
 /// bit-identical to [`FlowContext::build`] + [`FlowContext::run`] at any
 /// lane count (the per-tile RNG seeds depend only on the tile cell, and
@@ -1188,8 +1343,8 @@ mod tests {
                 for par in &runs {
                     let tag = format!("{} @ {threads} threads", method.name());
                     // Everything except wall-clock timing must be
-                    // bit-identical, including the sharded evaluation's
-                    // f64 accumulators inside `impact`.
+                    // bit-identical, including the f64 accumulators
+                    // inside `impact`.
                     assert_eq!(seq.method, par.method, "{tag}");
                     assert_eq!(seq.features, par.features, "{tag}");
                     assert_eq!(seq.placed_features, par.placed_features, "{tag}");
@@ -1618,19 +1773,75 @@ mod tests {
         assert_contexts_identical(&ctx, &fresh, &cfg, "full fallback");
     }
 
+    /// Counts gathered tile by tile, in any order, through the store or
+    /// through the `finish_run` adapter, assemble to `run`'s outcome.
     #[test]
     fn solve_tile_and_finish_run_replay_matches_run() {
         let d = design();
         let cfg = config();
         let ctx = FlowContext::build(&d, &cfg).expect("ctx");
         let direct = ctx.run(&cfg, &IlpTwo).expect("run");
+        let n = ctx.problems().len();
         let mut per_tile = Vec::new();
-        for i in 0..ctx.problems().len() {
+        let mut store = TileCounts::new(ctx.problems());
+        for i in (0..n).rev() {
             let (counts, elapsed) = ctx.solve_tile(&cfg, &IlpTwo, i).expect("tile");
+            store.set(i, &counts, elapsed);
             per_tile.push((i, counts, elapsed));
         }
+        per_tile.reverse();
+        let stored = ctx.assemble(IlpTwo.name(), &store);
+        assert_outcomes_identical(&direct, &stored, "store replay");
         let replayed = ctx.finish_run(IlpTwo.name(), per_tile).expect("finish");
-        assert_outcomes_identical(&direct, &replayed, "solve_tile replay");
+        assert_outcomes_identical(&direct, &replayed, "finish_run replay");
+    }
+
+    /// A counts slice longer than its tile would report features that do
+    /// not exist; the adapter refuses it.
+    #[test]
+    #[should_panic(expected = "one count per column")]
+    fn finish_run_rejects_counts_longer_than_their_tile() {
+        let d = design();
+        let cfg = config();
+        let ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let per_tile = ctx
+            .problems()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (i, vec![0; p.columns.len() + 1], Duration::ZERO))
+            .collect();
+        let _ = ctx.finish_run(IlpTwo.name(), per_tile);
+    }
+
+    /// Invalidating a tile whose column count changed re-spans the store
+    /// and keeps every other tile's counts.
+    #[test]
+    fn invalidate_respans_a_dirty_tile_whose_columns_changed() {
+        let d = design();
+        let cfg = config();
+        let ctx = FlowContext::build(&d, &cfg).expect("ctx");
+        let mut problems = ctx.problems().to_vec();
+        let mut store = TileCounts::new(&problems);
+        for (i, p) in problems.iter().enumerate() {
+            let counts: Vec<u32> = (0..p.columns.len()).map(|c| (i + c) as u32 % 3).collect();
+            store.set(i, &counts, Duration::from_nanos(i as u64));
+        }
+        let kept = store.clone();
+        let dirty = problems
+            .iter()
+            .position(|p| p.columns.len() > 1)
+            .expect("a tile with columns");
+        problems[dirty].columns.pop();
+        store.invalidate(&RebuildDirt::Tiles(vec![dirty]), &problems);
+        assert!(store.fits(&problems));
+        assert_eq!(store.times[dirty], None);
+        assert_eq!(store.tile(dirty), vec![0; problems[dirty].columns.len()]);
+        for i in (0..problems.len()).filter(|&i| i != dirty) {
+            assert_eq!(store.tile(i), kept.tile(i), "tile {i}");
+            assert_eq!(store.times[i], kept.times[i], "tile {i}");
+        }
+        store.invalidate(&RebuildDirt::All, &problems);
+        assert_eq!(store, TileCounts::new(&problems));
     }
 
     #[test]
@@ -1684,9 +1895,9 @@ mod tests {
         d2.nets[ni].sinks.push(sink);
 
         let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
-        let mut cached: Vec<Vec<u32>> = Vec::new();
-        for i in 0..ctx.problems().len() {
-            cached.push(ctx.solve_tile(&cfg, &IlpTwo, i).expect("tile").0);
+        let mut store = TileCounts::new(ctx.problems());
+        for slot in &mut store.unsolved_slots() {
+            ctx.solve_slot(&cfg, &IlpTwo, slot);
         }
         let (stats, dirt) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
         assert!(!stats.full);
@@ -1698,16 +1909,15 @@ mod tests {
         assert!(dirty.len() < ctx.problems().len(), "dirt must be partial");
         assert!(dirty.windows(2).all(|w| w[0] < w[1]), "sorted ascending");
 
-        let mut per_tile = Vec::new();
-        for (i, counts) in cached.into_iter().enumerate() {
-            let counts = if dirty.contains(&i) {
-                ctx.solve_tile(&cfg, &IlpTwo, i).expect("re-solve").0
-            } else {
-                counts
-            };
-            per_tile.push((i, counts, Duration::ZERO));
+        store.invalidate(&dirt, ctx.problems());
+        let mut slots = store.unsolved_slots();
+        let unsolved: Vec<usize> = slots.iter().map(|slot| slot.index).collect();
+        assert_eq!(&unsolved, dirty, "exactly the dirty tiles are re-solved");
+        for slot in &mut slots {
+            ctx.solve_slot(&cfg, &IlpTwo, slot);
         }
-        let replayed = ctx.finish_run(IlpTwo.name(), per_tile).expect("finish");
+        drop(slots);
+        let replayed = ctx.assemble(IlpTwo.name(), &store);
         let fresh = FlowContext::build(&d2, &cfg)
             .expect("fresh")
             .run(&cfg, &IlpTwo)

@@ -51,7 +51,7 @@ pub mod verify;
 pub use evaluate::{evaluate_placement, DelayImpact};
 pub use flow::{
     run_flow, run_flow_streamed, FlowConfig, FlowContext, FlowError, FlowOutcome, RebuildDirt,
-    RebuildStats,
+    RebuildStats, TileCounts, TileSlot,
 };
 pub use line::{
     extract_active_lines, extract_active_lines_into, extract_net_lines, extract_net_lines_with,

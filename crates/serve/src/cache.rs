@@ -19,7 +19,7 @@
 //! and the newer entry wins the slot on check-in.
 
 use crate::protocol::DesignKey;
-use pilfill_core::flow::{FlowConfig, FlowContext};
+use pilfill_core::flow::{FlowConfig, FlowContext, TileCounts};
 use pilfill_layout::Design;
 use std::sync::Arc;
 
@@ -57,22 +57,8 @@ impl DesignStore {
     }
 }
 
-/// Per-tile solved results cached alongside a context: replaying them
-/// through [`FlowContext::finish_run`] is bit-identical to re-solving
-/// (the per-tile RNG seeds depend only on the tile cell).
-#[derive(Debug, Clone)]
-pub(crate) struct SolvedTiles {
-    /// Method index ([`crate::protocol::METHOD_NAMES`]) the counts were
-    /// solved with.
-    pub(crate) method: u8,
-    /// Per-tile per-column fill counts, indexed by row-major tile
-    /// index; `None` marks a tile whose cached counts were invalidated
-    /// by a rebuild (or never solved).
-    pub(crate) counts: Vec<Option<Vec<u32>>>,
-}
-
 /// One cached context: the design hash it reflects, the prepared
-/// [`FlowContext`], and optionally the last solve's per-tile results.
+/// [`FlowContext`], and optionally the last method's per-tile results.
 #[derive(Debug)]
 pub(crate) struct CtxEntry {
     /// Cache key: design name (stable across edits) + flow config.
@@ -84,8 +70,11 @@ pub(crate) struct CtxEntry {
     pub(crate) design_hash: DesignKey,
     /// The prepared (detached) context.
     pub(crate) ctx: FlowContext<'static>,
-    /// Last solve's per-tile counts, if any.
-    pub(crate) solved: Option<SolvedTiles>,
+    /// The method index ([`crate::protocol::METHOD_NAMES`]) last solved
+    /// against the context, and its per-tile results: assembling them is
+    /// bit-identical to re-solving (the per-tile RNG seeds depend only on
+    /// the tile cell), so a request solves only the unsolved tiles.
+    pub(crate) solved: Option<(u8, TileCounts)>,
 }
 
 /// LRU cache of detached [`FlowContext`]s, checked out by key.

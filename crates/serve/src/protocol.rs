@@ -596,6 +596,10 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
     fn u8(&mut self) -> Result<u8, ProtocolError> {
         Ok(self.take(1)?[0])
     }
@@ -688,6 +692,10 @@ fn get_design_ref(c: &mut Cursor<'_>) -> Result<DesignRef, ProtocolError> {
         2 => {
             let base = c.key()?;
             let count = c.u16()?;
+            // Every op takes at least 5 bytes (tag and net).
+            if usize::from(count) > c.remaining() / 5 {
+                return Err(ProtocolError::bad("edit count exceeds frame"));
+            }
             let mut ops = Vec::with_capacity(usize::from(count));
             for _ in 0..count {
                 ops.push(match c.u8()? {
@@ -1117,6 +1125,18 @@ mod tests {
         assert!(decode_request(&extra).is_err());
         assert!(decode_request(&[0xff]).is_err());
         assert!(decode_reply(&[0x42]).is_err());
+    }
+
+    /// An edit count the frame cannot hold is refused before anything is
+    /// reserved for it.
+    #[test]
+    fn edit_count_beyond_the_frame_is_rejected() {
+        let mut payload = vec![MSG_FILL, 2];
+        payload.extend_from_slice(&key(1).0);
+        payload.extend_from_slice(&u16::MAX.to_le_bytes());
+        assert_eq!(payload.len(), 36);
+        let err = decode_request(&payload).expect_err("65535 ops in 0 bytes");
+        assert_eq!(err.0, "edit count exceeds frame");
     }
 
     #[test]

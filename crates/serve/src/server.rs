@@ -10,12 +10,12 @@
 //!    LRU. Hash match → warm; hash mismatch → `rebuild` (incremental or
 //!    full); miss → cold `build`. Builds and rebuilds run as exclusive
 //!    turns on the fair scheduler.
-//! 3. *Solve* only the tiles without cached counts, as fair-share
-//!    batches interleaved with other in-flight requests; everything
-//!    else replays cached per-tile counts — bit-identical by the
-//!    per-tile seeding invariant.
-//! 4. *Assemble* the outcome and check the context (plus the solved
-//!    counts) back in.
+//! 3. *Solve* only the tiles the entry's [`TileCounts`] store lacks, as
+//!    fair-share batches interleaved with other in-flight requests,
+//!    straight into the store's spans; every other tile keeps its cached
+//!    counts — bit-identical by the per-tile seeding invariant.
+//! 4. *Assemble* the outcome from the store and check the context (with
+//!    its store) back in.
 //!
 //! Admission control lives in the scheduler: when too many requests are
 //! in flight, submissions fail fast and the client sees a `Busy` reply
@@ -30,14 +30,14 @@
 //! a dead client's tile batches stop at the next batch boundary instead
 //! of running (and blocking the pool) to completion.
 
-use crate::cache::{CtxCache, CtxEntry, DesignStore, SolvedTiles};
+use crate::cache::{CtxCache, CtxEntry, DesignStore};
 use crate::net::{Listener, Stream};
 use crate::protocol::{
     apply_edits, decode_request, design_hash, edit_hash, encode_outcome_blob, encode_reply,
     write_frame, DesignKey, DesignRef, FillParams, FillStatus, FrameProgress, FrameReader, Reply,
     Request, ERR_ABORTED, ERR_DESIGN, ERR_FLOW, ERR_PROTOCOL, ERR_UNKNOWN_DESIGN,
 };
-use pilfill_core::flow::{FlowConfig, FlowContext, RebuildDirt};
+use pilfill_core::flow::{FlowConfig, FlowContext, TileCounts};
 use pilfill_core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
 use pilfill_core::{check_fill, FillFeature};
 use pilfill_density::{DensityMap, FixedDissection};
@@ -212,100 +212,37 @@ impl Engine {
             },
         };
 
-        // Solve what the cache doesn't cover, fairly interleaved.
-        let n = entry.ctx.problems().len();
-        let mut solved = match entry.solved.take() {
-            Some(s) if s.method == params.method && s.counts.len() == n => s,
-            _ => SolvedTiles {
-                method: params.method,
-                counts: {
-                    let mut v: Vec<Option<Vec<u32>>> = Vec::new();
-                    v.resize_with(n, || None);
-                    v
-                },
-            },
+        // Solve the tiles the cache doesn't cover, fairly interleaved,
+        // straight into the store. Whatever finished is kept: an aborted
+        // request still warms the cache for its successors.
+        let mut store = match entry.solved.take() {
+            Some((m, store)) if m == params.method => store,
+            _ => TileCounts::new(entry.ctx.problems()),
         };
-        let needed: Vec<usize> = (0..n).filter(|&i| solved.counts[i].is_none()).collect();
-        if !needed.is_empty() {
-            let mut slots: Vec<Option<Result<Vec<u32>, String>>> = Vec::new();
-            slots.resize_with(needed.len(), || None);
-            let ctx = &entry.ctx;
-            let run = self.fair.run_slots(
-                &mut slots,
-                |k, slot| {
-                    *slot = Some(
-                        ctx.solve_tile(&config, method, needed[k])
-                            .map(|(counts, _)| counts)
-                            .map_err(|e| e.to_string()),
-                    );
-                },
-                Some(abort),
-            );
-            // Whatever finished is kept — an aborted request still warms
-            // the cache for its successors.
-            let mut failure: Option<String> = None;
-            for (k, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Some(Ok(counts)) => solved.counts[needed[k]] = Some(counts),
-                    Some(Err(e)) => failure = Some(e),
-                    None => {}
-                }
-            }
-            entry.solved = Some(solved);
-            match run {
-                Ok(_) if failure.is_none() => {}
-                Ok(_) => {
-                    self.checkin(entry);
-                    return Reply::Err {
-                        code: ERR_FLOW,
-                        // failure is Some in this arm. pilfill: allow(unwrap)
-                        message: failure.expect("solve failure recorded"),
-                    };
-                }
-                Err(FairError::Busy { inflight }) => {
-                    self.checkin(entry);
-                    return Reply::Busy {
-                        inflight: u32::try_from(inflight).unwrap_or(u32::MAX),
-                    };
-                }
-                Err(FairError::Aborted) => {
-                    self.checkin(entry);
-                    return Reply::Err {
-                        code: ERR_ABORTED,
-                        message: "request aborted (client disconnected)".to_string(),
-                    };
-                }
-            }
+        let ctx = &entry.ctx;
+        let mut slots = store.unsolved_slots();
+        // A fully cached request does not queue for the scheduler.
+        let refused = if slots.is_empty() {
+            None
         } else {
-            entry.solved = Some(solved);
-        }
-
-        // Assemble from the (now complete) per-tile counts. Cached solve
-        // times are not replayed — the blob excludes timing, so replay
-        // stays byte-identical to a fresh solve.
-        let per_tile: Vec<(usize, Vec<u32>, Duration)> = {
-            // Every index in 0..n is Some: `needed` covered the gaps and
-            // the error paths returned above. pilfill: allow(unwrap)
-            let solved = entry.solved.as_ref().expect("solved cached above");
-            (0..n)
-                .map(|i| {
-                    // pilfill: allow(unwrap)
-                    let counts = solved.counts[i].clone().expect("tile solved");
-                    (i, counts, Duration::ZERO)
-                })
-                .collect()
+            let solve = |_, slot: &mut _| ctx.solve_slot(&config, method, slot);
+            self.fair.run_slots(&mut slots, solve, Some(abort)).err()
         };
-        let outcome = match entry.ctx.finish_run(method.name(), per_tile) {
-            Ok(o) => o,
-            Err(e) => {
-                self.checkin(entry);
-                return Reply::Err {
-                    code: ERR_FLOW,
-                    message: e.to_string(),
-                };
-            }
+        let failure = slots.into_iter().find_map(|slot| slot.error);
+        let outcome = match (refused, failure) {
+            (Some(fair), _) => Err(busy_or_aborted(&fair)),
+            (None, Some(e)) => Err(Reply::Err {
+                code: ERR_FLOW,
+                message: e.to_string(),
+            }),
+            (None, None) => Ok(ctx.assemble(method.name(), &store)),
         };
+        entry.solved = Some((params.method, store));
         self.checkin(entry);
+        let outcome = match outcome {
+            Ok(o) => o,
+            Err(reply) => return reply,
+        };
         let blob = encode_outcome_blob(&outcome);
         Reply::FillOk {
             status,
@@ -330,17 +267,8 @@ impl Engine {
         match rebuilt {
             Ok(Ok((stats, dirt))) => {
                 entry.design_hash = hash;
-                match dirt {
-                    RebuildDirt::All => entry.solved = None,
-                    RebuildDirt::Tiles(dirty) => {
-                        if let Some(s) = &mut entry.solved {
-                            for &t in &dirty {
-                                if let Some(slot) = s.counts.get_mut(t) {
-                                    *slot = None;
-                                }
-                            }
-                        }
-                    }
+                if let Some((_, store)) = &mut entry.solved {
+                    store.invalidate(&dirt, entry.ctx.problems());
                 }
                 let status = if stats.full {
                     FillStatus::RebuildFull
@@ -673,8 +601,182 @@ fn watch_disconnect(peer: &Stream, abort: &Arc<AtomicBool>, done: &Arc<AtomicBoo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::METHOD_NAMES;
+    use crate::protocol::{FillParams, METHOD_NAMES};
+    use pilfill_core::flow::run_flow;
     use pilfill_layout::synth::{synthesize, SynthConfig};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+    use std::sync::atomic::AtomicU64;
+
+    thread_local! {
+        /// Set while the thread's allocations are being counted.
+        static COUNTING: Cell<bool> = const { Cell::new(false) };
+    }
+    static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+    /// A [`System`]-backed allocator that counts the `alloc`,
+    /// `alloc_zeroed` and `realloc` events of threads inside [`count`].
+    struct CountingAlloc;
+
+    impl CountingAlloc {
+        fn note() {
+            if COUNTING.get() {
+                ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    // SAFETY: every method delegates directly to `System`, which upholds
+    // the `GlobalAlloc` contract; the counter touches no allocator state.
+    unsafe impl GlobalAlloc for CountingAlloc {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            Self::note();
+            // SAFETY: forwarded verbatim under the caller's contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            Self::note();
+            // SAFETY: as in `alloc`.
+            unsafe { System.alloc_zeroed(layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            Self::note();
+            // SAFETY: `ptr` came from `System` with `layout`, per the
+            // caller's `realloc` contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr`/`layout` came from `System` underneath.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: CountingAlloc = CountingAlloc;
+
+    /// Runs `f` and returns its result with the allocations this thread
+    /// made during it.
+    fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        COUNTING.set(true);
+        let out = f();
+        COUNTING.set(false);
+        (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+    }
+
+    /// The most allocations one warm fill may make, whatever its tile
+    /// count: the feature list, the density-after map, the evaluator's
+    /// buffers and the reply blob's growth.
+    const WARM_FILL_ALLOCS: u64 = 32;
+
+    /// A warm fill assembles straight from the cached store, so its
+    /// allocation count does not grow with the number of tiles (nothing
+    /// is solved, so the whole request runs on this thread).
+    #[test]
+    fn warm_fill_allocations_do_not_grow_with_the_tile_count() {
+        let engine = Engine::new(&ServeOptions {
+            lanes: 1,
+            ..ServeOptions::default()
+        });
+        let design = synthesize(&SynthConfig::small_test(5));
+        let inline = DesignRef::Inline(design.to_text());
+        let never = AtomicBool::new(false);
+        let mut tiles = Vec::new();
+        for r in [2, 8] {
+            let params = FillParams::new(8_000, r).expect("valid window");
+            let Reply::FillOk { design_hash, .. } = engine.fill(&inline, &params, &never) else {
+                panic!("cold fill failed");
+            };
+            let (reply, allocs) =
+                count(|| engine.fill(&DesignRef::Hash(design_hash), &params, &never));
+            assert!(
+                matches!(
+                    reply,
+                    Reply::FillOk {
+                        status: FillStatus::Warm,
+                        ..
+                    }
+                ),
+                "{reply:?}"
+            );
+            let config = params.to_config().expect("valid params");
+            let entry = lock(&engine.ctxs)
+                .checkout(&design.name, &config)
+                .expect("cached");
+            let n = entry.ctx.problems().len();
+            engine.checkin(entry);
+            assert!(
+                allocs <= WARM_FILL_ALLOCS,
+                "a warm fill over {n} tiles made {allocs} allocations"
+            );
+            tiles.push(n);
+        }
+        assert!(tiles[1] >= 4 * tiles[0], "tile counts {tiles:?}");
+    }
+
+    /// An aborted request keeps the tiles that finished before the abort;
+    /// the next request solves only the rest, on the pool's lanes and
+    /// straight into the store's spans, and replies the one-shot blob.
+    #[test]
+    fn partly_solved_store_completes_to_the_one_shot_blob() {
+        let engine = Engine::new(&ServeOptions {
+            lanes: 2,
+            ..ServeOptions::default()
+        });
+        let design = synthesize(&SynthConfig::small_test(5));
+        let params = FillParams::new(8_000, 2).expect("valid window");
+        let config = params.to_config().expect("valid params");
+        let method = METHODS[usize::from(params.method)];
+        let want = encode_outcome_blob(&run_flow(&design, &config, method).expect("one-shot"));
+
+        // Aborted before its first batch: the context is cached with an
+        // unsolved store.
+        let inline = DesignRef::Inline(design.to_text());
+        let aborted = engine.fill(&inline, &params, &AtomicBool::new(true));
+        assert!(
+            matches!(
+                aborted,
+                Reply::Err {
+                    code: ERR_ABORTED,
+                    ..
+                }
+            ),
+            "{aborted:?}"
+        );
+        // Aborted after its first batch, as the engine solves: the
+        // batch's tiles stay solved.
+        let mut entry = lock(&engine.ctxs)
+            .checkout(&design.name, &config)
+            .expect("cached");
+        let (_, store) = entry.solved.as_mut().expect("the aborted request's store");
+        let abort = AtomicBool::new(false);
+        let mut slots = store.unsolved_slots();
+        let n = slots.len();
+        let solve = |_, slot: &mut _| {
+            entry.ctx.solve_slot(&config, method, slot);
+            abort.store(true, Ordering::Relaxed);
+        };
+        let run = engine.fair.run_slots(&mut slots, solve, Some(&abort));
+        assert_eq!(run.err(), Some(FairError::Aborted));
+        drop(slots);
+        let left = store.unsolved_slots().len();
+        assert!(0 < left && left < n, "{left} of {n} tiles unsolved");
+        let hash = entry.design_hash;
+        engine.checkin(entry);
+
+        let reply = engine.fill(&DesignRef::Hash(hash), &params, &AtomicBool::new(false));
+        let Reply::FillOk { status, blob, .. } = reply else {
+            panic!("completing fill failed: {reply:?}");
+        };
+        assert_eq!(status, FillStatus::Warm);
+        assert_eq!(
+            blob, want,
+            "completed store must assemble the one-shot outcome"
+        );
+    }
 
     #[test]
     fn method_table_matches_wire_names() {

@@ -8,7 +8,7 @@
 use pilfill_core::flow::run_flow;
 use pilfill_core::methods::{FillMethod, GreedyFill, IlpTwo};
 use pilfill_layout::synth::{synthesize, SynthConfig};
-use pilfill_layout::Design;
+use pilfill_layout::{Design, LayerId};
 use pilfill_serve::protocol::{
     apply_edits, design_hash, encode_outcome_blob, DesignKey, DesignRef, EditOp, FillParams,
     FillStatus, Reply, Request,
@@ -259,6 +259,46 @@ fn warm_repeat_and_edit_replay_are_bitwise_exact() {
     let (status, blob) = expect_fill_ok(client.fill(edit_ref, params.clone()).expect("warm edit"));
     assert_eq!(status, FillStatus::Warm, "repeated edit must be a warm hit");
     assert_eq!(blob, edited_blob);
+
+    // A geometry edit: widening a fill-layer segment re-sweeps its site
+    // columns, rebuilds their tiles and recomputes the budget.
+    let (net, seg) = design
+        .nets
+        .iter()
+        .enumerate()
+        .find_map(|(ni, n)| {
+            let si = n.segments.iter().position(|s| s.layer == LayerId(0))?;
+            Some((u32::try_from(ni).ok()?, u32::try_from(si).ok()?))
+        })
+        .expect("a fill-layer segment");
+    let widen = vec![EditOp::WidenSegment {
+        net,
+        seg,
+        delta: 100,
+    }];
+    let mut widened = design.clone();
+    apply_edits(&mut widened, &widen).expect("valid widen");
+    let (status, blob) = expect_fill_ok(
+        client
+            .fill(
+                DesignRef::Edit {
+                    base: base_hash,
+                    ops: widen,
+                },
+                params.clone(),
+            )
+            .expect("widen fill"),
+    );
+    assert_eq!(
+        status,
+        FillStatus::RebuildIncr,
+        "a width edit keeps the net's lines and takes the incremental path"
+    );
+    assert_eq!(
+        blob,
+        one_shot_blob(&widened, &params),
+        "a served geometry edit must match one-shot"
+    );
 
     assert!(client.shutdown().expect("shutdown"));
     server.join().expect("server thread").expect("server run");

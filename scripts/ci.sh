@@ -172,13 +172,16 @@ else
 fi
 
 if [ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/library" ]; then
-  echo "==> ThreadSanitizer (FlowOutcome determinism, pooled build, run and streamed)"
+  echo "==> ThreadSanitizer (FlowOutcome determinism, pooled build, run and streamed, served store)"
   RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
     -p pilfill-core --lib -- --test-threads 1 parallel_run_is_bit_identical \
     streamed_run_is_bit_identical_to_serial_for_every_lane_count \
     pooled_build_and_streamed_run_match_serial_for_every_def_frame_and_lane_count \
     budget_error_is_the_same_at_every_lane_count
+  RUSTFLAGS="-Zsanitizer=thread" \
+    cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
+    -p pilfill-serve --lib -- --test-threads 1 partly_solved_store_completes_to_the_one_shot_blob
 else
   echo "==> nightly rust-src unavailable (skipping TSan; CI runs it)"
 fi
