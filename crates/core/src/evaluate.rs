@@ -1,14 +1,22 @@
 //! Method-independent delay-impact evaluation.
 //!
 //! Every placement — Normal, Greedy, ILP-I, ILP-II, any slack-column
-//! definition — is scored by the same procedure: locate each fill feature
-//! in the *global* slack columns, count features per column, compute the
-//! exact incremental coupling capacitance `f(m, d)` of the column's line
-//! pair, and charge the Elmore delay increment to both lines at the
-//! column's position (Eqs. (9) and (13)). Methods that optimize an
-//! approximation (ILP-I's linearization, definition II's mis-attribution)
-//! are therefore judged by reality, which is how the paper's Table 1 can
-//! show ILP-I losing to the Normal baseline.
+//! definition — is scored by the same procedure: count the fill features
+//! in each *global* slack column, compute the exact incremental coupling
+//! capacitance `f(m, d)` of the column's line pair, and charge the Elmore
+//! delay increment to both lines at the column's position (Eqs. (9) and
+//! (13)). Methods that optimize an approximation (ILP-I's linearization,
+//! definition II's mis-attribution) are therefore judged by reality,
+//! which is how the paper's Table 1 can show ILP-I losing to the Normal
+//! baseline.
+//!
+//! The flow scores its placements from their per-tile counts: the build
+//! records which global column each tile column's slots lie in, so the
+//! per-column counts follow from the counts with no feature made or
+//! located (`FlowContext::assemble`). [`evaluate_placement`] locates each
+//! feature instead; it scores fill that comes from outside the flow and
+//! is the oracle the count path is tested against. Both score through
+//! one kernel, in ascending column order, so they agree bit for bit.
 
 use crate::{ActiveLine, FillFeature, SlackColumn};
 use pilfill_geom::Rect;
@@ -142,7 +150,10 @@ impl<'a> ColumnCursor<'a> {
     }
 }
 
-/// Evaluates `features` against the global slack columns.
+/// Evaluates `features` against the global slack columns by locating
+/// each one — the path for fill from outside the flow (an imported GDS,
+/// say) and the oracle of the flow's count scoring, which it equals bit
+/// for bit on a flow placement.
 ///
 /// `num_nets` sizes the per-net vector; `bounds`/`rules` must match the
 /// scan that produced `columns`. Columns are scored in ascending order,
@@ -156,7 +167,6 @@ pub fn evaluate_placement(
     rules: FillRules,
     num_nets: usize,
 ) -> DelayImpact {
-    let model = CouplingModel::new(tech);
     let mut counts = vec![0u32; columns.len()];
     let mut unlocated = 0u64;
     let mut cursor = ColumnCursor::new(columns, bounds, rules);
@@ -167,17 +177,86 @@ pub fn evaluate_placement(
         }
     }
 
-    let mut total = 0.0;
-    let mut weighted = 0.0;
-    let mut total_cap = 0.0;
-    let mut free = 0u64;
-    let mut per_net = vec![0.0f64; num_nets];
-    let mut per_net_cap = vec![0.0f64; num_nets];
-    for (col, &m) in columns.iter().zip(&counts).filter(|(_, &m)| m > 0) {
+    let per_column = counts.iter().enumerate().map(|(i, &m)| (Some(i), m));
+    let mut impact = evaluate_runs(per_column, columns, lines, tech, rules, num_nets);
+    impact.unlocated_features = unlocated;
+    impact
+}
+
+/// Evaluates a placement given as `(global column, features)` runs in
+/// ascending column order (runs with no column count as unlocated): the
+/// runs of one column are summed and each column with features is
+/// charged once, in ascending order. The flow's count scoring and
+/// [`evaluate_placement`] (one run per column) both score through it,
+/// so they agree bit for bit.
+pub(crate) fn evaluate_runs(
+    runs: impl IntoIterator<Item = (Option<usize>, u32)>,
+    columns: &[SlackColumn],
+    lines: &[ActiveLine],
+    tech: &Tech,
+    rules: FillRules,
+    num_nets: usize,
+) -> DelayImpact {
+    let mut score = Score::new(tech, rules, num_nets);
+    // The column being summed and its count so far.
+    let mut open: Option<(usize, u32)> = None;
+    for (global, k) in runs {
+        if k == 0 {
+            continue;
+        }
+        let Some(g) = global else {
+            score.impact.unlocated_features += u64::from(k);
+            continue;
+        };
+        match &mut open {
+            Some((at, m)) if *at == g => *m += k,
+            _ => {
+                if let Some((at, m)) = open {
+                    debug_assert!(at < g, "runs must ascend by column");
+                    score.charge(&columns[at], m, lines);
+                }
+                open = Some((g, k));
+            }
+        }
+    }
+    if let Some((at, m)) = open {
+        score.charge(&columns[at], m, lines);
+    }
+    score.impact
+}
+
+/// The running totals of one evaluation.
+struct Score {
+    model: CouplingModel,
+    rules: FillRules,
+    impact: DelayImpact,
+}
+
+impl Score {
+    fn new(tech: &Tech, rules: FillRules, num_nets: usize) -> Self {
+        Score {
+            model: CouplingModel::new(tech),
+            rules,
+            impact: DelayImpact {
+                total_delay: 0.0,
+                weighted_delay: 0.0,
+                total_cap: 0.0,
+                free_features: 0,
+                unlocated_features: 0,
+                per_net_delay: vec![0.0; num_nets],
+                per_net_cap: vec![0.0; num_nets],
+            },
+        }
+    }
+
+    /// Charges `m > 0` features in `col`: the exact `f(m, d)` of its
+    /// line pair, and the delay increment of both lines at its position.
+    fn charge(&mut self, col: &SlackColumn, m: u32, lines: &[ActiveLine]) {
+        let (rules, impact) = (self.rules, &mut self.impact);
         let Some(d) = col.distance() else {
             // No line pair: zero delay, counted free.
-            free += u64::from(m);
-            continue;
+            impact.free_features += u64::from(m);
+            return;
         };
         // Defensive clamp: placements from per-tile scans may exceed the
         // global slot count by a feature or two near tile cuts; never let
@@ -187,32 +266,22 @@ pub fn evaluate_placement(
         );
         let m = m.min(max_m);
         if m == 0 {
-            continue;
+            return;
         }
-        let dcap = model.delta_cap_exact(m, d, rules.feature_size);
-        total_cap += dcap;
+        let dcap = self.model.delta_cap_exact(m, d, rules.feature_size);
+        impact.total_cap += dcap;
         let x = col.feature_x(rules) + rules.feature_size / 2;
         for idx in [col.below, col.above].into_iter().flatten() {
             // u32 -> usize is widening on every supported target.
             let line = &lines[idx as usize]; // pilfill: allow(as-cast)
             let dtau = dcap * line.res_at(x);
-            total += dtau;
-            weighted += f64::from(line.weight) * dtau;
+            impact.total_delay += dtau;
+            impact.weighted_delay += f64::from(line.weight) * dtau;
             if let Some(net) = line.net {
-                per_net[net.0] += dtau;
-                per_net_cap[net.0] += dcap;
+                impact.per_net_delay[net.0] += dtau;
+                impact.per_net_cap[net.0] += dcap;
             }
         }
-    }
-
-    DelayImpact {
-        total_delay: total,
-        weighted_delay: weighted,
-        total_cap,
-        free_features: free,
-        unlocated_features: unlocated,
-        per_net_delay: per_net,
-        per_net_cap,
     }
 }
 

@@ -2,13 +2,14 @@
 //! MDFC solving and exact evaluation — the pipeline behind every row of
 //! the paper's Tables 1 and 2.
 
+use crate::evaluate::evaluate_runs;
 use crate::methods::{FillMethod, MethodError};
-use crate::tile::interleave_slabs;
+use crate::tile::{interleave_slabs, ColumnMap, SlabBuilder};
 use crate::{
-    build_slab_problems, build_tile_problems_pool, def_three_capacities, evaluate_placement,
-    extract_net_lines_with, extract_obstruction_lines, scan_site_columns, scan_slack_columns_into,
-    site_column_count, slab_ranges, ActiveLine, DelayImpact, ExtractScratch, FillFeature,
-    ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
+    build_tile_problems_pool, def_three_capacities, extract_net_lines_with,
+    extract_obstruction_lines, scan_site_columns, scan_slack_columns_into, site_column_count,
+    slab_ranges, ActiveLine, DelayImpact, ExtractScratch, FillFeature, ScanScratch, SlackColumn,
+    SlackColumnDef, TileProblem,
 };
 use pilfill_density::{
     lp_budget, montecarlo_budget, BudgetError, DensityAnalysis, DensityMap, DissectionError,
@@ -293,6 +294,11 @@ impl TileCounts {
         &self.counts[self.spans[index]..self.spans[index + 1]]
     }
 
+    /// The count of column `pos` of tile `index`.
+    fn get(&self, index: usize, pos: usize) -> u32 {
+        self.counts[self.spans[index] + pos]
+    }
+
     /// Records tile `index` as solved with `counts` in `time`; `counts`
     /// must be exactly as long as the tile's span.
     fn set(&mut self, index: usize, counts: &[u32], time: Duration) {
@@ -432,6 +438,9 @@ pub struct FlowContext<'d> {
     net_line_ranges: Vec<Range<usize>>,
     columns: Vec<SlackColumn>,
     problems: Vec<TileProblem>,
+    /// The global column of every tile column's slots, recorded by the
+    /// build: what [`FlowContext::assemble`] scores counts through.
+    map: ColumnMap,
     slack: Vec<u32>,
     budget: FillBudget,
     budget_total: u64,
@@ -524,26 +533,28 @@ impl<'d> FlowContext<'d> {
         scan_slack_columns_into(&lines, frame.die, frame.rules, &mut scratch, &mut columns);
         let density_scratch = DensityMap::zeros(&dissection);
 
-        let (problems, budgeted) = if config.def == SlackColumnDef::Three {
+        let (problems, map, budgeted) = if config.def == SlackColumnDef::Three {
             // Item 0 is the budget stage, run by whichever lane claims it
             // (on a 1-lane pool: first, before any slab); items 1..=nx are
-            // the slabs, which the producer builds on this thread, so the
-            // slabs are the caller's allocations. Once the budget has
-            // failed the build's result is that error, and the producer
-            // skips the remaining slabs.
+            // the slabs, which the producer builds on this thread with one
+            // slab builder, recording the column map as it goes, so the
+            // slabs and the map are the caller's allocations. Once the
+            // budget has failed the build's result is that error, and the
+            // producer skips the remaining slabs.
             let ranges = slab_ranges(&columns, &dissection, frame.rules);
+            let mut builder = SlabBuilder::new(&lines, &dissection, &frame.tech, frame.rules);
+            let mut maps = Vec::with_capacity(ranges.len());
             let failed = AtomicBool::new(false);
             let (slabs, mut stages) = pool.stream_map(
                 ranges.len() + 1,
                 |k| match k.checked_sub(1) {
-                    Some(ix) if !failed.load(Ordering::Relaxed) => build_slab_problems(
-                        &lines,
-                        &columns[ranges[ix].clone()],
-                        &dissection,
-                        &frame.tech,
-                        frame.rules,
-                        ix,
-                    ),
+                    Some(ix) if !failed.load(Ordering::Relaxed) => {
+                        let range = ranges[ix].clone();
+                        let (slab, map) =
+                            builder.build_mapped(&columns[range.clone()], ix, range.start);
+                        maps.push(map);
+                        slab
+                    }
                     _ => Vec::new(),
                 },
                 |k, _| {
@@ -556,7 +567,8 @@ impl<'d> FlowContext<'d> {
             // Item 0 always runs the budget stage. pilfill: allow(unwrap)
             let budgeted = stages.swap_remove(0).expect("item 0 is the budget stage");
             let ny = dissection.tiles().ny();
-            (interleave_slabs(slabs.into_iter().skip(1), ny), budgeted)
+            let problems = interleave_slabs(slabs.into_iter().skip(1), ny);
+            (problems, ColumnMap::Slabs(maps), budgeted)
         } else {
             let budgeted = budget_stage(frame, &columns, &dissection, config)?;
             let problems = build_tile_problems_pool(
@@ -568,7 +580,8 @@ impl<'d> FlowContext<'d> {
                 config.def,
                 pool,
             );
-            (problems, Ok(budgeted))
+            let map = ColumnMap::for_tiles(&problems, &columns, frame.die, frame.rules);
+            (problems, map, Ok(budgeted))
         };
         let (slack, density_map, density_before, budget) = budgeted?;
 
@@ -581,6 +594,7 @@ impl<'d> FlowContext<'d> {
             net_line_ranges,
             columns,
             problems,
+            map,
             slack,
             budget_total: budget.total(),
             budget,
@@ -760,8 +774,19 @@ impl<'d> FlowContext<'d> {
         Ok(self.assemble(method_name, &store))
     }
 
-    /// Merges a complete store's counts into features, density and
-    /// impact.
+    /// Merges a complete store's counts into density, impact and
+    /// features.
+    ///
+    /// The impact is scored from the counts: the context's column map
+    /// says which global slack column each tile column's slots lie in, so
+    /// each global column's count is a sum over the runs of the tile
+    /// columns that feed it, with no feature made or located, and the
+    /// columns are charged in ascending order as [`evaluate_placement`]
+    /// charges them — the two agree bit for bit on the outcome's
+    /// features. The features are made afterwards, tile by tile, from
+    /// the tile columns that hold fill.
+    ///
+    /// [`evaluate_placement`]: crate::evaluate_placement
     ///
     /// # Panics
     ///
@@ -774,48 +799,50 @@ impl<'d> FlowContext<'d> {
         );
         let design: &Design = &self.frame_design;
         let placed: u64 = store.counts.iter().map(|&m| u64::from(m)).sum();
-        let mut features: Vec<FillFeature> =
-            Vec::with_capacity(usize::try_from(placed).unwrap_or(0));
         let mut shortfall = 0u64;
         let mut density_after_map = self.density_map.clone();
         let feature_area = design.rules.feature_area();
         let mut solve_time = Duration::ZERO;
         let mut area_deltas = Vec::with_capacity(self.problems.len());
-
         for (i, problem) in self.problems.iter().enumerate() {
-            let counts = store.tile(i);
             let want = self.budget.features(problem.cell) as u64;
-            let tile_placed: u64 = counts.iter().map(|&m| m as u64).sum();
+            let tile_placed: u64 = store.tile(i).iter().map(|&m| m as u64).sum();
             shortfall += want.saturating_sub(tile_placed);
             solve_time += store.times[i].unwrap_or_default();
-            for (col, &m) in problem.columns.iter().zip(counts) {
-                for slot in col.slots.iter().take(units::index(i64::from(m))) {
-                    features.push(FillFeature {
-                        x: col.feature_x,
-                        y: slot,
-                    });
-                }
-            }
             area_deltas.push((problem.cell, tile_placed as i64 * feature_area));
         }
         // One batched update → a single prefix-sum rebuild instead of one
         // per tile.
         density_after_map.add_tile_areas(area_deltas);
 
-        let impact = evaluate_placement(
-            &features,
+        let impact = evaluate_runs(
+            self.map.features(&|tile, pos| store.get(tile, pos)),
             &self.columns,
             &self.lines,
-            design.die,
             &design.tech,
             design.rules,
             design.nets.len(),
         );
 
-        // Report features in the caller's frame.
-        if self.transposed {
-            for f in features.iter_mut() {
-                *f = FillFeature { x: f.y, y: f.x };
+        // Features in the caller's frame.
+        let mut features: Vec<FillFeature> =
+            Vec::with_capacity(usize::try_from(placed).unwrap_or(0));
+        for (i, problem) in self.problems.iter().enumerate() {
+            for (pos, &m) in store.tile(i).iter().enumerate().filter(|(_, &m)| m > 0) {
+                let col = &problem.columns[pos];
+                for y in col.slots.iter().take(units::index(i64::from(m))) {
+                    features.push(if self.transposed {
+                        FillFeature {
+                            x: y,
+                            y: col.feature_x,
+                        }
+                    } else {
+                        FillFeature {
+                            x: col.feature_x,
+                            y,
+                        }
+                    });
+                }
             }
         }
 
@@ -848,6 +875,7 @@ impl<'d> FlowContext<'d> {
             net_line_ranges: self.net_line_ranges,
             columns: self.columns,
             problems: self.problems,
+            map: self.map,
             slack: self.slack,
             budget: self.budget,
             budget_total: self.budget_total,
@@ -872,7 +900,7 @@ impl FlowContext<'static> {
     /// moved, the site columns its old and new buffer-expanded lines cover
     /// are re-swept through the arena scan. Only the tile-grid columns
     /// containing a changed site column get their [`TileProblem`]s rebuilt
-    /// ([`build_slab_problems`]), and those tiles' def-III slack is read
+    /// ([`build_slab_problems`](crate::build_slab_problems)), and those tiles' def-III slack is read
     /// off the rebuilt problems' capacities. Value-only edits (a sink or
     /// timing change) skip the sweep entirely, since columns depend only
     /// on rects. The density map and budget are recomputed only when a
@@ -1055,22 +1083,22 @@ impl FlowContext<'static> {
                 dirty_grid[ix] = true;
             }
         }
+        // The rebuilt slabs' column maps replace theirs at commit; every
+        // clean slab's map stays valid as it is, since its global indices
+        // are relative to its slab.
         let ranges = slab_ranges(columns, &self.dissection, rules);
         let mut slack = self.slack.clone();
         let mut slabs = Vec::new();
+        let mut maps = Vec::new();
+        let mut builder = SlabBuilder::new(&self.lines, &self.dissection, &design.tech, rules);
         for ix in (0..nx).filter(|&ix| dirty_grid[ix]) {
-            let slab = build_slab_problems(
-                &self.lines,
-                &columns[ranges[ix].clone()],
-                &self.dissection,
-                &design.tech,
-                rules,
-                ix,
-            );
+            let range = ranges[ix].clone();
+            let (slab, map) = builder.build_mapped(&columns[range.clone()], ix, range.start);
             for (iy, p) in slab.iter().enumerate() {
                 slack[iy * nx + ix] = units::saturating_count(p.capacity());
             }
             slabs.push((ix, slab));
+            maps.push((ix, map));
         }
 
         // Density and budget are global, but budgeting is a pure function
@@ -1104,6 +1132,7 @@ impl FlowContext<'static> {
             self.columns = new_columns;
         }
         let dirty_grid_columns = slabs.len();
+        self.map.replace_slabs(maps, &ranges);
         for (ix, slab) in slabs {
             for (iy, p) in slab.into_iter().enumerate() {
                 self.problems[iy * nx + ix] = p;
@@ -1617,6 +1646,7 @@ mod tests {
         assert_eq!(ctx.net_line_ranges, fresh.net_line_ranges, "{tag}");
         assert_eq!(ctx.columns, fresh.columns, "{tag}");
         assert_eq!(ctx.problems, fresh.problems, "{tag}");
+        assert_eq!(ctx.map, fresh.map, "{tag}");
         assert_eq!(ctx.slack, fresh.slack, "{tag}");
         assert_eq!(ctx.budget, fresh.budget, "{tag}");
         assert_eq!(ctx.budget_total, fresh.budget_total, "{tag}");
@@ -1665,6 +1695,49 @@ mod tests {
                     let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
                     assert_contexts_identical(&ctx, &fresh, &cfg, &tag);
                 }
+
+                // One edit that pulls a segment's end in by a few sites:
+                // the site columns it leaves lose the line and their gaps
+                // merge, so a dirty slab holds fewer global columns and
+                // every clean slab to its right starts at a shifted global
+                // index. The rebuilt column map must equal a fresh one.
+                let tag = format!("seed {seed} r {r} shorten");
+                let slabs_of =
+                    |ctx: &FlowContext| slab_ranges(&ctx.columns, &ctx.dissection, d.rules);
+                let step = 4 * d.rules.site_pitch();
+                let (d2, ctx) = segments
+                    .iter()
+                    .find_map(|&(ni, si)| {
+                        let mut d2 = d.clone();
+                        let net = &mut d2.nets[ni];
+                        let seg = &mut net.segments[si];
+                        let dir = (seg.end.x - seg.start.x).signum();
+                        if (seg.end.x - seg.start.x).abs() <= 2 * step {
+                            return None;
+                        }
+                        let old_end = seg.end;
+                        seg.end.x -= dir * step;
+                        let new_end = seg.end;
+                        // A sink at the old end moves with it.
+                        for sink in net.sinks.iter_mut().filter(|s| **s == old_end) {
+                            *sink = new_end;
+                        }
+                        let mut ctx = FlowContext::build(&d, &cfg).ok()?.into_owned();
+                        let before = slabs_of(&ctx);
+                        let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).ok()?;
+                        let after = slabs_of(&ctx);
+                        // A slab whose column count changed, with a clean
+                        // slab to its right.
+                        let changed = (0..after.len()).find(|&ix| before[ix] != after[ix])?;
+                        let right = changed + 1;
+                        let shifted = right < after.len()
+                            && before[right].len() == after[right].len()
+                            && before[right].start != after[right].start;
+                        (!stats.full && shifted).then_some((d2, ctx))
+                    })
+                    .expect("a segment whose shortening changes a slab's column count");
+                let fresh = FlowContext::build(&d2, &cfg).expect("fresh");
+                assert_contexts_identical(&ctx, &fresh, &cfg, &tag);
             }
         }
     }

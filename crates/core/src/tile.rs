@@ -347,8 +347,8 @@ pub fn slab_ranges(
 /// `(ix, 0..ny)`, indexed by row — from that column's slab of the global
 /// scan (see [`slab_ranges`]). The full build is made of these slab
 /// builds, so a slab's tiles are bit-identical to the same tiles of
-/// [`build_tile_problems`]; this is also the unit of work of the pooled
-/// build (`FlowContext::build_pool`) and the rebuild cache.
+/// [`build_tile_problems`]; this is also the unit of work of the flow's
+/// build and of its rebuild cache.
 pub fn build_slab_problems(
     lines: &[ActiveLine],
     slab: &[SlackColumn],
@@ -357,45 +357,270 @@ pub fn build_slab_problems(
     rules: FillRules,
     ix: usize,
 ) -> Vec<TileProblem> {
-    let model = CouplingModel::new(tech);
-    slab_problems(lines, slab, &dissection.tiles(), rules, &model, ix)
+    SlabBuilder::new(lines, dissection, tech, rules).build(slab, ix)
 }
 
-/// [`build_slab_problems`] with the grid and coupling model supplied. A
-/// counting walk sizes each tile's column buffer exactly, then a second
-/// walk pushes the columns in slab order, so the slab costs one
-/// allocation per non-empty tile plus two (the counts and the tiles).
-fn slab_problems(
-    lines: &[ActiveLine],
-    slab: &[SlackColumn],
-    grid: &Grid,
+/// A tile, column, slot or global-column index as a map field: every
+/// one is bounded far below `u32::MAX` (slot counts are `u32` already).
+fn narrow(n: usize) -> u32 {
+    units::saturating_count(n as u64)
+}
+
+/// A map field back as an index; u32 -> usize is widening on every
+/// supported target.
+fn wide(n: u32) -> usize {
+    n as usize // pilfill: allow(as-cast)
+}
+
+/// A definition-III tile column in the column map: column `pos` of tile
+/// `tile` (row-major), whose slots all lie in global column `global`,
+/// counted from its slab's first global column.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SlabColumn {
+    tile: u32,
+    pos: u32,
+    global: u32,
+}
+
+/// The column map of one definition-III slab: its tile columns in slab
+/// order, which is ascending global order.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct SlabMap {
+    /// The slab's first global column.
+    base: usize,
+    columns: Vec<SlabColumn>,
+}
+
+/// A definition-I/II run: slots `first..first + len` of column `pos` of
+/// tile `tile`, all in global column `global`, or in none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ColumnRun {
+    global: Option<u32>,
+    tile: u32,
+    pos: u32,
+    first: u32,
+    len: u32,
+}
+
+/// Which global slack column each tile column's slots lie in, recorded
+/// while the tile problems are built, so that a placement can be scored
+/// from its per-tile counts with no feature made or located
+/// (`FlowContext::assemble`).
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum ColumnMap {
+    /// Definition III: each tile column is one row chunk of one global
+    /// column. One exactly sized list per grid column, with indices
+    /// relative to the slab, so a rebuild that re-sweeps some slabs
+    /// replaces their lists and rebases the rest, with no re-walk.
+    Slabs(Vec<SlabMap>),
+    /// Definitions I and II: a tile column from a per-tile scan may span
+    /// several global columns or none, so it is split into runs, sorted
+    /// by global column once.
+    Runs(Vec<ColumnRun>),
+}
+
+impl ColumnMap {
+    /// `(global column, features)` for every run of the map, in
+    /// ascending global order, when column `pos` of tile `tile` holds
+    /// `count(tile, pos)` features; a column fills its slots bottom-up,
+    /// so a run starting at slot `first` gets `m - first` of them,
+    /// clamped to its length. Features outside every global column come
+    /// with `None`.
+    pub(crate) fn features<'a, F: Fn(usize, usize) -> u32>(
+        &'a self,
+        count: &'a F,
+    ) -> impl Iterator<Item = (Option<usize>, u32)> + 'a {
+        let (slabs, runs): (&[SlabMap], &[ColumnRun]) = match self {
+            ColumnMap::Slabs(slabs) => (slabs, &[]),
+            ColumnMap::Runs(runs) => (&[], runs),
+        };
+        let whole = slabs.iter().flat_map(move |slab| {
+            slab.columns.iter().map(move |c| {
+                let m = count(wide(c.tile), wide(c.pos));
+                (Some(slab.base + wide(c.global)), m)
+            })
+        });
+        let split = runs.iter().map(move |r| {
+            let m = count(wide(r.tile), wide(r.pos));
+            (r.global.map(wide), m.saturating_sub(r.first).min(r.len))
+        });
+        whole.chain(split)
+    }
+
+    /// Replaces the lists of the rebuilt slabs, `(grid column, list)`,
+    /// and rebases every slab on `ranges`, the slab ranges after the
+    /// column splice. A clean slab's list stays valid as it is: its
+    /// indices are relative to its slab, and its tiles did not change.
+    pub(crate) fn replace_slabs(
+        &mut self,
+        fresh: Vec<(usize, SlabMap)>,
+        ranges: &[std::ops::Range<usize>],
+    ) {
+        let ColumnMap::Slabs(slabs) = self else {
+            return;
+        };
+        for (ix, slab) in fresh {
+            slabs[ix] = slab;
+        }
+        for (slab, range) in slabs.iter_mut().zip(ranges) {
+            slab.base = range.start;
+        }
+    }
+
+    /// The runs of definition-I/II tiles, which come from per-tile scans:
+    /// each tile column's slot progression is split where it crosses a
+    /// global column of its site (`columns` is the global scan over
+    /// `bounds`), into the same columns the evaluator's feature locate
+    /// finds. Slots outside every global column form runs with no column.
+    pub(crate) fn for_tiles(
+        problems: &[TileProblem],
+        columns: &[SlackColumn],
+        bounds: Rect,
+        rules: FillRules,
+    ) -> ColumnMap {
+        let tile_columns = problems.iter().map(|p| p.columns.len()).sum();
+        let mut runs = Vec::with_capacity(tile_columns);
+        for (tile, problem) in problems.iter().enumerate() {
+            for (pos, tc) in problem.columns.iter().enumerate() {
+                let slots = tc.slots;
+                let mut push = |first: usize, end: usize, global: Option<usize>| {
+                    if end > first {
+                        runs.push(ColumnRun {
+                            global: global.map(narrow),
+                            tile: narrow(tile),
+                            pos: narrow(pos),
+                            first: narrow(first),
+                            len: narrow(end - first),
+                        });
+                    }
+                };
+                let mut done = 0;
+                if bounds.x_span().contains(tc.feature_x) {
+                    let site = units::index((tc.feature_x - bounds.left) / rules.site_pitch());
+                    let start = columns.partition_point(|c| c.site_x < site);
+                    let at_site = columns[start..].iter().take_while(|c| c.site_x == site);
+                    for (k, col) in at_site.enumerate() {
+                        if done == slots.len() {
+                            break;
+                        }
+                        let lo = slots.count_below(col.gap.lo).max(done);
+                        let hi = slots.count_below(col.gap.hi);
+                        if hi > lo {
+                            push(done, lo, None);
+                            push(lo, hi, Some(start + k));
+                            done = hi;
+                        }
+                    }
+                }
+                push(done, slots.len(), None);
+            }
+        }
+        // A total order, so the map is one value however the sort runs.
+        runs.sort_unstable_by_key(|r| (r.global, r.tile, r.pos, r.first));
+        ColumnMap::Runs(runs)
+    }
+}
+
+/// The definition-III slab builder: walks a slab's global columns once,
+/// collecting each row chunk as `(row, slab-relative column, slots)` in a
+/// scratch reused across slabs, counts the rows from the scratch, sizes
+/// each tile's buffer exactly and pushes the columns in slab order. A
+/// slab costs one allocation per non-empty tile plus one (its tiles), and
+/// one more when it records its column map; the scratch grows only while
+/// a slab has more chunks than any before it.
+pub(crate) struct SlabBuilder<'a> {
+    lines: &'a [ActiveLine],
+    grid: Grid,
     rules: FillRules,
-    model: &CouplingModel,
-    ix: usize,
-) -> Vec<TileProblem> {
-    let mut counts = vec![0usize; grid.ny()];
-    for col in slab {
-        for_each_row_chunk(col, col.feature_x(rules), grid, |(_, iy), _| {
-            counts[iy] += 1
-        });
+    model: CouplingModel,
+    chunks: Vec<(u32, u32, Slots)>,
+    rows: Vec<usize>,
+}
+
+impl<'a> SlabBuilder<'a> {
+    pub(crate) fn new(
+        lines: &'a [ActiveLine],
+        dissection: &FixedDissection,
+        tech: &Tech,
+        rules: FillRules,
+    ) -> Self {
+        SlabBuilder {
+            lines,
+            grid: dissection.tiles(),
+            rules,
+            model: CouplingModel::new(tech),
+            chunks: Vec::new(),
+            rows: Vec::new(),
+        }
     }
-    let mut problems: Vec<TileProblem> = counts
-        .iter()
-        .enumerate()
-        .map(|(iy, &n)| TileProblem {
-            cell: (ix, iy),
-            rect: grid.cell_rect((ix, iy)),
-            columns: Vec::with_capacity(n),
-        })
-        .collect();
-    for col in slab {
-        for_each_row_chunk(col, col.feature_x(rules), grid, |(cx, iy), slots| {
-            debug_assert_eq!(cx, ix, "slab column escaped its grid column");
-            let tc = make_tile_column(lines, col, slots, rules, model);
-            problems[iy].columns.push(tc);
-        });
+
+    /// Builds slab `ix` (tiles `(ix, 0..ny)`, indexed by row).
+    pub(crate) fn build(&mut self, slab: &[SlackColumn], ix: usize) -> Vec<TileProblem> {
+        self.build_into(slab, ix, None)
     }
-    problems
+
+    /// [`SlabBuilder::build`], also returning the slab's column map:
+    /// its tile columns in slab order, `base` being the index of the
+    /// slab's first global column.
+    pub(crate) fn build_mapped(
+        &mut self,
+        slab: &[SlackColumn],
+        ix: usize,
+        base: usize,
+    ) -> (Vec<TileProblem>, SlabMap) {
+        let mut columns = Vec::new();
+        let problems = self.build_into(slab, ix, Some(&mut columns));
+        (problems, SlabMap { base, columns })
+    }
+
+    fn build_into(
+        &mut self,
+        slab: &[SlackColumn],
+        ix: usize,
+        mut map: Option<&mut Vec<SlabColumn>>,
+    ) -> Vec<TileProblem> {
+        let (grid, rules) = (&self.grid, self.rules);
+        let chunks = &mut self.chunks;
+        chunks.clear();
+        for (g, col) in slab.iter().enumerate() {
+            for_each_row_chunk(col, col.feature_x(rules), grid, |(cx, iy), slots| {
+                debug_assert_eq!(cx, ix, "slab column escaped its grid column");
+                chunks.push((narrow(iy), narrow(g), slots));
+            });
+        }
+        self.rows.clear();
+        self.rows.resize(grid.ny(), 0);
+        for &(iy, _, _) in chunks.iter() {
+            self.rows[wide(iy)] += 1;
+        }
+        let mut problems: Vec<TileProblem> = self
+            .rows
+            .iter()
+            .enumerate()
+            .map(|(iy, &n)| TileProblem {
+                cell: (ix, iy),
+                rect: grid.cell_rect((ix, iy)),
+                columns: Vec::with_capacity(n),
+            })
+            .collect();
+        if let Some(map) = map.as_deref_mut() {
+            map.reserve_exact(chunks.len());
+        }
+        for &(iy, g, slots) in chunks.iter() {
+            let tile = &mut problems[wide(iy)];
+            if let Some(map) = map.as_deref_mut() {
+                map.push(SlabColumn {
+                    tile: narrow(wide(iy) * grid.nx() + ix),
+                    pos: narrow(tile.columns.len()),
+                    global: g,
+                });
+            }
+            let col = &slab[wide(g)];
+            tile.columns
+                .push(make_tile_column(self.lines, col, slots, rules, &self.model));
+        }
+        problems
+    }
 }
 
 /// Interleaves grid-column slabs (slab `ix` holds tiles `(ix, 0..ny)`,
@@ -474,9 +699,10 @@ pub fn build_tile_problems(
 /// every lane count.
 ///
 /// Definition III builds one slab per grid column ([`build_slab_problems`]
-/// over [`slab_ranges`]) and interleaves the slabs into row-major order;
-/// definitions I and II shard the tiles into fixed-size runs, each filling
-/// its own `TileProblem` slots in place.
+/// over [`slab_ranges`]) on the calling thread, threading one slab
+/// builder's scratch through them, and interleaves the slabs into
+/// row-major order; definitions I and II shard the tiles into fixed-size
+/// runs on the lanes, each filling its own `TileProblem` slots in place.
 pub fn build_tile_problems_pool(
     lines: &[ActiveLine],
     global_columns: &[SlackColumn],
@@ -486,20 +712,21 @@ pub fn build_tile_problems_pool(
     def: SlackColumnDef,
     pool: &WorkerPool,
 ) -> Vec<TileProblem> {
-    let model = CouplingModel::new(tech);
     let grid = dissection.tiles();
 
     if def == SlackColumnDef::Three {
         // Distribute each global column's slots to the tiles containing
         // them; the column keeps its true line associations.
+        let mut builder = SlabBuilder::new(lines, dissection, tech, rules);
         let ranges = slab_ranges(global_columns, dissection, rules);
-        let slabs = pool.map(ranges.len(), |ix| {
-            let slab = &global_columns[ranges[ix].clone()];
-            slab_problems(lines, slab, &grid, rules, &model, ix)
-        });
+        let slabs = ranges
+            .iter()
+            .enumerate()
+            .map(|(ix, range)| builder.build(&global_columns[range.clone()], ix));
         return interleave_slabs(slabs, grid.ny());
     }
 
+    let model = CouplingModel::new(tech);
     // Per-tile scan: lines are clipped to the tile, so columns bounded by
     // geometry outside the tile lose their association (definition II) or
     // are dropped entirely (definition I). Tiles are claimed in fixed-size

@@ -9,14 +9,20 @@
 //!   across a run of tiles.
 //! - A warm `scan_slack_columns_into` rescan allocates nothing.
 //! - A warm `DensityMap::recompute` allocates nothing.
+//! - A 1-lane flow run allocates no block larger than its outputs (the
+//!   feature list, the count store, the per-net vectors): scoring reads
+//!   the counts through the context's column map, with no vector sized
+//!   by the die's global column count.
 //!
 //! Everything runs inside one `#[test]` so no concurrently running test
 //! can add allocations to a measured window.
 
+use pilfill_core::flow::{FlowConfig, FlowContext};
 use pilfill_core::layout::DEF_ONE_TWO_SHARD_TILES;
+use pilfill_core::methods::GreedyFill;
 use pilfill_core::{
     build_tile_problems, extract_active_lines, scan_slack_columns, scan_slack_columns_into,
-    ScanScratch, SlackColumnDef,
+    FillFeature, ScanScratch, SlackColumnDef,
 };
 use pilfill_density::{DensityMap, FixedDissection};
 use pilfill_layout::synth::{synthesize, SynthConfig};
@@ -25,29 +31,36 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
 /// A [`System`]-backed allocator that counts `alloc`, `alloc_zeroed` and
-/// `realloc` events (frees are not counted).
+/// `realloc` events (frees are not counted) and keeps the largest block
+/// size they asked for.
 struct CountingAlloc;
+
+fn record(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LARGEST.fetch_max(size as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         // SAFETY: `layout` is forwarded verbatim under the caller's
         // `GlobalAlloc::alloc` contract.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(layout.size());
         // SAFETY: as in `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        record(new_size);
         // SAFETY: `ptr` came from this allocator (i.e. `System`) with
         // `layout`, per the caller's `realloc` contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -67,6 +80,13 @@ fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = f();
     (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+/// [`count`], plus the largest block `f` asked for.
+fn count_largest<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
+    LARGEST.store(0, Ordering::Relaxed);
+    let (out, allocs) = count(f);
+    (out, allocs, LARGEST.load(Ordering::Relaxed))
 }
 
 #[test]
@@ -136,4 +156,31 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
     map.recompute(&design, layer);
     let (_, map_allocs) = count(|| map.recompute(&design, layer));
     assert_eq!(map_allocs, 0, "warm density recompute must not allocate");
+
+    // One 1-lane run on t1 at W = 32k, r = 2. Its largest blocks are its
+    // outputs: the feature list, the count store (one u32 per tile
+    // column) and the two per-net vectors. Scoring used to locate every
+    // feature into a count vector over all 41,283 global columns, a
+    // larger block than any of these, on every run.
+    let t1 = synthesize(&SynthConfig::t1());
+    let config = FlowConfig::new(32_000, 2).expect("config");
+    let ctx = FlowContext::build(&t1, &config).expect("context");
+    let (outcome, run_allocs, largest) =
+        count_largest(|| ctx.run(&config, &GreedyFill).expect("run"));
+    let features = outcome.features.capacity() * std::mem::size_of::<FillFeature>();
+    let tile_columns: usize = ctx.problems().iter().map(|p| p.columns.len()).sum();
+    let store = tile_columns * std::mem::size_of::<u32>();
+    let per_net = outcome.impact.per_net_delay.len() * std::mem::size_of::<f64>();
+    let outputs = features.max(store).max(per_net) as u64;
+    // Scoring through the column map dropped the global count vector:
+    // the run made 23 allocations with it and makes 22 without.
+    assert!(
+        run_allocs <= 23,
+        "a 1-lane run made {run_allocs} allocations, more than 23"
+    );
+    assert!(
+        largest <= outputs,
+        "a 1-lane run allocated a {largest} B block, larger than its outputs \
+         (features {features} B, count store {store} B, per-net {per_net} B)"
+    );
 }

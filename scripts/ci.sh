@@ -24,15 +24,19 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
-# The feature-locate overflow guard, the text reader's i64-boundary
-# segment check and the counting-allocator claims behave differently with
-# and without debug assertions and overflow checks, so the crates that
-# carry them are tested in release too; the fill budget's seeded
-# scan-oracle suite, the text-reader mutator suite and the GDS writer's
-# exact-size check also run as optimised code.
-echo "==> cargo test --release (pilfill-rc, pilfill-core, pilfill-density, pilfill-layout, pilfill-stream)"
+# The external-fill evaluator's feature-locate overflow guard, the text
+# reader's i64-boundary segment check and the counting-allocator claims
+# behave differently with and without debug assertions and overflow
+# checks, so the crates that carry them are tested in release too; the
+# fill budget's seeded scan-oracle suite, the text-reader mutator suite,
+# the GDS writer's exact-size check and the flow's count-scoring oracle
+# (proptest_flow: every method, definition, budget and weighting scored
+# from counts against the feature-locating evaluator) also run as
+# optimised code.
+echo "==> cargo test --release (pilfill-rc, pilfill-core, pilfill-density, pilfill-layout, pilfill-stream, proptest_flow)"
 cargo test --release -q -p pilfill-rc -p pilfill-core -p pilfill-density \
   -p pilfill-layout -p pilfill-stream
+cargo test --release -q -p pil-fill --test proptest_flow
 
 # Paper tables smoke: table1/table2 --smoke run one cell per testcase,
 # exit non-zero if ILP-II's delay exceeds Normal's on any row or if a row
