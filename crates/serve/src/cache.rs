@@ -19,7 +19,8 @@
 //! and the newer entry wins the slot on check-in.
 
 use crate::protocol::DesignKey;
-use pilfill_core::flow::{FlowConfig, FlowContext, TileCounts};
+use pilfill_core::flow::{FlowConfig, FlowContext, RebuildDirt, TileCounts};
+use pilfill_core::TileProblem;
 use pilfill_layout::Design;
 use std::sync::Arc;
 
@@ -58,7 +59,7 @@ impl DesignStore {
 }
 
 /// One cached context: the design hash it reflects, the prepared
-/// [`FlowContext`], and optionally the last method's per-tile results.
+/// [`FlowContext`], and optionally the last method's [`Solved`] results.
 #[derive(Debug)]
 pub(crate) struct CtxEntry {
     /// Cache key: design name (stable across edits) + flow config.
@@ -70,11 +71,51 @@ pub(crate) struct CtxEntry {
     pub(crate) design_hash: DesignKey,
     /// The prepared (detached) context.
     pub(crate) ctx: FlowContext<'static>,
-    /// The method index ([`crate::protocol::METHOD_NAMES`]) last solved
-    /// against the context, and its per-tile results: assembling them is
-    /// bit-identical to re-solving (the per-tile RNG seeds depend only on
-    /// the tile cell), so a request solves only the unsolved tiles.
-    pub(crate) solved: Option<(u8, TileCounts)>,
+    /// The results of the method last solved against the context: a
+    /// request with the same method solves only the unsolved tiles, or
+    /// replays the blob once the store is complete.
+    pub(crate) solved: Option<Solved>,
+}
+
+/// One method's results against a cached context: its per-tile counts
+/// and, once they are complete, the reply blob they assemble to.
+///
+/// Assembling the store is bit-identical to re-solving (the per-tile RNG
+/// seeds depend only on the tile cell), and the blob is a pure function
+/// of the assembled outcome. So while the blob is set, a request for the
+/// same design state and method replays it: no assemble, no encode and
+/// no copy. The blob is set only after a complete store assembled; it
+/// is dropped whenever the store may change: when a request takes the
+/// store to solve into, on every rebuild ([`Solved::invalidate`]), and
+/// on a method switch, which replaces the record.
+#[derive(Debug)]
+pub(crate) struct Solved {
+    /// The method index ([`crate::protocol::METHOD_NAMES`]).
+    pub(crate) method: u8,
+    /// The method's per-tile results.
+    pub(crate) store: TileCounts,
+    /// [`crate::protocol::encode_outcome_blob`] of the complete store's
+    /// outcome, shared with the replies that send it.
+    pub(crate) blob: Option<Arc<Vec<u8>>>,
+}
+
+impl Solved {
+    /// The blob to replay for a request of `method`, if this record holds
+    /// one.
+    pub(crate) fn replay(&self, method: u8) -> Option<Arc<Vec<u8>>> {
+        self.blob
+            .as_ref()
+            .filter(|_| self.method == method)
+            .cloned()
+    }
+
+    /// Forgets what a rebuild of the context invalidated: the dirtied
+    /// tiles' counts and, whatever the dirt (even none), the blob — the
+    /// design it encoded is gone.
+    pub(crate) fn invalidate(&mut self, dirt: &RebuildDirt, problems: &[TileProblem]) {
+        self.store.invalidate(dirt, problems);
+        self.blob = None;
+    }
 }
 
 /// LRU cache of detached [`FlowContext`]s, checked out by key.

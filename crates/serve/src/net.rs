@@ -5,7 +5,7 @@
 //! spec containing a `/`) is a unix socket path; anything else is a TCP
 //! `host:port` address.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -129,6 +129,17 @@ impl Write for Stream {
             Stream::Tcp(s) => s.write(buf),
             #[cfg(unix)]
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    /// Forwarded, not left to the default: the default sends only the
+    /// first non-empty slice, which would split every reply frame into
+    /// separate writes.
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            #[cfg(unix)]
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -264,6 +275,28 @@ mod tests {
             Spec::Unix("/tmp/x.sock")
         ));
         assert!(matches!(parse_spec("localhost:0"), Spec::Tcp(_)));
+    }
+
+    /// A vectored write reaches the socket whole, on both transports:
+    /// every slice of a frame goes out in the one call.
+    #[test]
+    fn streams_write_every_slice_in_one_call() {
+        let listener = Listener::bind("127.0.0.1:0").expect("bind");
+        let tcp = Stream::connect(&listener.addr()).expect("connect");
+        let tcp_peer = listener.accept().expect("accept");
+        let mut pairs = vec![(tcp, tcp_peer)];
+        #[cfg(unix)]
+        {
+            let (a, b) = UnixStream::pair().expect("socket pair");
+            pairs.push((Stream::Unix(a), Stream::Unix(b)));
+        }
+        for (mut writer, mut reader) in pairs {
+            let slices = [IoSlice::new(b"ab"), IoSlice::new(b""), IoSlice::new(b"cde")];
+            assert_eq!(writer.write_vectored(&slices).expect("write"), 5);
+            let mut got = [0; 5];
+            reader.read_exact(&mut got).expect("read");
+            assert_eq!(&got, b"abcde");
+        }
     }
 
     /// Both ends of a loopback TCP connection run with `TCP_NODELAY`.

@@ -21,7 +21,7 @@ use pilfill_core::flow::{FlowConfig, FlowOutcome};
 use pilfill_core::SlackColumnDef;
 use pilfill_geom::Coord;
 use pilfill_layout::{Design, LayerId};
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 
 /// Frames larger than this are rejected before allocation (a corrupt or
 /// hostile length prefix must not drive an OOM).
@@ -392,23 +392,63 @@ impl std::error::Error for ProtocolError {}
 
 // ---------------------------------------------------------------- framing
 
-/// Writes one frame: `u32` length prefix + payload.
-///
-/// The frame goes out in one `write_all` of a single buffer, so a TCP
-/// peer never waits on a delayed ACK between the prefix and the payload.
+/// Writes one frame: `u32` length prefix + payload. The one-slice case
+/// of [`write_frame_parts`], so it reaches the stream in one
+/// vectored write.
 ///
 /// # Errors
 ///
 /// I/O errors from `w`; an oversized payload is an `InvalidData` error.
 pub fn write_frame(w: &mut dyn Write, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
+    write_frame_parts(w, payload, &[])
+}
+
+/// Writes one frame whose payload is `head` followed by `body`, without
+/// joining them: the length prefix and both slices go to `w` in one
+/// `write_vectored` call, so a TCP peer never waits on a delayed ACK
+/// between them, and a shared reply blob goes out without a copy. A
+/// partial write resumes where it stopped.
+///
+/// # Errors
+///
+/// I/O errors from `w` (`WriteZero` if it stops taking bytes); an
+/// oversized payload is an `InvalidData` error.
+pub(crate) fn write_frame_parts(
+    w: &mut dyn Write,
+    head: &[u8],
+    body: &[u8],
+) -> std::io::Result<()> {
+    let len = head
+        .len()
+        .checked_add(body.len())
+        .and_then(|n| u32::try_from(n).ok())
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame too large"))?;
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(payload);
-    w.write_all(&frame)?;
+    let prefix = len.to_le_bytes();
+    let mut slices = [
+        IoSlice::new(&prefix),
+        IoSlice::new(head),
+        IoSlice::new(body),
+    ];
+    let mut bufs = &mut slices[..];
+    // Counted in bytes, not slices: an empty trailing slice is done.
+    let mut left = prefix.len() + head.len() + body.len();
+    while left > 0 {
+        match w.write_vectored(bufs) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "failed to write whole frame",
+                ))
+            }
+            Ok(n) => {
+                left -= n;
+                IoSlice::advance_slices(&mut bufs, n);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     w.flush()
 }
 
@@ -821,6 +861,35 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtocolError> {
 
 // --------------------------------------------------------- reply codecs
 
+/// Bytes of a [`Reply::FillOk`] payload before its blob: message type,
+/// status, server time, design key and blob length.
+pub(crate) const FILL_OK_HEAD: usize = 1 + 1 + 8 + DesignKey::LEN + 4;
+
+/// The [`Reply::FillOk`] payload up to its `blob_len`-byte blob — the one
+/// place its wire layout is written, shared by [`encode_reply`] and the
+/// server's vectored reply frames.
+pub(crate) fn fill_ok_head(
+    status: FillStatus,
+    server_ns: u64,
+    design_hash: &DesignKey,
+    blob_len: usize,
+) -> [u8; FILL_OK_HEAD] {
+    let fields: [&[u8]; 5] = [
+        &[MSG_FILL_OK],
+        &[status.to_byte()],
+        &server_ns.to_le_bytes(),
+        &design_hash.0,
+        &len_u32(blob_len).to_le_bytes(),
+    ];
+    let mut head = [0; FILL_OK_HEAD];
+    let mut at = 0;
+    for field in fields {
+        head[at..at + field.len()].copy_from_slice(field);
+        at += field.len();
+    }
+    head
+}
+
 /// Serializes a reply into a frame payload.
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
     let mut out = Vec::new();
@@ -831,11 +900,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             design_hash,
             blob,
         } => {
-            out.push(MSG_FILL_OK);
-            out.push(status.to_byte());
-            out.extend_from_slice(&server_ns.to_le_bytes());
-            out.extend_from_slice(&design_hash.0);
-            out.extend_from_slice(&len_u32(blob.len()).to_le_bytes());
+            out.extend_from_slice(&fill_ok_head(*status, *server_ns, design_hash, blob.len()));
             out.extend_from_slice(blob);
         }
         Reply::DensityOk {
@@ -939,8 +1004,19 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
 /// same accumulated impact) therefore produce byte-identical blobs —
 /// this is the payload the bit-identical serving invariant is asserted
 /// on, and what `pilfill request --dump` writes.
+///
+/// The blob is allocated once at its exact length: the server keeps it
+/// beside its context for replay, so growth slack would stay resident.
 pub fn encode_outcome_blob(outcome: &FlowOutcome) -> Vec<u8> {
-    let mut out = Vec::new();
+    let impact = &outcome.impact;
+    let len = 4 + outcome.method.len()
+        + 4 * 8 // budget, placed, shortfall, tiles
+        + 2 * 4 * 8 // density before and after
+        + 5 * 8 // impact totals, free and unlocated counts
+        + 4 + 8 * impact.per_net_delay.len()
+        + 4 + 8 * impact.per_net_cap.len()
+        + 4 + 16 * outcome.features.len();
+    let mut out = Vec::with_capacity(len);
     put_string(&mut out, outcome.method);
     out.extend_from_slice(&outcome.budget_total.to_le_bytes());
     out.extend_from_slice(&outcome.placed_features.to_le_bytes());
@@ -956,7 +1032,6 @@ pub fn encode_outcome_blob(outcome: &FlowOutcome) -> Vec<u8> {
             out.extend_from_slice(&v.to_bits().to_le_bytes());
         }
     }
-    let impact = &outcome.impact;
     for v in [impact.total_delay, impact.weighted_delay, impact.total_cap] {
         out.extend_from_slice(&v.to_bits().to_le_bytes());
     }
@@ -975,6 +1050,7 @@ pub fn encode_outcome_blob(outcome: &FlowOutcome) -> Vec<u8> {
         out.extend_from_slice(&f.x.to_le_bytes());
         out.extend_from_slice(&f.y.to_le_bytes());
     }
+    debug_assert_eq!(out.len(), len, "outcome blob length");
     out
 }
 
@@ -1153,8 +1229,9 @@ mod tests {
         assert_eq!(read_frame(&mut r).expect("read"), None);
     }
 
-    /// A frame reaches the stream in one `write` call: a split prefix and
-    /// payload would stall on a delayed ACK over TCP.
+    /// A frame reaches the stream in one write call: a split prefix and
+    /// payload would stall on a delayed ACK over TCP. `Counting` takes
+    /// every slice of a vectored write, as a socket does.
     #[test]
     fn frame_is_written_in_one_call() {
         #[derive(Default)]
@@ -1164,9 +1241,15 @@ mod tests {
         }
         impl Write for Counting {
             fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
                 self.writes += 1;
-                self.bytes.extend_from_slice(buf);
-                Ok(buf.len())
+                let before = self.bytes.len();
+                for buf in bufs {
+                    self.bytes.extend_from_slice(buf);
+                }
+                Ok(self.bytes.len() - before)
             }
             fn flush(&mut self) -> std::io::Result<()> {
                 Ok(())
@@ -1177,7 +1260,23 @@ mod tests {
         assert_eq!(w.writes, 1);
         write_frame(&mut w, b"").expect("write");
         assert_eq!(w.writes, 2);
-        assert_eq!(w.bytes, b"\x05\0\0\0hello\0\0\0\0");
+        write_frame_parts(&mut w, b"he", b"llo").expect("write");
+        assert_eq!(w.writes, 3);
+        assert_eq!(w.bytes, b"\x05\0\0\0hello\0\0\0\0\x05\0\0\0hello");
+    }
+
+    /// The outcome blob is allocated once, at its exact length: the
+    /// server keeps it for replay, so slack would stay resident.
+    #[test]
+    fn outcome_blob_has_no_spare_capacity() {
+        use pilfill_core::methods::GreedyFill;
+        use pilfill_layout::synth::{synthesize, SynthConfig};
+        let design = synthesize(&SynthConfig::small_test(5));
+        let config = FlowConfig::new(8_000, 2).expect("valid window");
+        let outcome = pilfill_core::flow::run_flow(&design, &config, &GreedyFill).expect("flow");
+        assert!(!outcome.features.is_empty());
+        let blob = encode_outcome_blob(&outcome);
+        assert_eq!(blob.capacity(), blob.len());
     }
 
     #[test]

@@ -10,12 +10,19 @@
 //!    LRU. Hash match → warm; hash mismatch → `rebuild` (incremental or
 //!    full); miss → cold `build`. Builds and rebuilds run as exclusive
 //!    turns on the fair scheduler.
-//! 3. *Solve* only the tiles the entry's [`TileCounts`] store lacks, as
+//! 3. *Replay* the entry's cached reply blob when it holds one for this
+//!    method: its store is complete and nothing changed since the blob
+//!    was encoded, so the request skips steps 4 and 5.
+//! 4. *Solve* only the tiles the entry's [`TileCounts`] store lacks, as
 //!    fair-share batches interleaved with other in-flight requests,
 //!    straight into the store's spans; every other tile keeps its cached
 //!    counts — bit-identical by the per-tile seeding invariant.
-//! 4. *Assemble* the outcome from the store and check the context (with
-//!    its store) back in.
+//! 5. *Assemble* the outcome from the complete store and encode its blob
+//!    once, kept beside the store for later replays.
+//! 6. *Check* the context (with its store and blob) back in, and send
+//!    the reply: the length prefix, the `FillOk` head and the shared
+//!    blob go to the socket in one vectored write, so no request copies
+//!    the blob.
 //!
 //! Admission control lives in the scheduler: when too many requests are
 //! in flight, submissions fail fast and the client sees a `Busy` reply
@@ -30,12 +37,13 @@
 //! a dead client's tile batches stop at the next batch boundary instead
 //! of running (and blocking the pool) to completion.
 
-use crate::cache::{CtxCache, CtxEntry, DesignStore};
+use crate::cache::{CtxCache, CtxEntry, DesignStore, Solved};
 use crate::net::{Listener, Stream};
 use crate::protocol::{
     apply_edits, decode_request, design_hash, edit_hash, encode_outcome_blob, encode_reply,
-    write_frame, DesignKey, DesignRef, FillParams, FillStatus, FrameProgress, FrameReader, Reply,
-    Request, ERR_ABORTED, ERR_DESIGN, ERR_FLOW, ERR_PROTOCOL, ERR_UNKNOWN_DESIGN,
+    fill_ok_head, write_frame, write_frame_parts, DesignKey, DesignRef, FillParams, FillStatus,
+    FrameProgress, FrameReader, Reply, Request, ERR_ABORTED, ERR_DESIGN, ERR_FLOW, ERR_PROTOCOL,
+    ERR_UNKNOWN_DESIGN,
 };
 use pilfill_core::flow::{FlowConfig, FlowContext, TileCounts};
 use pilfill_core::methods::{DpExact, FillMethod, GreedyFill, IlpOne, IlpTwo, NormalFill};
@@ -43,6 +51,7 @@ use pilfill_core::{check_fill, FillFeature};
 use pilfill_density::{DensityMap, FixedDissection};
 use pilfill_exec::{FairError, FairOptions, FairPool};
 use pilfill_layout::{Design, LayerId};
+use std::io::Write;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -89,6 +98,70 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The engine's answer to one request. A fill's blob is shared with the
+/// context cache, so a replayed reply copies nothing; every other reply
+/// is a plain [`Reply`]. On the wire both are a [`Reply`] frame.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// A [`Reply::FillOk`] whose blob is shared; the fields are its.
+    Fill {
+        status: FillStatus,
+        server_ns: u64,
+        design_hash: DesignKey,
+        blob: Arc<Vec<u8>>,
+    },
+    /// Any other reply.
+    Reply(Reply),
+}
+
+impl From<Reply> for Answer {
+    fn from(reply: Reply) -> Self {
+        Answer::Reply(reply)
+    }
+}
+
+/// The reply an answer stands for; the blob is copied only when the
+/// cache still shares it.
+#[cfg(test)]
+impl From<Answer> for Reply {
+    fn from(answer: Answer) -> Self {
+        match answer {
+            Answer::Fill {
+                status,
+                server_ns,
+                design_hash,
+                blob,
+            } => Reply::FillOk {
+                status,
+                server_ns,
+                design_hash,
+                blob: Arc::unwrap_or_clone(blob),
+            },
+            Answer::Reply(reply) => reply,
+        }
+    }
+}
+
+impl Answer {
+    /// Writes the answer as one frame, the bytes [`write_frame`] of
+    /// [`encode_reply`] would write; a fill's head and blob go out in one
+    /// vectored write, straight from the shared blob.
+    fn write_to(&self, w: &mut dyn Write) -> std::io::Result<()> {
+        match self {
+            Answer::Fill {
+                status,
+                server_ns,
+                design_hash,
+                blob,
+            } => {
+                let head = fill_ok_head(*status, *server_ns, design_hash, blob.len());
+                write_frame_parts(w, &head, blob)
+            }
+            Answer::Reply(reply) => write_frame(w, &encode_reply(reply)),
+        }
+    }
+}
+
 /// The request engine: fair scheduler + caches, shared by every
 /// connection thread.
 pub(crate) struct Engine {
@@ -116,9 +189,9 @@ impl Engine {
 
     /// Handles one decoded request. Never panics outward: the caller
     /// wraps this in `catch_unwind` and answers `Err` on a panic.
-    pub(crate) fn handle(&self, req: &Request, abort: &AtomicBool) -> Reply {
-        match req {
-            Request::Fill { design, params } => self.fill(design, params, abort),
+    pub(crate) fn handle(&self, req: &Request, abort: &AtomicBool) -> Answer {
+        let reply = match req {
+            Request::Fill { design, params } => return self.fill(design, params, abort),
             Request::Density {
                 design,
                 layer,
@@ -136,7 +209,8 @@ impl Engine {
                 code: ERR_PROTOCOL,
                 message: "shutdown must be handled by the connection loop".to_string(),
             },
-        }
+        };
+        reply.into()
     }
 
     /// Resolves a design reference to `(store key, design)`.
@@ -181,7 +255,7 @@ impl Engine {
         }
     }
 
-    fn fill(&self, dref: &DesignRef, params: &FillParams, abort: &AtomicBool) -> Reply {
+    fn fill(&self, dref: &DesignRef, params: &FillParams, abort: &AtomicBool) -> Answer {
         let start = Instant::now();
         let config = match params.to_config() {
             Ok(c) => c,
@@ -190,12 +264,12 @@ impl Engine {
                     code: ERR_PROTOCOL,
                     message,
                 }
+                .into()
             }
         };
-        let method = METHODS[usize::from(params.method)]; // validated by to_config
         let (hash, design) = match self.resolve(dref) {
             Ok(r) => r,
-            Err(reply) => return reply,
+            Err(reply) => return reply.into(),
         };
 
         // Warm / rebuild / cold: get a context reflecting `design`.
@@ -204,52 +278,76 @@ impl Engine {
             Some(entry) if entry.design_hash == hash => (entry, FillStatus::Warm),
             Some(entry) => match self.rebuild_entry(entry, hash, &design, &config) {
                 Ok(pair) => pair,
-                Err(reply) => return reply,
+                Err(reply) => return reply.into(),
             },
             None => match self.build_entry(hash, &design, &config) {
                 Ok(entry) => (entry, FillStatus::Cold),
-                Err(reply) => return reply,
+                Err(reply) => return reply.into(),
             },
         };
 
-        // Solve the tiles the cache doesn't cover, fairly interleaved,
-        // straight into the store. Whatever finished is kept: an aborted
-        // request still warms the cache for its successors.
+        // A complete store of this method that nothing has changed since
+        // it was encoded replays its blob; anything else solves.
+        let cached = entry.solved.as_ref().and_then(|s| s.replay(params.method));
+        let blob = match cached {
+            Some(blob) => Ok(blob),
+            None => self.solve(&mut entry, &config, params.method, abort),
+        };
+        self.checkin(entry);
+        match blob {
+            Ok(blob) => Answer::Fill {
+                status,
+                server_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
+                design_hash: hash,
+                blob,
+            },
+            Err(reply) => reply.into(),
+        }
+    }
+
+    /// Solves the tiles `entry`'s store of `method` lacks, fairly
+    /// interleaved, straight into the store, then assembles the complete
+    /// store and encodes its blob, which the entry keeps for replay.
+    /// Whatever finished is kept: an aborted request still warms the
+    /// cache for its successors.
+    fn solve(
+        &self,
+        entry: &mut CtxEntry,
+        config: &FlowConfig,
+        method: u8,
+        abort: &AtomicBool,
+    ) -> Result<Arc<Vec<u8>>, Reply> {
         let mut store = match entry.solved.take() {
-            Some((m, store)) if m == params.method => store,
+            Some(solved) if solved.method == method => solved.store,
             _ => TileCounts::new(entry.ctx.problems()),
         };
+        let fill = METHODS[usize::from(method)]; // validated by to_config
         let ctx = &entry.ctx;
         let mut slots = store.unsolved_slots();
-        // A fully cached request does not queue for the scheduler.
+        // A fully cached store does not queue for the scheduler.
         let refused = if slots.is_empty() {
             None
         } else {
-            let solve = |_, slot: &mut _| ctx.solve_slot(&config, method, slot);
+            let solve = |_, slot: &mut _| ctx.solve_slot(config, fill, slot);
             self.fair.run_slots(&mut slots, solve, Some(abort)).err()
         };
         let failure = slots.into_iter().find_map(|slot| slot.error);
-        let outcome = match (refused, failure) {
+        let blob = match (refused, failure) {
             (Some(fair), _) => Err(busy_or_aborted(&fair)),
             (None, Some(e)) => Err(Reply::Err {
                 code: ERR_FLOW,
                 message: e.to_string(),
             }),
-            (None, None) => Ok(ctx.assemble(method.name(), &store)),
+            (None, None) => Ok(Arc::new(encode_outcome_blob(
+                &ctx.assemble(fill.name(), &store),
+            ))),
         };
-        entry.solved = Some((params.method, store));
-        self.checkin(entry);
-        let outcome = match outcome {
-            Ok(o) => o,
-            Err(reply) => return reply,
-        };
-        let blob = encode_outcome_blob(&outcome);
-        Reply::FillOk {
-            status,
-            server_ns: u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX),
-            design_hash: hash,
-            blob,
-        }
+        entry.solved = Some(Solved {
+            method,
+            store,
+            blob: blob.as_ref().ok().cloned(),
+        });
+        blob
     }
 
     /// Rebuilds a checked-out entry for an edited design, invalidating
@@ -267,8 +365,8 @@ impl Engine {
         match rebuilt {
             Ok(Ok((stats, dirt))) => {
                 entry.design_hash = hash;
-                if let Some((_, store)) = &mut entry.solved {
-                    store.invalidate(&dirt, entry.ctx.problems());
+                if let Some(solved) = &mut entry.solved {
+                    solved.invalidate(&dirt, entry.ctx.problems());
                 }
                 let status = if stats.full {
                     FillStatus::RebuildFull
@@ -535,11 +633,11 @@ fn serve_conn(mut stream: Stream, engine: &Engine, shutdown: &Arc<AtomicBool>, a
             Ok(FrameProgress::Eof) => break, // clean EOF
             Err(_) => break,
         };
-        let reply = match decode_request(&payload) {
+        let answer = match decode_request(&payload) {
             Ok(Request::Shutdown) => {
                 shutdown.store(true, Ordering::Release);
                 crate::net::wake(addr);
-                Reply::ShutdownOk
+                Reply::ShutdownOk.into()
             }
             Ok(req) => {
                 // A panic in a tile solve is re-raised in this thread by
@@ -548,18 +646,22 @@ fn serve_conn(mut stream: Stream, engine: &Engine, shutdown: &Arc<AtomicBool>, a
                 let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     engine.handle(&req, &abort)
                 }));
-                outcome.unwrap_or_else(|_| Reply::Err {
-                    code: ERR_FLOW,
-                    message: "request handler panicked".to_string(),
+                outcome.unwrap_or_else(|_| {
+                    Reply::Err {
+                        code: ERR_FLOW,
+                        message: "request handler panicked".to_string(),
+                    }
+                    .into()
                 })
             }
             Err(e) => Reply::Err {
                 code: ERR_PROTOCOL,
                 message: e.to_string(),
-            },
+            }
+            .into(),
         };
-        let is_shutdown = matches!(reply, Reply::ShutdownOk);
-        if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
+        let is_shutdown = matches!(answer, Answer::Reply(Reply::ShutdownOk));
+        if answer.write_to(&mut stream).is_err() {
             break;
         }
         if is_shutdown {
@@ -601,48 +703,52 @@ fn watch_disconnect(peer: &Stream, abort: &Arc<AtomicBool>, done: &Arc<AtomicBoo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{FillParams, METHOD_NAMES};
+    use crate::protocol::{EditOp, FillParams, METHOD_NAMES};
     use pilfill_core::flow::run_flow;
     use pilfill_layout::synth::{synthesize, SynthConfig};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
 
     thread_local! {
         /// Set while the thread's allocations are being counted.
         static COUNTING: Cell<bool> = const { Cell::new(false) };
     }
     static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+    /// The largest allocation (or reallocation) counted.
+    static LARGEST: AtomicUsize = AtomicUsize::new(0);
 
     /// A [`System`]-backed allocator that counts the `alloc`,
-    /// `alloc_zeroed` and `realloc` events of threads inside [`count`].
+    /// `alloc_zeroed` and `realloc` events of threads inside [`count`]
+    /// and notes the largest.
     struct CountingAlloc;
 
     impl CountingAlloc {
-        fn note() {
+        fn note(size: usize) {
             if COUNTING.get() {
                 ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+                LARGEST.fetch_max(size, Ordering::Relaxed);
             }
         }
     }
 
     // SAFETY: every method delegates directly to `System`, which upholds
-    // the `GlobalAlloc` contract; the counter touches no allocator state.
+    // the `GlobalAlloc` contract; the counters touch no allocator state.
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-            Self::note();
+            Self::note(layout.size());
             // SAFETY: forwarded verbatim under the caller's contract.
             unsafe { System.alloc(layout) }
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-            Self::note();
+            Self::note(layout.size());
             // SAFETY: as in `alloc`.
             unsafe { System.alloc_zeroed(layout) }
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-            Self::note();
+            Self::note(new_size);
             // SAFETY: `ptr` came from `System` with `layout`, per the
             // caller's `realloc` contract.
             unsafe { System.realloc(ptr, layout, new_size) }
@@ -657,24 +763,27 @@ mod tests {
     #[global_allocator]
     static GLOBAL: CountingAlloc = CountingAlloc;
 
-    /// Runs `f` and returns its result with the allocations this thread
-    /// made during it.
-    fn count<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    /// Runs `f` and returns its result with the number of allocations
+    /// this thread made during it and the size of the largest.
+    fn count<T>(f: impl FnOnce() -> T) -> (T, u64, usize) {
         let before = ALLOCATIONS.load(Ordering::Relaxed);
+        LARGEST.store(0, Ordering::Relaxed);
         COUNTING.set(true);
         let out = f();
         COUNTING.set(false);
-        (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+        let allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        (out, allocs, LARGEST.load(Ordering::Relaxed))
     }
 
-    /// The most allocations one warm fill may make, whatever its tile
-    /// count: the feature list, the density-after map, the evaluator's
-    /// buffers and the reply blob's growth.
-    const WARM_FILL_ALLOCS: u64 = 32;
+    /// The most allocations one warm fill, its reply frame included, may
+    /// make whatever its tile count. A replay measures 0: the blob is
+    /// shared and the frame's head lives on the stack.
+    const WARM_FILL_ALLOCS: u64 = 2;
 
-    /// A warm fill assembles straight from the cached store, so its
-    /// allocation count does not grow with the number of tiles (nothing
-    /// is solved, so the whole request runs on this thread).
+    /// A warm fill replays the cached blob, so its allocations do not
+    /// grow with the number of tiles and none is as large as the blob:
+    /// no assemble, no encode, and no copy on the way to the socket
+    /// (nothing is solved, so the whole request runs on this thread).
     #[test]
     fn warm_fill_allocations_do_not_grow_with_the_tile_count() {
         let engine = Engine::new(&ServeOptions {
@@ -687,21 +796,22 @@ mod tests {
         let mut tiles = Vec::new();
         for r in [2, 8] {
             let params = FillParams::new(8_000, r).expect("valid window");
-            let Reply::FillOk { design_hash, .. } = engine.fill(&inline, &params, &never) else {
+            let Answer::Fill { design_hash, .. } = engine.fill(&inline, &params, &never) else {
                 panic!("cold fill failed");
             };
-            let (reply, allocs) =
-                count(|| engine.fill(&DesignRef::Hash(design_hash), &params, &never));
-            assert!(
-                matches!(
-                    reply,
-                    Reply::FillOk {
-                        status: FillStatus::Warm,
-                        ..
-                    }
-                ),
-                "{reply:?}"
-            );
+            let (answer, allocs, largest) = count(|| {
+                let answer = engine.fill(&DesignRef::Hash(design_hash), &params, &never);
+                answer.write_to(&mut std::io::sink()).expect("write");
+                answer
+            });
+            let Answer::Fill {
+                status: FillStatus::Warm,
+                blob,
+                ..
+            } = answer
+            else {
+                panic!("{answer:?}");
+            };
             let config = params.to_config().expect("valid params");
             let entry = lock(&engine.ctxs)
                 .checkout(&design.name, &config)
@@ -712,9 +822,203 @@ mod tests {
                 allocs <= WARM_FILL_ALLOCS,
                 "a warm fill over {n} tiles made {allocs} allocations"
             );
+            assert!(
+                largest < blob.len(),
+                "a warm fill allocated {largest} bytes for a {} byte blob",
+                blob.len()
+            );
             tiles.push(n);
         }
         assert!(tiles[1] >= 4 * tiles[0], "tile counts {tiles:?}");
+    }
+
+    /// The fill blob the engine replies, asserting the serving status.
+    fn served_blob(
+        engine: &Engine,
+        dref: &DesignRef,
+        params: &FillParams,
+        want: FillStatus,
+    ) -> Vec<u8> {
+        let reply = Reply::from(engine.fill(dref, params, &AtomicBool::new(false)));
+        let Reply::FillOk { status, blob, .. } = reply else {
+            panic!("fill failed: {reply:?}");
+        };
+        assert_eq!(status, want);
+        blob
+    }
+
+    /// The one-shot flow's blob for `design` under `params`.
+    fn one_shot_blob(design: &Design, params: &FillParams) -> Vec<u8> {
+        let config = params.to_config().expect("valid params");
+        let method = METHODS[usize::from(params.method)];
+        encode_outcome_blob(&run_flow(design, &config, method).expect("one-shot"))
+    }
+
+    /// A two-lane engine with `base` served cold and then warm, so its
+    /// entry holds a cached blob; returns the engine and the base's key.
+    fn engine_with_cached_blob(base: &Design, params: &FillParams) -> (Engine, DesignKey) {
+        let engine = Engine::new(&ServeOptions {
+            lanes: 2,
+            ..ServeOptions::default()
+        });
+        let inline = DesignRef::Inline(base.to_text());
+        served_blob(&engine, &inline, params, FillStatus::Cold);
+        let hash = design_hash(base);
+        let warm = served_blob(&engine, &DesignRef::Hash(hash), params, FillStatus::Warm);
+        assert_eq!(warm, one_shot_blob(base, params));
+        (engine, hash)
+    }
+
+    /// `op` as an edit of `base` under key `base_hash`, and the design it
+    /// yields.
+    fn edit(base: &Design, base_hash: DesignKey, op: EditOp) -> (DesignRef, Design) {
+        let ops = vec![op];
+        let mut edited = base.clone();
+        apply_edits(&mut edited, &ops).expect("valid edit");
+        (
+            DesignRef::Edit {
+                base: base_hash,
+                ops,
+            },
+            edited,
+        )
+    }
+
+    /// After an incremental rebuild, neither the rebuild's reply nor the
+    /// next warm hit replays the base design's blob.
+    #[test]
+    fn no_stale_blob_after_an_incremental_edit() {
+        let base = synthesize(&SynthConfig::small_test(5));
+        let params = FillParams::new(8_000, 2).expect("valid window");
+        let (engine, hash) = engine_with_cached_blob(&base, &params);
+        let widen = EditOp::WidenSegment {
+            net: 0,
+            seg: 0,
+            delta: 40,
+        };
+        let (edit, edited) = edit(&base, hash, widen);
+        let want = one_shot_blob(&edited, &params);
+        assert_ne!(want, one_shot_blob(&base, &params), "the edit must show");
+        let rebuilt = served_blob(&engine, &edit, &params, FillStatus::RebuildIncr);
+        assert_eq!(rebuilt, want);
+        assert_eq!(served_blob(&engine, &edit, &params, FillStatus::Warm), want);
+    }
+
+    /// Same after a full rebuild (a net-count change).
+    #[test]
+    fn no_stale_blob_after_a_full_rebuild() {
+        let base = synthesize(&SynthConfig::small_test(5));
+        let params = FillParams::new(8_000, 2).expect("valid window");
+        let (engine, _) = engine_with_cached_blob(&base, &params);
+        let mut fewer = base.clone();
+        fewer.nets.pop();
+        let want = one_shot_blob(&fewer, &params);
+        assert_ne!(want, one_shot_blob(&base, &params), "the edit must show");
+        let inline = DesignRef::Inline(fewer.to_text());
+        let rebuilt = served_blob(&engine, &inline, &params, FillStatus::RebuildFull);
+        assert_eq!(rebuilt, want);
+        let by_hash = DesignRef::Hash(design_hash(&fewer));
+        assert_eq!(
+            served_blob(&engine, &by_hash, &params, FillStatus::Warm),
+            want
+        );
+    }
+
+    /// Switching methods on one context replays neither method's blob
+    /// for the other, in either direction.
+    #[test]
+    fn no_stale_blob_after_a_method_switch() {
+        let base = synthesize(&SynthConfig::small_test(5));
+        let mut greedy = FillParams::new(8_000, 2).expect("valid window");
+        greedy.method = 1;
+        let (engine, hash) = engine_with_cached_blob(&base, &greedy);
+        let by_hash = DesignRef::Hash(hash);
+        let mut ilp2 = greedy.clone();
+        ilp2.method = 3;
+        for params in [&ilp2, &ilp2, &greedy, &greedy] {
+            let want = one_shot_blob(&base, params);
+            assert_eq!(
+                served_blob(&engine, &by_hash, params, FillStatus::Warm),
+                want
+            );
+        }
+    }
+
+    /// A rebuild whose solve is aborted leaves a partly solved store (a
+    /// sink edit dirties only its net's tiles) and no blob: the next warm
+    /// hit completes the store and replies the edited design's blob, not
+    /// the base's.
+    #[test]
+    fn no_stale_blob_after_an_aborted_request() {
+        let base = synthesize(&SynthConfig::small_test(5));
+        let params = FillParams::new(8_000, 2).expect("valid window");
+        let (engine, hash) = engine_with_cached_blob(&base, &params);
+        let (edit, edited) = edit(&base, hash, EditOp::DupSink { net: 0 });
+        assert_ne!(
+            one_shot_blob(&edited, &params),
+            one_shot_blob(&base, &params),
+            "the edit must show"
+        );
+        let aborted = Reply::from(engine.fill(&edit, &params, &AtomicBool::new(true)));
+        assert!(
+            matches!(
+                aborted,
+                Reply::Err {
+                    code: ERR_ABORTED,
+                    ..
+                }
+            ),
+            "{aborted:?}"
+        );
+        let config = params.to_config().expect("valid params");
+        let mut entry = lock(&engine.ctxs)
+            .checkout(&base.name, &config)
+            .expect("cached");
+        let solved = entry.solved.as_mut().expect("the aborted request's store");
+        assert!(
+            solved.blob.is_none(),
+            "an aborted request must drop the blob"
+        );
+        let left = solved.store.unsolved_slots().len();
+        let n = entry.ctx.problems().len();
+        assert!(0 < left && left < n, "{left} of {n} tiles unsolved");
+        engine.checkin(entry);
+        let want = one_shot_blob(&edited, &params);
+        assert_eq!(served_blob(&engine, &edit, &params, FillStatus::Warm), want);
+        assert_eq!(served_blob(&engine, &edit, &params, FillStatus::Warm), want);
+    }
+
+    /// A writer that takes at most 7 bytes per call, across slices,
+    /// receives exactly the bytes of the one-buffer frame.
+    #[test]
+    fn a_fill_frame_survives_partial_writes() {
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.write_vectored(&[std::io::IoSlice::new(buf)])
+            }
+            fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
+                let before = self.0.len();
+                for buf in bufs {
+                    let room = 7 - (self.0.len() - before);
+                    self.0.extend_from_slice(&buf[..buf.len().min(room)]);
+                }
+                Ok(self.0.len() - before)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let design = synthesize(&SynthConfig::small_test(5));
+        let params = FillParams::new(8_000, 2).expect("valid window");
+        let (engine, hash) = engine_with_cached_blob(&design, &params);
+        let answer = engine.fill(&DesignRef::Hash(hash), &params, &AtomicBool::new(false));
+        assert!(matches!(answer, Answer::Fill { .. }), "{answer:?}");
+        let mut trickle = Trickle(Vec::new());
+        answer.write_to(&mut trickle).expect("write");
+        let mut want = Vec::new();
+        write_frame(&mut want, &encode_reply(&Reply::from(answer))).expect("write");
+        assert_eq!(trickle.0, want);
     }
 
     /// An aborted request keeps the tiles that finished before the abort;
@@ -730,12 +1034,12 @@ mod tests {
         let params = FillParams::new(8_000, 2).expect("valid window");
         let config = params.to_config().expect("valid params");
         let method = METHODS[usize::from(params.method)];
-        let want = encode_outcome_blob(&run_flow(&design, &config, method).expect("one-shot"));
+        let want = one_shot_blob(&design, &params);
 
         // Aborted before its first batch: the context is cached with an
         // unsolved store.
         let inline = DesignRef::Inline(design.to_text());
-        let aborted = engine.fill(&inline, &params, &AtomicBool::new(true));
+        let aborted = Reply::from(engine.fill(&inline, &params, &AtomicBool::new(true)));
         assert!(
             matches!(
                 aborted,
@@ -751,7 +1055,11 @@ mod tests {
         let mut entry = lock(&engine.ctxs)
             .checkout(&design.name, &config)
             .expect("cached");
-        let (_, store) = entry.solved.as_mut().expect("the aborted request's store");
+        let store = &mut entry
+            .solved
+            .as_mut()
+            .expect("the aborted request's store")
+            .store;
         let abort = AtomicBool::new(false);
         let mut slots = store.unsolved_slots();
         let n = slots.len();
@@ -767,11 +1075,7 @@ mod tests {
         let hash = entry.design_hash;
         engine.checkin(entry);
 
-        let reply = engine.fill(&DesignRef::Hash(hash), &params, &AtomicBool::new(false));
-        let Reply::FillOk { status, blob, .. } = reply else {
-            panic!("completing fill failed: {reply:?}");
-        };
-        assert_eq!(status, FillStatus::Warm);
+        let blob = served_blob(&engine, &DesignRef::Hash(hash), &params, FillStatus::Warm);
         assert_eq!(
             blob, want,
             "completed store must assemble the one-shot outcome"

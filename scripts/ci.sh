@@ -130,6 +130,12 @@ echo "$out" | grep -q "status rebuild-" || { echo "expected a rebuild: $out"; ex
 # checked against a cold build of the same edit below.
 out=$(request --r 2 --method greedy --edit widen:0,0,40 --dump "$serve_dir/incr.blob")
 echo "$out" | grep -q "status rebuild-incr" || { echo "expected an incremental rebuild: $out"; exit 1; }
+# The same edit again is a warm hit that replays the blob cached after
+# the rebuild; it must be the rebuild's blob, not the base's.
+out=$(request --r 2 --method greedy --edit widen:0,0,40 --dump "$serve_dir/incr-warm.blob")
+echo "$out" | grep -q "status warm" || { echo "expected a warm repeat of the edit: $out"; exit 1; }
+cmp "$serve_dir/incr.blob" "$serve_dir/incr-warm.blob" ||
+  { echo "a warm repeat of the edit must reply the rebuild's blob"; exit 1; }
 shutdown_daemon() {
   ./target/release/pilfill request --connect "unix:$serve_sock" --shutdown |
     grep -q "shutdown acknowledged" || { echo "shutdown not acknowledged"; exit 1; }
@@ -185,7 +191,8 @@ if [ -d "$(rustc +nightly --print sysroot 2>/dev/null)/lib/rustlib/src/rust/libr
     budget_error_is_the_same_at_every_lane_count
   RUSTFLAGS="-Zsanitizer=thread" \
     cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-    -p pilfill-serve --lib -- --test-threads 1 partly_solved_store_completes_to_the_one_shot_blob
+    -p pilfill-serve --lib -- --test-threads 1 partly_solved_store_completes_to_the_one_shot_blob \
+    no_stale_blob_after_
 else
   echo "==> nightly rust-src unavailable (skipping TSan; CI runs it)"
 fi
