@@ -177,20 +177,19 @@ pub fn evaluate_placement(
         }
     }
 
-    let per_column = counts.iter().enumerate().map(|(i, &m)| (Some(i), m));
+    let per_column = counts.iter().enumerate().map(|(i, &m)| (i, m));
     let mut impact = evaluate_runs(per_column, columns, lines, tech, rules, num_nets);
     impact.unlocated_features = unlocated;
     impact
 }
 
 /// Evaluates a placement given as `(global column, features)` runs in
-/// ascending column order (runs with no column count as unlocated): the
-/// runs of one column are summed and each column with features is
-/// charged once, in ascending order. The flow's count scoring and
-/// [`evaluate_placement`] (one run per column) both score through it,
-/// so they agree bit for bit.
+/// ascending column order: the runs of one column are summed and each
+/// column with features is charged once, in ascending order. The flow's
+/// count scoring (one run per tile column) and [`evaluate_placement`]
+/// (one run per column) both score through it, so they agree bit for bit.
 pub(crate) fn evaluate_runs(
-    runs: impl IntoIterator<Item = (Option<usize>, u32)>,
+    runs: impl IntoIterator<Item = (usize, u32)>,
     columns: &[SlackColumn],
     lines: &[ActiveLine],
     tech: &Tech,
@@ -200,14 +199,10 @@ pub(crate) fn evaluate_runs(
     let mut score = Score::new(tech, rules, num_nets);
     // The column being summed and its count so far.
     let mut open: Option<(usize, u32)> = None;
-    for (global, k) in runs {
+    for (g, k) in runs {
         if k == 0 {
             continue;
         }
-        let Some(g) = global else {
-            score.impact.unlocated_features += u64::from(k);
-            continue;
-        };
         match &mut open {
             Some((at, m)) if *at == g => *m += k,
             _ => {
@@ -258,9 +253,9 @@ impl Score {
             impact.free_features += u64::from(m);
             return;
         };
-        // Defensive clamp: placements from per-tile scans may exceed the
-        // global slot count by a feature or two near tile cuts; never let
-        // the metal close the gap in the model.
+        // Defensive clamp: fill from outside the flow may stack more
+        // features in a gap than its slots hold; never let the metal
+        // close the gap in the model.
         let max_m = pilfill_geom::units::saturating_count(
             u64::try_from((d - 1) / rules.feature_size).unwrap_or(0),
         );

@@ -6,10 +6,9 @@ use crate::evaluate::evaluate_runs;
 use crate::methods::{FillMethod, MethodError};
 use crate::tile::{interleave_slabs, ColumnMap, SlabBuilder};
 use crate::{
-    build_tile_problems_pool, def_three_capacities, extract_net_lines_with,
-    extract_obstruction_lines, scan_site_columns, scan_slack_columns_into, site_column_count,
-    slab_ranges, ActiveLine, DelayImpact, ExtractScratch, FillFeature, ScanScratch, SlackColumn,
-    SlackColumnDef, TileProblem,
+    def_three_capacities, extract_net_lines_with, extract_obstruction_lines, scan_site_columns,
+    scan_slack_columns_into, site_column_count, slab_ranges, ActiveLine, DelayImpact,
+    ExtractScratch, FillFeature, ScanScratch, SlackColumn, SlackColumnDef, TileProblem,
 };
 use pilfill_density::{
     lp_budget, montecarlo_budget, BudgetError, DensityAnalysis, DensityMap, DissectionError,
@@ -466,13 +465,12 @@ impl<'d> FlowContext<'d> {
     /// Like [`FlowContext::build`], but on the caller's [`WorkerPool`].
     /// The result is identical for every pool size.
     ///
-    /// After the scan (frame, dissection, extraction, arena scan), a
-    /// definition-III build runs the budget stage (capacities, density
-    /// map, fill budget) on a lane while the calling thread builds every
-    /// tile-grid column's slab of [`TileProblem`]s: no tile problem
-    /// depends on the budget. The caller allocates everything that
-    /// outlives the build. Definitions I/II budget first, then scan their
-    /// tiles on the lanes.
+    /// After the scan (frame, dissection, extraction, arena scan), the
+    /// build runs the budget stage (capacities, density map, fill
+    /// budget) on a lane while the calling thread builds every tile-grid
+    /// column's slab of [`TileProblem`]s under the configured
+    /// definition: no tile problem depends on the budget. The caller
+    /// allocates everything that outlives the build.
     ///
     /// On a single-CPU host a multi-lane pool cannot overlap any work, so
     /// the build transparently falls back to the serial path (the lanes
@@ -533,56 +531,41 @@ impl<'d> FlowContext<'d> {
         scan_slack_columns_into(&lines, frame.die, frame.rules, &mut scratch, &mut columns);
         let density_scratch = DensityMap::zeros(&dissection);
 
-        let (problems, map, budgeted) = if config.def == SlackColumnDef::Three {
-            // Item 0 is the budget stage, run by whichever lane claims it
-            // (on a 1-lane pool: first, before any slab); items 1..=nx are
-            // the slabs, which the producer builds on this thread with one
-            // slab builder, recording the column map as it goes, so the
-            // slabs and the map are the caller's allocations. Once the
-            // budget has failed the build's result is that error, and the
-            // producer skips the remaining slabs.
-            let ranges = slab_ranges(&columns, &dissection, frame.rules);
-            let mut builder = SlabBuilder::new(&lines, &dissection, &frame.tech, frame.rules);
-            let mut maps = Vec::with_capacity(ranges.len());
-            let failed = AtomicBool::new(false);
-            let (slabs, mut stages) = pool.stream_map(
-                ranges.len() + 1,
-                |k| match k.checked_sub(1) {
-                    Some(ix) if !failed.load(Ordering::Relaxed) => {
-                        let range = ranges[ix].clone();
-                        let (slab, map) =
-                            builder.build_mapped(&columns[range.clone()], ix, range.start);
-                        maps.push(map);
-                        slab
-                    }
-                    _ => Vec::new(),
-                },
-                |k, _| {
-                    (k == 0).then(|| {
-                        budget_stage(frame, &columns, &dissection, config)
-                            .inspect_err(|_| failed.store(true, Ordering::Relaxed))
-                    })
-                },
-            );
-            // Item 0 always runs the budget stage. pilfill: allow(unwrap)
-            let budgeted = stages.swap_remove(0).expect("item 0 is the budget stage");
-            let ny = dissection.tiles().ny();
-            let problems = interleave_slabs(slabs.into_iter().skip(1), ny);
-            (problems, ColumnMap::Slabs(maps), budgeted)
-        } else {
-            let budgeted = budget_stage(frame, &columns, &dissection, config)?;
-            let problems = build_tile_problems_pool(
-                &lines,
-                &columns,
-                &dissection,
-                &frame.tech,
-                frame.rules,
-                config.def,
-                pool,
-            );
-            let map = ColumnMap::for_tiles(&problems, &columns, frame.die, frame.rules);
-            (problems, map, Ok(budgeted))
-        };
+        // Item 0 is the budget stage, run by whichever lane claims it (on
+        // a 1-lane pool: first, before any slab); items 1..=nx are the
+        // slabs, which the producer builds on this thread with one slab
+        // builder, recording the column map as it goes, so the slabs and
+        // the map are the caller's allocations. Once the budget has failed
+        // the build's result is that error, and the producer skips the
+        // remaining slabs.
+        let ranges = slab_ranges(&columns, &dissection, frame.rules);
+        let mut builder =
+            SlabBuilder::new(&lines, &dissection, &frame.tech, frame.rules, config.def);
+        let mut maps = Vec::with_capacity(ranges.len());
+        let failed = AtomicBool::new(false);
+        let (slabs, mut stages) = pool.stream_map(
+            ranges.len() + 1,
+            |k| match k.checked_sub(1) {
+                Some(ix) if !failed.load(Ordering::Relaxed) => {
+                    let range = ranges[ix].clone();
+                    let (slab, map) =
+                        builder.build_mapped(&columns[range.clone()], ix, range.start);
+                    maps.push(map);
+                    slab
+                }
+                _ => Vec::new(),
+            },
+            |k, _| {
+                (k == 0).then(|| {
+                    budget_stage(frame, &columns, &dissection, config)
+                        .inspect_err(|_| failed.store(true, Ordering::Relaxed))
+                })
+            },
+        );
+        // Item 0 always runs the budget stage. pilfill: allow(unwrap)
+        let budgeted = stages.swap_remove(0).expect("item 0 is the budget stage");
+        let problems = interleave_slabs(slabs.into_iter().skip(1), dissection.tiles().ny());
+        let map = ColumnMap(maps);
         let (slack, density_map, density_before, budget) = budgeted?;
 
         Ok(FlowContext {
@@ -779,8 +762,8 @@ impl<'d> FlowContext<'d> {
     ///
     /// The impact is scored from the counts: the context's column map
     /// says which global slack column each tile column's slots lie in, so
-    /// each global column's count is a sum over the runs of the tile
-    /// columns that feed it, with no feature made or located, and the
+    /// each global column's count is a sum over the tile columns that
+    /// feed it, with no feature made or located, and the
     /// columns are charged in ascending order as [`evaluate_placement`]
     /// charges them — the two agree bit for bit on the outcome's
     /// features. The features are made afterwards, tile by tile, from
@@ -900,8 +883,9 @@ impl FlowContext<'static> {
     /// moved, the site columns its old and new buffer-expanded lines cover
     /// are re-swept through the arena scan. Only the tile-grid columns
     /// containing a changed site column get their [`TileProblem`]s rebuilt
-    /// ([`build_slab_problems`](crate::build_slab_problems)), and those tiles' def-III slack is read
-    /// off the rebuilt problems' capacities. Value-only edits (a sink or
+    /// ([`build_slab_problems`](crate::build_slab_problems)), under any
+    /// definition, and those tiles' def-III slack is counted from the
+    /// rebuilt slabs' row chunks. Value-only edits (a sink or
     /// timing change) skip the sweep entirely, since columns depend only
     /// on rects. The density map and budget are recomputed only when a
     /// segment moved AND the recomputed map or slack actually differ;
@@ -937,10 +921,7 @@ impl FlowContext<'static> {
             Ok((RebuildStats::FULL, RebuildDirt::All))
         };
         let old: &Design = &self.frame_design;
-        // The slab rebuild below is a definition-III construction
-        // (weaker definitions re-scan per tile anyway).
         if *config != self.config
-            || config.def != SlackColumnDef::Three
             || self.transposed
             || routes_vertically(design, config.layer)
             || design.die != old.die
@@ -1070,8 +1051,8 @@ impl FlowContext<'static> {
         let columns = new_columns.as_deref().unwrap_or(&self.columns);
 
         // Rebuild the problems of every tile-grid column containing a
-        // changed site. Their tiles' def-III slack is the problems'
-        // capacity: a tile's slot count from its slab's columns, the same
+        // changed site. Their tiles' def-III slack is the slot count of
+        // the slab's row chunks before the definition drops any, the same
         // sum `def_three_capacities` bins.
         let grid = self.dissection.tiles();
         let nx = grid.nx();
@@ -1090,13 +1071,17 @@ impl FlowContext<'static> {
         let mut slack = self.slack.clone();
         let mut slabs = Vec::new();
         let mut maps = Vec::new();
-        let mut builder = SlabBuilder::new(&self.lines, &self.dissection, &design.tech, rules);
+        let mut builder = SlabBuilder::new(
+            &self.lines,
+            &self.dissection,
+            &design.tech,
+            rules,
+            config.def,
+        );
         for ix in (0..nx).filter(|&ix| dirty_grid[ix]) {
             let range = ranges[ix].clone();
             let (slab, map) = builder.build_mapped(&columns[range.clone()], ix, range.start);
-            for (iy, p) in slab.iter().enumerate() {
-                slack[iy * nx + ix] = units::saturating_count(p.capacity());
-            }
+            builder.write_slack(ix, &mut slack);
             slabs.push((ix, slab));
             maps.push((ix, map));
         }
@@ -1245,6 +1230,12 @@ mod tests {
     fn config() -> FlowConfig {
         FlowConfig::new(8_000, 2).expect("valid config")
     }
+
+    const DEFS: [SlackColumnDef; 3] = [
+        SlackColumnDef::One,
+        SlackColumnDef::Two,
+        SlackColumnDef::Three,
+    ];
 
     #[test]
     fn flow_places_full_budget_under_def_three() {
@@ -1436,17 +1427,14 @@ mod tests {
 
     /// The pooled build (budget stage on a lane, slabs on the caller) and
     /// the streamed run (that build plus the pooled run) against the
-    /// serial build + run: every definition, both frames (the vertical
+    /// serial build + run, through the internal and the public
+    /// (host-aware) entries: every definition, both frames (the vertical
     /// layer works on the transposed design), both budgets, 1/2/4/8
     /// lanes.
     #[test]
     fn pooled_build_and_streamed_run_match_serial_for_every_def_frame_and_lane_count() {
         let d = design();
-        for def in [
-            SlackColumnDef::One,
-            SlackColumnDef::Two,
-            SlackColumnDef::Three,
-        ] {
+        for def in DEFS {
             for layer in [LayerId(0), LayerId(1)] {
                 for lp_budget in [false, true] {
                     let mut cfg = config();
@@ -1464,6 +1452,11 @@ mod tests {
                         assert_context_state_identical(&built, &serial, &tag);
                         let (ctx, got) =
                             run_flow_streamed_impl(&d, &cfg, &IlpTwo, &pool).expect("streamed");
+                        assert_context_state_identical(&ctx, &serial, &tag);
+                        assert_outcomes_identical(&want, &got, &tag);
+                        // The public (host-aware) entry must agree too.
+                        let (ctx, got) =
+                            run_flow_streamed(&d, &cfg, &IlpTwo, &pool).expect("public");
                         assert_context_state_identical(&ctx, &serial, &tag);
                         assert_outcomes_identical(&want, &got, &tag);
                     }
@@ -1586,17 +1579,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streamed_run_falls_back_for_weaker_definitions() {
-        let d = design();
-        let mut cfg = config();
-        cfg.def = SlackColumnDef::Two;
-        let pool = WorkerPool::new(2);
-        let (ctx, streamed) = run_flow_streamed(&d, &cfg, &GreedyFill, &pool).expect("streamed");
-        let serial = ctx.run(&cfg, &GreedyFill).expect("serial");
-        assert_outcomes_identical(&serial, &streamed, "def II fallback");
-    }
-
     /// The horizontal fill-layer segments of `d` as `(net, segment)`
     /// pairs, in net order.
     fn fill_layer_segments(d: &Design) -> Vec<(usize, usize)> {
@@ -1654,14 +1636,20 @@ mod tests {
         assert_eq!(ctx.density_before, fresh.density_before, "{tag}");
     }
 
+    /// Under every definition, a segment edit rebuilds incrementally, slab
+    /// by slab, into the context a cold build makes, column map included.
     #[test]
     fn rebuild_after_one_segment_mutation_matches_fresh_build() {
         let pool = WorkerPool::new(1);
         for seed in 0..6 {
             let d = synthesize(&SynthConfig::small_test(seed));
             let segments = fill_layer_segments(&d);
-            for r in [2usize, 4] {
-                let cfg = FlowConfig::new(8_000, r).expect("valid config");
+            for (r, def) in [2usize, 4]
+                .into_iter()
+                .flat_map(|r| DEFS.map(|def| (r, def)))
+            {
+                let mut cfg = FlowConfig::new(8_000, r).expect("valid config");
+                cfg.def = def;
                 let pitch = cfg.window / units::coord(r);
                 let grid_columns = |(ni, si): (usize, usize)| {
                     let rect = d.nets[ni].segments[si].rect();
@@ -1684,7 +1672,7 @@ mod tests {
                     ("widen two nets", &both[..], 100),
                 ];
                 for (name, at, delta) in edits {
-                    let tag = format!("seed {seed} r {r} {name}");
+                    let tag = format!("seed {seed} r {r} {def} {name}");
                     let d2 = resize_segments(&d, at, delta);
                     let mut ctx = FlowContext::build(&d, &cfg).expect("ctx").into_owned();
                     let (stats, _) = ctx.rebuild_owned(&d2, &cfg, &pool).expect("rebuild");
@@ -1701,7 +1689,7 @@ mod tests {
                 // merge, so a dirty slab holds fewer global columns and
                 // every clean slab to its right starts at a shifted global
                 // index. The rebuilt column map must equal a fresh one.
-                let tag = format!("seed {seed} r {r} shorten");
+                let tag = format!("seed {seed} r {r} {def} shorten");
                 let slabs_of =
                     |ctx: &FlowContext| slab_ranges(&ctx.columns, &ctx.dissection, d.rules);
                 let step = 4 * d.rules.site_pitch();

@@ -64,8 +64,8 @@ pub use scan::{
     SlackColumn, Slots,
 };
 pub use tile::{
-    build_slab_problems, build_tile_problems, build_tile_problems_pool, def_three_capacities,
-    slab_ranges, AdjacentNets, SlackColumnDef, TileColumn, TileProblem,
+    build_slab_problems, build_tile_problems, def_three_capacities, slab_ranges, AdjacentNets,
+    SlackColumnDef, TileColumn, TileProblem,
 };
 pub use verify::{check_fill, DrcReport, DrcViolation};
 

@@ -1,6 +1,6 @@
 //! Data-layout constants of the scanline hot path, collected in one place
-//! so the kernel shapes (bitmask word width, tile-run sharding) are documented
-//! and tuned together rather than scattered as magic numbers.
+//! so the kernel shapes (the bitmask word width) are documented and tuned
+//! together rather than scattered as magic numbers.
 
 /// Bits per occupancy-bitmask word in the span sweep.
 ///
@@ -12,14 +12,3 @@
 /// integer with single-instruction bit scans on every supported target,
 /// so one word covers 64 site columns per scan step.
 pub const MASK_WORD_BITS: usize = 64;
-
-/// Tiles per definition-I/II tile-build work item.
-///
-/// Definitions I and II rescan each tile on its own. A work item threads
-/// one scan scratch and column buffer through a fixed run of tiles in
-/// row-major order, so the scratch grows to the run's largest tile once
-/// (about 30 allocations) instead of being rebuilt for every tile. Each
-/// tile's result depends only on its own rect, so the output is the same
-/// for every shard size and lane count. 64 tiles make the scratch cost
-/// under half an allocation per tile.
-pub const DEF_ONE_TWO_SHARD_TILES: usize = 64;

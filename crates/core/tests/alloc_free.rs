@@ -4,9 +4,7 @@
 //! - A tile build allocates per tile, not per column, under every slack
 //!   column definition: a [`pilfill_core::TileColumn`] is plain data, so
 //!   expanding tens of thousands of global columns costs no allocation
-//!   each, the definition-III slab builds size each tile's buffer
-//!   exactly, and the definition-I/II rescans reuse one scan scratch
-//!   across a run of tiles.
+//!   each, and the slab builds size each tile's buffer exactly.
 //! - A warm `scan_slack_columns_into` rescan allocates nothing.
 //! - A warm `DensityMap::recompute` allocates nothing.
 //! - A 1-lane flow run allocates no block larger than its outputs (the
@@ -18,7 +16,6 @@
 //! can add allocations to a measured window.
 
 use pilfill_core::flow::{FlowConfig, FlowContext};
-use pilfill_core::layout::DEF_ONE_TWO_SHARD_TILES;
 use pilfill_core::methods::GreedyFill;
 use pilfill_core::{
     build_tile_problems, extract_active_lines, scan_slack_columns, scan_slack_columns_into,
@@ -97,24 +94,18 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
     let lines = extract_active_lines(&design, layer).expect("lines");
     let columns = scan_slack_columns(&lines, design.die, design.rules);
 
-    // Tile builds: O(tiles) allocations under every definition. A
-    // definition-III build is one slab build per grid column: each slab
-    // makes its row counts, its tile vector and one exactly sized buffer
-    // per non-empty tile, and the merge adds a few fixed ones (slab
-    // ranges, pool slots, slab list, the row-major tile vector), so it
-    // stays within tiles + 2·nx + 8. Definitions I and II rescan each
-    // tile, threading one scan scratch through a run of
-    // `DEF_ONE_TWO_SHARD_TILES` tiles: one buffer per non-empty tile plus
-    // the scratch growth of each run, under 32 allocations a run. A
+    // Tile builds: O(tiles) allocations under every definition. A build
+    // is one slab build per grid column: each slab makes its row counts,
+    // its tile vector and one exactly sized buffer per non-empty tile,
+    // and the merge adds a few fixed ones (slab ranges, slab list, the
+    // row-major tile vector), so it stays within tiles + 2·nx + 8. A
     // per-column allocation would put the count above the number of tile
     // columns.
     let grid = dissection.tiles();
-    let slabs = 2 * grid.nx() as u64;
-    let runs = 32 * grid.len().div_ceil(DEF_ONE_TWO_SHARD_TILES) as u64;
-    for (def, per_unit) in [
-        (SlackColumnDef::One, runs),
-        (SlackColumnDef::Two, runs),
-        (SlackColumnDef::Three, slabs),
+    for def in [
+        SlackColumnDef::One,
+        SlackColumnDef::Two,
+        SlackColumnDef::Three,
     ] {
         let (problems, build_allocs) = count(|| {
             build_tile_problems(
@@ -127,7 +118,7 @@ fn hot_paths_allocate_per_tile_or_not_at_all() {
             )
         });
         let tiles = problems.len() as u64;
-        let bound = tiles + per_unit + 8;
+        let bound = tiles + 2 * grid.nx() as u64 + 8;
         let tile_columns: u64 = problems.iter().map(|p| p.columns.len() as u64).sum();
         assert!(
             tile_columns > bound,

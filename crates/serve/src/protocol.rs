@@ -970,10 +970,15 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, ProtocolError> {
             let design_hash = c.key()?;
             let checked = c.u64()?;
             let count = to_usize(c.u32()?);
-            if count > payload.len() / 4 + 1 {
+            // Every violation takes at least its 4-byte length.
+            if count > c.remaining() / 4 {
                 return Err(ProtocolError::bad("violation count exceeds frame"));
             }
-            let mut violations = Vec::with_capacity(count);
+            // A `String` is 24 bytes against the wire's 4, so reserve no
+            // more of them than the bytes that arrived could fill; a
+            // frame that holds its strings grows the list as they come.
+            let cap = count.min(c.remaining() / std::mem::size_of::<String>());
+            let mut violations = Vec::with_capacity(cap);
             for _ in 0..count {
                 violations.push(c.string()?);
             }

@@ -775,6 +775,36 @@ mod tests {
         (out, allocs, LARGEST.load(Ordering::Relaxed))
     }
 
+    /// A `VerifyOk` reply that claims as many violations as its frame
+    /// could hold, but holds none, reserves no more than the frame: the
+    /// decoder sizes its list by the bytes that arrived, not by the
+    /// 24-byte `String`s the claimed count would take.
+    #[test]
+    fn verify_reply_reservation_is_bounded_by_the_frame() {
+        use crate::protocol::{decode_reply, MSG_VERIFY_OK};
+        const BODY: usize = 64 * 1024;
+        let frame = |count: usize| {
+            let mut payload = vec![MSG_VERIFY_OK];
+            payload.extend_from_slice(&[0; DesignKey::LEN + 8]);
+            payload.extend_from_slice(&u32::try_from(count).expect("count").to_le_bytes());
+            // The first violation claims more bytes than the frame holds.
+            payload.extend_from_slice(&u32::MAX.to_le_bytes());
+            payload.resize(payload.len() - 4 + BODY, 0);
+            payload
+        };
+        let payload = frame(BODY / 4);
+        let (reply, allocs, largest) = count(|| decode_reply(&payload));
+        let err = reply.expect_err("the first violation is truncated");
+        assert!(err.to_string().contains("truncated"), "{err}");
+        assert!(
+            largest <= payload.len(),
+            "a {} B frame reserved a {largest} B block ({allocs} allocations)",
+            payload.len()
+        );
+        let err = decode_reply(&frame(BODY / 4 + 1)).expect_err("one too many");
+        assert!(err.to_string().contains("exceeds frame"), "{err}");
+    }
+
     /// The most allocations one warm fill, its reply frame included, may
     /// make whatever its tile count. A replay measures 0: the blob is
     /// shared and the frame's head lives on the stack.

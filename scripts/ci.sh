@@ -158,16 +158,19 @@ shutdown_daemon
 trap - EXIT
 rm -rf "$serve_dir"
 
-# DRC smoke: an ILP-II fill exported to GDSII and read back must pass
-# `pilfill verify` (exit 0, "DRC clean").
-echo "==> DRC smoke (pilfill fill --gds, then pilfill verify)"
+# DRC smoke: an ILP-II fill under each slack-column definition, exported
+# to GDSII and read back, must pass `pilfill verify` (exit 0, "DRC clean").
+echo "==> DRC smoke (pilfill fill --def 1|2|3 --gds, then pilfill verify)"
 drc_dir=$(mktemp -d)
 trap 'rm -rf "$drc_dir"' EXIT
 ./target/release/pilfill synth --preset small --seed 7 --out "$drc_dir/drc.pfl" >/dev/null
-./target/release/pilfill fill "$drc_dir/drc.pfl" --method ilp2 --gds "$drc_dir/drc.gds" >/dev/null
-out=$(./target/release/pilfill verify "$drc_dir/drc.pfl" --gds "$drc_dir/drc.gds") ||
-  { echo "pilfill verify failed: $out"; exit 1; }
-echo "$out" | grep -q "DRC clean" || { echo "expected DRC clean: $out"; exit 1; }
+for def in 1 2 3; do
+  ./target/release/pilfill fill "$drc_dir/drc.pfl" --method ilp2 --def "$def" \
+    --gds "$drc_dir/drc.gds" >/dev/null
+  out=$(./target/release/pilfill verify "$drc_dir/drc.pfl" --gds "$drc_dir/drc.gds") ||
+    { echo "pilfill verify failed under --def $def: $out"; exit 1; }
+  echo "$out" | grep -q "DRC clean" || { echo "expected DRC clean under --def $def: $out"; exit 1; }
+done
 trap - EXIT
 rm -rf "$drc_dir"
 

@@ -206,8 +206,8 @@ fn assert_impact_matches_the_feature_oracle(
 /// map recorded at build time; the feature-locating evaluator is the
 /// oracle. Every method under every slack-column definition, both
 /// budgets, both objectives and both routing directions: the impact must
-/// equal the oracle bit for bit, the fill of definitions I and III must
-/// be DRC-clean, every tile
+/// equal the oracle bit for bit, every feature must lie in a global
+/// column, the fill must be DRC-clean, every tile
 /// must place `min(budget, capacity)`, and per tile ILP-II must match the
 /// exact DP within the solver's gap and never lose to Greedy on the
 /// lookup-table cost.
@@ -218,7 +218,6 @@ fn count_scoring_equals_the_feature_oracle() {
     // this share of the tile's largest full-column cost.
     const GAP_TOL: f64 = 1e-9;
     let mut rng = StdRng::seed_from_u64(0xF1_0003);
-    let mut unlocated = 0u64;
     for case in 0..8 {
         let (synth, window, r) = rand_case(&mut rng);
         let design = synthesize(&synth);
@@ -246,16 +245,9 @@ fn count_scoring_equals_the_feature_oracle() {
                     );
                     let outcome = ctx.run(&config, method).expect("run");
                     assert_impact_matches_the_feature_oracle(&design, &config, &outcome, &tag);
-                    unlocated += outcome.impact.unlocated_features;
-                    // Definition II scans each tile with its lines
-                    // clipped to the tile, so it places slots within the
-                    // buffer of a wire just past the tile edge; its
-                    // outcomes are not DRC-clean, on this code and before
-                    // it.
-                    if def != SlackColumnDef::Two {
-                        let report = check_fill(&design, config.layer, &outcome.features);
-                        assert!(report.is_clean(), "{tag}: {:?}", report.violations.first());
-                    }
+                    assert_eq!(outcome.impact.unlocated_features, 0, "{tag}");
+                    let report = check_fill(&design, config.layer, &outcome.features);
+                    assert!(report.is_clean(), "{tag}: {:?}", report.violations.first());
 
                     let mut costs = Vec::with_capacity(ctx.problems().len());
                     for (i, p) in ctx.problems().iter().enumerate() {
@@ -294,7 +286,4 @@ fn count_scoring_equals_the_feature_oracle() {
             }
         }
     }
-    // Definition II's tile scans put slots outside every global column;
-    // the cases must reach that path.
-    assert!(unlocated > 0, "no run placed an unlocated feature");
 }
